@@ -1127,14 +1127,19 @@ let skew_fields s =
    statement — and its cold I/O, which both regimes pay — stops
    dominating the ratio. The tiny smoke store needs more repeats than
    the quick/full stores, whose per-execution work is bigger relative
-   to the front door's per-hit overhead. *)
-let skew_per_client ~smoke = if smoke then 128 else 32
+   to the front door's per-hit overhead. The base count is sized for 8
+   clients; fewer clients each take a proportional share of the 8-client
+   total, so a small run is never too short to amortise that fixed
+   cost. *)
+let skew_per_client ~smoke ~clients =
+  let base = if smoke then 128 else 32 in
+  max base (((8 * base) + clients - 1) / clients)
 
 let skew_mode ~profile ~smoke cfg ~clients out_file =
   section_header
     (Printf.sprintf "skewed repeat-query mix — %d clients, zipf(%.1f) over the q6'/q7/q15 variants"
        clients skew_exponent);
-  let s = skew_measure cfg ~clients ~per_client:(skew_per_client ~smoke) in
+  let s = skew_measure cfg ~clients ~per_client:(skew_per_client ~smoke ~clients) in
   Printf.printf "%d jobs over %d distinct statements\n" s.sk_jobs s.sk_distinct;
   Printf.printf "cache off: %8.1f served/s  (%d page reads, %.4fs)\n" s.sk_served_off s.sk_reads_off
     s.sk_time_off;
@@ -1204,7 +1209,9 @@ let json_mode ~profile cfg out_file =
   (* The skewed repeat-query summary rides along in every --json run, so
      the committed baseline carries the front door's served/s figures and
      --compare can gate them. *)
-  let skew = skew_measure cfg ~clients:8 ~per_client:(skew_per_client ~smoke:(profile = "smoke")) in
+  let skew =
+    skew_measure cfg ~clients:8 ~per_client:(skew_per_client ~smoke:(profile = "smoke") ~clients:8)
+  in
   let out =
     jobj
       [

@@ -62,6 +62,17 @@ let of_list items =
       remaining := rest;
       Some x
 
+let plan_error path plan =
+  if path = [] then Some "empty path"
+  else
+    match (plan : Plan.t) with
+    | Plan.Reordered _ when not (Path.is_downward path) ->
+      Some "reordered plans require downward axes only"
+    | _ -> None
+
+let check_plan who path plan =
+  Option.iter (fun msg -> invalid_arg (who ^ ": " ^ msg)) (plan_error path plan)
+
 (* Build the result iterator for [plan]; also hand back the I/O operator
    (if the plan has one) so post-run invariants can inspect it and a
    stuck post-fallback pipeline can be torn down. *)
@@ -77,8 +88,6 @@ let pipeline ctx store path plan contexts =
     in
     (producer, None, None, None)
   | Plan.Reordered { io; dslash; fused } ->
-    if not (Path.is_downward path) then
-      invalid_arg "Exec.run: reordered plans require downward axes only";
     (* Both knobs must agree: the plan's [fused] field and the context
        config's kill switch. Off reproduces the per-step chain (and its
        counter stream) exactly. *)
@@ -124,7 +133,7 @@ let pipeline ctx store path plan contexts =
         schedule_pipeline ())
 
 let run ?config ?contexts ?trace ?(ordered = true) store path plan =
-  if path = [] then invalid_arg "Exec.run: empty path";
+  check_plan "Exec.run" path plan;
   let contexts = match contexts with Some c -> c | None -> [ Store.root store ] in
   let config =
     match (config, plan) with
@@ -385,7 +394,7 @@ type stream = {
 }
 
 let prepare ?config ?contexts ?trace store path plan =
-  if path = [] then invalid_arg "Exec.prepare: empty path";
+  check_plan "Exec.prepare" path plan;
   let contexts = match contexts with Some c -> c | None -> [ Store.root store ] in
   let config =
     match (config, plan) with

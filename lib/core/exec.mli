@@ -87,6 +87,14 @@ type result = {
   metrics : metrics;
 }
 
+val plan_error : Xnav_xpath.Path.t -> Plan.t -> string option
+(** [plan_error path plan] describes why [plan] cannot evaluate [path]:
+    the path is empty, or a reordered plan is asked for a path with
+    non-downward axes. [None] means {!run} and {!prepare} accept the
+    pair. Callers that must reject bad input before taking any resource
+    (the workload engine, before any lane pins a frame) check it up
+    front. *)
+
 val run :
   ?config:Context.config ->
   ?contexts:Xnav_store.Node_id.t list ->
@@ -131,7 +139,8 @@ val prepare :
     the store's buffer pool and asynchronous I/O queue with any other
     live stream — concurrent streams' requests merge in the scheduler,
     which is exactly the multi-query benefit the paper's outlook
-    anticipates. *)
+    anticipates.
+    @raise Invalid_argument when {!plan_error} reports the pair. *)
 
 val stream_next : stream -> Xnav_store.Store.info option
 (** The next result node (duplicate-free for reordered plans; the Simple

@@ -1,16 +1,8 @@
 module Store = Xnav_store.Store
 module Import = Xnav_store.Import
-module Node_id = Xnav_store.Node_id
 module Disk = Xnav_storage.Disk
 module Buffer_manager = Xnav_storage.Buffer_manager
 module Io_scheduler = Xnav_storage.Io_scheduler
-module Ordpath = Xnav_xml.Ordpath
-module Path = Xnav_xpath.Path
-module Context = Xnav_core.Context
-module Plan = Xnav_core.Plan
-module Exec = Xnav_core.Exec
-module Result_cache = Xnav_core.Result_cache
-module Vec = Xnav_core.Vec
 
 (* Tenant placement must be stable across processes and tenant-list
    orders — it is part of the format, not an engine detail — so it can
@@ -110,439 +102,40 @@ type result = {
   violations : string list;
 }
 
-(* A lane is one admitted read job on its tenant's shard. Compared to
-   the single-pool engine there is no writer/snapshot/follower
-   machinery: jobs are read-only and shared-scan dedup is not offered
-   (see the interface). [touched] still records the stream's cluster
-   footprint so completed answers install cluster-granular cache
-   entries. *)
-type lane = {
-  site : site;
-  client : int;
-  spec : Workload.spec;
-  submitted_at : float;
-  started_at : float;
-  ctx : Context.t;
-  stream : Exec.stream option;  (* [None] = answered from the cache at admission *)
-  seen : unit Node_id.Tbl.t;
-  nodes : Store.info Vec.t;
-  touched : (int, unit) Hashtbl.t;
-  mutable sorted : Store.info list option;
-  mutable yields : int;
-  mutable boosts : int;
-  mutable status : Workload.status;
-  mutable done_at : float;
-}
-
-let doc_order (a : Store.info) (b : Store.info) = Ordpath.compare a.Store.ordpath b.Store.ordpath
-let step_cap = 256
-
 let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold t clients =
   if Array.length clients = 0 then invalid_arg "Shard.run_clients: no clients";
-  Array.iter
-    (List.iter (fun (j : tjob) ->
-         if j.spec.Workload.ops <> [] then
-           invalid_arg
-             "Shard.run_clients: writer jobs are not supported; route updates through \
-              Workload.run_clients on the owning tenant's store";
-         ignore (site_of t j.tenant)))
-    clients;
-  let k = Array.length t.shards in
-  let nt = Array.length t.sites in
-  if cold then
-    Array.iter
-      (fun s ->
-        Buffer_manager.reset s.buffer;
-        Disk.reset_clock s.disk)
-      t.shards;
-  let cfg = match config with Some c -> c | None -> Context.default_config in
-  let front_door = cfg.Context.result_cache in
-  let cpu_before = Sys.time () in
-  let disk_before = Array.map (fun s -> Disk.stats s.disk) t.shards in
-  let io_before = Array.map (fun s -> Disk.elapsed s.disk) t.shards in
-  let buf_before = Array.map (fun s -> Buffer_manager.stats s.buffer) t.shards in
-  let now sid = Disk.elapsed t.shards.(sid).disk in
-
-  (* Closed-loop clients, one waiting queue per shard: a job queues at
-     its tenant's shard and waits there for that shard's admission. *)
-  let remaining = Array.map (fun l -> ref l) clients in
-  let waiting = Array.init k (fun _ -> Queue.create ()) in
-  let active = Array.make k [] in
-  let rr = Array.make k 0 in
-  let served_turns = Array.make k 0 in
-  let finished = ref [] in
-  let max_concurrent = ref 0 in
-  let global_turns = ref 0 in
-  let grr = ref 0 in
-  let rebalance_moves = ref 0 in
-  (* Cross-tenant fairness state: the global turn at which each tenant
-     was last served (or admitted — arrival resets its aging). *)
-  let last_served = Array.make nt 0 in
-  let total_active () = Array.fold_left (fun a l -> a + List.length l) 0 active in
-  let submit client =
-    match !(remaining.(client)) with
-    | [] -> ()
-    | { tenant; spec } :: rest ->
-      remaining.(client) := rest;
-      let site = site_of t tenant in
-      Queue.add (client, site, spec, now site.shard_id) waiting.(site.shard_id)
+  let clients =
+    Array.map
+      (List.map (fun (j : tjob) ->
+           if j.spec.Workload.ops <> [] then
+             invalid_arg
+               "Shard.run_clients: writer jobs are not supported; route updates through \
+                Workload.run_clients on the owning tenant's store";
+           ((site_of t j.tenant).tix, j.spec)))
+      clients
   in
-  Array.iteri (fun client _ -> submit client) clients;
-
-  let make_lane ~site ~client ~spec ~submitted_at ~stream =
-    {
-      site;
-      client;
-      spec;
-      submitted_at;
-      started_at = now site.shard_id;
-      ctx =
-        (match stream with
-        | Some s -> Exec.stream_ctx s
-        | None -> Context.create ~config:cfg site.store);
-      stream;
-      seen = Node_id.Tbl.create 64;
-      nodes = Vec.create ();
-      touched = Hashtbl.create 16;
-      sorted = None;
-      yields = 0;
-      boosts = 0;
-      status = Workload.Completed;
-      done_at = 0.0;
-    }
+  let run =
+    Workload.run_topology ~config ~quantum ~ordered ~cold
+      ~pools:(Array.map (fun s -> s.buffer) t.shards)
+      ~sites:(Array.map (fun site -> (site.store, site.shard_id)) t.sites)
+      clients
   in
-
-  (* Answer installation mirrors the single-pool engine: footprint from
-     the touch log, footprint-free for index-seeded runs. Entries key on
-     the tenant store's uid + identity, so co-located tenants on one
-     shard can never alias. *)
-  let cache_fill lane =
-    if front_door then begin
-      let nodes = Vec.sorted_to_list doc_order lane.nodes in
-      lane.sorted <- Some nodes;
-      let c = lane.ctx.Context.counters in
-      c.Context.cache_misses <- 1;
-      let clusters =
-        if c.Context.index_entries > 0 then None
-        else begin
-          let pids = Hashtbl.fold (fun pid () acc -> pid :: acc) lane.touched [] in
-          Some (Array.of_list (List.sort_uniq compare pids))
-        end
-      in
-      c.Context.cache_evictions <-
-        Result_cache.add ?clusters lane.site.store
-          (Path.to_string lane.spec.Workload.path)
-          ~count:(List.length nodes) nodes
-    end
-  in
-
-  let finish lane status =
-    let sid = lane.site.shard_id in
-    active.(sid) <- List.filter (fun l -> l != lane) active.(sid);
-    lane.status <- status;
-    lane.done_at <- now sid;
-    finished := lane :: !finished;
-    (match (status, lane.stream) with
-    | Workload.Completed, Some _ -> cache_fill lane
-    | _ -> ());
-    submit lane.client
-  in
-
-  let admit sid =
-    let q = waiting.(sid) in
-    let capacity = Buffer_manager.capacity t.shards.(sid).buffer in
-    let stop = ref false in
-    while (not !stop) && not (Queue.is_empty q) do
-      let client, site, spec, submitted_at = Queue.peek q in
-      match
-        if front_door then Result_cache.find site.store (Path.to_string spec.Workload.path)
-        else None
-      with
-      | Some entry ->
-        (* Level-1 hit: the job completes at admission, no lane slot. *)
-        ignore (Queue.pop q);
-        let lane = make_lane ~site ~client ~spec ~submitted_at ~stream:None in
-        lane.ctx.Context.counters.Context.cache_hits <- 1;
-        lane.sorted <- Some (Result_cache.nodes entry);
-        lane.done_at <- now sid;
-        finished := lane :: !finished;
-        submit client
-      | None ->
-        let n = List.length active.(sid) in
-        (* The single-pool admission bound, applied per shard: each
-           shard's pool only has to absorb its own lanes' pin demand. *)
-        if n = 0 || Workload.demand_frames * (n + 1) <= capacity then begin
-          ignore (Queue.pop q);
-          let stream = Exec.prepare ?config site.store spec.Workload.path spec.Workload.plan in
-          let lane = make_lane ~site ~client ~spec ~submitted_at ~stream:(Some stream) in
-          active.(sid) <- active.(sid) @ [ lane ];
-          last_served.(site.tix) <- max last_served.(site.tix) !global_turns;
-          let tot = total_active () in
-          if tot > !max_concurrent then max_concurrent := tot
-        end
-        else stop := true
-    done
-  in
-
-  (* The per-shard boost predicate, against that shard's pool and
-     scheduler and the scan windows of its co-resident lanes. *)
-  let boosted sid lanes lane =
-    match lane.stream with
-    | None -> false
-    | Some stream -> (
-      match Exec.stream_demand stream with
-      | [] -> false
-      | demand ->
-        let buffer = t.shards.(sid).buffer in
-        let sched = Buffer_manager.scheduler buffer in
-        let windows =
-          List.filter_map
-            (fun l -> if l == lane then None else Option.bind l.stream Exec.stream_scan_window)
-            lanes
-        in
-        List.exists
-          (fun pid ->
-            Buffer_manager.resident buffer pid
-            || (Io_scheduler.is_pending sched pid
-               && (Io_scheduler.is_pending sched (pid - 1)
-                  || Io_scheduler.is_pending sched (pid + 1)))
-            || List.exists (fun (lo, hi) -> pid >= lo && pid <= hi) windows)
-          demand)
-  in
-
-  let serve lane =
-    match lane.stream with
-    | None -> ()
-    | Some stream ->
-      let sid = lane.site.shard_id in
-      let disk = t.shards.(sid).disk in
-      let saved = Store.swap_touch_log lane.site.store (Some lane.touched) in
-      let start = now sid in
-      let steps = ref 0 in
-      let running = ref true in
-      while !running do
-        let rnd0 = (Disk.stats disk).Disk.random_reads in
-        match Exec.stream_next stream with
-        | None ->
-          finish lane Workload.Completed;
-          running := false
-        | Some info ->
-          incr steps;
-          if not (Node_id.Tbl.mem lane.seen info.Store.id) then begin
-            Node_id.Tbl.replace lane.seen info.Store.id ();
-            Vec.push lane.nodes info
-          end;
-          if (Disk.stats disk).Disk.random_reads > rnd0 then begin
-            lane.yields <- lane.yields + 1;
-            running := false
-          end
-          else if now sid -. start >= quantum || !steps >= step_cap then running := false
-        | exception Buffer_manager.Buffer_full ->
-          Exec.stream_abandon stream;
-          finish lane Workload.Recovered;
-          running := false
-      done;
-      ignore (Store.swap_touch_log lane.site.store saved)
-  in
-
-  let pending_work () =
-    Array.exists (fun l -> l <> []) active
-    || Array.exists (fun q -> not (Queue.is_empty q)) waiting
-  in
-  while pending_work () do
-    for sid = 0 to k - 1 do
-      admit sid
-    done;
-    (* Deadlines, each on the owning shard's clock. *)
-    Array.iteri
-      (fun sid lanes ->
-        let tnow = now sid in
-        List.iter
-          (fun lane ->
-            match (lane.spec.Workload.timeout, lane.stream) with
-            | Some dt, Some stream when tnow -. lane.started_at >= dt ->
-              Exec.stream_abandon stream;
-              finish lane Workload.Timed_out
-            | _ -> ())
-          lanes)
-      active;
-    let cands = ref [] in
-    for sid = k - 1 downto 0 do
-      if active.(sid) <> [] then cands := sid :: !cands
-    done;
-    match !cands with
-    | [] -> ()
-    | cands ->
-      incr global_turns;
-      (* Level 2, the global balancer: round-robin over shards with
-         runnable lanes — unless a tenant's pressure (turns unserved)
-         exceeds the gate, in which case that tenant is served directly
-         wherever it lives. The window scales with the load: under n
-         active lanes a fair rotation serves each about every n turns,
-         so 2n + 4 flags a genuinely starved tenant, not a slow rotation. *)
-      let nc = List.length cands in
-      let default_sid = List.nth cands (!grr mod nc) in
-      incr grr;
-      let threshold = (2 * total_active ()) + 4 in
-      let worst = ref None in
-      Array.iter
-        (List.iter (fun l ->
-             let p = !global_turns - last_served.(l.site.tix) in
-             match !worst with
-             | Some (wp, ws) when wp > p || (wp = p && ws.tix <= l.site.tix) -> ()
-             | _ -> worst := Some (p, l.site)))
-        active;
-      let focus =
-        match !worst with Some (p, site) when p > threshold -> Some site | _ -> None
-      in
-      let sid = match focus with Some site -> site.shard_id | None -> default_sid in
-      served_turns.(sid) <- served_turns.(sid) + 1;
-      (* Level 1, within the chosen shard: round-robin rotation with the
-         cheap-demand boost override, exactly the single-pool rule. *)
-      let lanes = active.(sid) in
-      let n = List.length lanes in
-      let kk = rr.(sid) mod n in
-      rr.(sid) <- rr.(sid) + 1;
-      let rotated =
-        List.filteri (fun i _ -> i >= kk) lanes @ List.filteri (fun i _ -> i < kk) lanes
-      in
-      let head = List.hd rotated in
-      let default_pick =
-        match List.filter (boosted sid lanes) rotated with [] -> head | b :: _ -> b
-      in
-      let pick =
-        match focus with
-        | Some site -> (
-          match List.find_opt (fun l -> l.site == site) rotated with
-          | Some l ->
-            if l != default_pick then incr rebalance_moves;
-            l
-          | None -> default_pick)
-        | None -> default_pick
-      in
-      if pick != head && pick == default_pick then pick.boosts <- pick.boosts + 1;
-      let c = pick.ctx.Context.counters in
-      c.Context.served_ticks <- c.Context.served_ticks + 1;
-      last_served.(pick.site.tix) <- !global_turns;
-      (* Starvation is engine-wide: every other runnable lane, on any
-         shard, waited this turn — that makes served/starved ratios
-         comparable across tenants, which is what the gate protects. *)
-      Array.iter
-        (List.iter (fun l ->
-             if l != pick then begin
-               let c = l.ctx.Context.counters in
-               c.Context.starved_ticks <- c.Context.starved_ticks + 1
-             end))
-        active;
-      serve pick
-  done;
-
-  (* Pools are quiescent: recompute abandoned lanes serially with the
-     Simple plan, charging the recompute to the job on its shard clock. *)
-  List.iter
-    (fun lane ->
-      if lane.status = Workload.Recovered then begin
-        let sid = lane.site.shard_id in
-        let io0 = now sid in
-        let r = Exec.run ?config ~ordered:false lane.site.store lane.spec.Workload.path Plan.simple in
-        Vec.clear lane.nodes;
-        List.iter (Vec.push lane.nodes) r.Exec.nodes;
-        lane.done_at <- lane.done_at +. (now sid -. io0)
-      end)
-    (List.rev !finished);
-
-  Array.iter
-    (fun s ->
-      let pinned = Buffer_manager.pinned_count s.buffer in
-      if pinned <> 0 then
-        failwith (Printf.sprintf "Shard.run_clients: shard %d left %d pages pinned" s.id pinned))
-    t.shards;
-  let violations =
-    let v = ref [] in
-    let fail fmt = Printf.ksprintf (fun msg -> v := msg :: !v) fmt in
-    Array.iter
-      (fun s ->
-        let pending = Io_scheduler.pending_count (Buffer_manager.scheduler s.buffer) in
-        if pending <> 0 then
-          fail "shard %d: %d requests still pending after the workload" s.id pending;
-        let completed = Buffer_manager.completed_count s.buffer in
-        if completed <> 0 then
-          fail "shard %d: %d batch-installed pages never delivered" s.id completed;
-        match Buffer_manager.consistency_error s.buffer with
-        | None -> ()
-        | Some msg -> fail "shard %d: %s" s.id msg)
-      t.shards;
-    let validate =
-      match config with Some c -> c.Context.validate | None -> Context.default_config.Context.validate
-    in
-    if validate then
-      List.iter
-        (fun lane ->
-          match lane.stream with
-          | None -> ()
-          | Some stream ->
-            List.iter
-              (fun msg -> fail "%s [%s/%s]" msg lane.site.name lane.spec.Workload.label)
-              (Exec.stream_violations stream))
-        !finished;
-    List.rev !v
-  in
-  if violations <> [] && (match config with Some c -> c.Context.validate | None -> false) then
-    failwith (Printf.sprintf "Shard invariant violation: %s" (String.concat "; " violations));
-
-  let to_job lane =
-    let nodes =
-      if lane.status = Workload.Timed_out then []
-      else
-        match lane.sorted with
-        | Some ns -> ns
-        | None ->
-          if ordered then Vec.sorted_to_list doc_order lane.nodes else Vec.to_list lane.nodes
-    in
-    let c = lane.ctx.Context.counters in
-    ( lane.site.name,
-      {
-        Workload.job_label = lane.spec.Workload.label;
-        client = lane.client;
-        status = lane.status;
-        nodes;
-        count = List.length nodes;
-        submitted = lane.submitted_at;
-        started = lane.started_at;
-        finished = lane.done_at;
-        latency = lane.done_at -. lane.submitted_at;
-        pin_wait = lane.started_at -. lane.submitted_at;
-        served_ticks = c.Context.served_ticks;
-        starved_ticks = c.Context.starved_ticks;
-        yields = lane.yields;
-        boosts = lane.boosts;
-        shared = false;
-        cache_hit = c.Context.cache_hits > 0;
-        writer_commits = 0;
-        latch_waits = 0;
-        snapshot_retries = 0;
-        finish_commit = 0;
-        fell_back = (match lane.stream with Some s -> Exec.stream_fell_back s | None -> false);
-      } )
-  in
-  let jobs = List.rev_map to_job !finished in
+  let r = run.Workload.result in
+  let jobs = List.map (fun (tix, j) -> (t.sites.(tix).name, j)) run.Workload.site_jobs in
   let shard_stats =
     Array.to_list
       (Array.mapi
-         (fun sid s ->
-           let da = Disk.stats s.disk and db = disk_before.(sid) in
-           let ba = Buffer_manager.stats s.buffer and bb = buf_before.(sid) in
+         (fun sid (ps : Workload.pool_stat) ->
            {
              shard = sid;
              tenants =
                Array.fold_left (fun a site -> if site.shard_id = sid then a + 1 else a) 0 t.sites;
-             page_reads = da.Disk.reads - db.Disk.reads;
-             io_time = Disk.elapsed s.disk -. io_before.(sid);
-             turns = served_turns.(sid);
-             scan_resist_hits =
-               ba.Buffer_manager.scan_resist_hits - bb.Buffer_manager.scan_resist_hits;
+             page_reads = ps.Workload.pool_reads;
+             io_time = ps.Workload.pool_io;
+             turns = ps.Workload.pool_turns;
+             scan_resist_hits = ps.Workload.pool_scan_resist_hits;
            })
-         t.shards)
+         run.Workload.pools)
   in
   let tenant_stats =
     Array.to_list
@@ -569,12 +162,12 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold t clients =
     jobs;
     tenant_stats;
     shard_stats;
-    turns = !global_turns;
-    rebalance_moves = !rebalance_moves;
-    max_concurrent = !max_concurrent;
-    cpu_time = Sys.time () -. cpu_before;
-    io_time = List.fold_left (fun a (s : shard_stat) -> a +. s.io_time) 0.0 shard_stats;
-    page_reads = List.fold_left (fun a (s : shard_stat) -> a + s.page_reads) 0 shard_stats;
-    cache_hits = List.length (List.filter (fun (_, (j : Workload.job)) -> j.Workload.cache_hit) jobs);
-    violations;
+    turns = r.Workload.turns;
+    rebalance_moves = run.Workload.rebalance_moves;
+    max_concurrent = r.Workload.max_concurrent;
+    cpu_time = r.Workload.cpu_time;
+    io_time = r.Workload.io_time;
+    page_reads = r.Workload.page_reads;
+    cache_hits = r.Workload.cache_hits;
+    violations = r.Workload.violations;
   }

@@ -1,27 +1,18 @@
 (** Sharded multi-document tenancy: K independent storage stacks under
-    one two-level scheduler.
+    the {!Workload} engine.
 
-    The {!Workload} engine multiplexes N queries over {e one}
-    [Disk]/[Io_scheduler]/[Buffer_manager] stack. This module scales the
-    session layer out: a shard manager owns [K] such stacks ({e shards}),
+    A shard manager owns [K] disk/scheduler/buffer stacks ({e shards}),
     places each {e tenant} document on a shard by a stable hash of its
     name ({!stable_shard} — placement survives process restarts and
-    tenant-list reorderings), and routes client jobs through a
-    {e two-level cost-credit scheduler}:
-
-    - {e Level 1 — per-shard}: within a shard, lanes rotate round-robin
-      with the same cost-credit quantum, random-I/O yield and
-      cheap-demand {e boost} the single-pool engine uses, so intra-shard
-      contention still becomes cross-query batching.
-    - {e Level 2 — global balancer}: each engine turn picks the shard to
-      serve, round-robin over shards with runnable lanes, under a
-      {e cross-tenant fairness gate}: every tenant's {e pressure} (global
-      turns since it was last served or admitted) is tracked, and when
-      the worst pressure exceeds [2 * active_lanes + 4] turns the gate
-      overrides the balancer and serves that tenant's lane directly
-      (counted in {!type-result.rebalance_moves}). A co-located tenant
-      running scans can therefore delay a neighbour by at most one gate
-      window — no tenant's served/starved ratio collapses.
+    tenant-list reorderings), and runs client jobs through
+    {!Workload.run_topology} with one pool per shard and one site per
+    tenant. Scheduling is the engine's, in two levels (see {!Workload}):
+    lanes rotate within a shard with the cost-credit quantum, random-I/O
+    yield and cheap-demand boost, and the global balancer picks the
+    shard under the cross-tenant fairness gate (overrides counted in
+    {!type-result.rebalance_moves}), so a co-located tenant running
+    scans can delay a neighbour by at most one gate window. This module
+    adds placement, input checks and per-tenant / per-shard statistics.
 
     Shards are fully independent: separate simulated disks (and clocks),
     separate buffer pools, separate I/O schedulers. All latencies are
@@ -32,17 +23,15 @@
     scans recycle their own probationary pages instead of flushing a
     co-located tenant's hot set.
 
-    Jobs are {e read-only}: writer specs are rejected — online updates
-    go through {!Workload.run_clients} on the owning tenant's store,
-    where the latch/snapshot machinery lives. The level-1 repeat-traffic
-    front door ({!Xnav_core.Result_cache} consultation at admission and
-    answer installation at completion) is kept per tenant — entries key
-    on the tenant store's uid and content digest, so co-located tenants
-    can never serve each other's answers. Cross-client shared-scan
-    dedup (the single-pool engine's level 2) is {e not} offered here:
-    followers would couple lanes across the balancer's fairness
-    accounting, and the result cache already absorbs the repeat traffic
-    one turn later. *)
+    Jobs are {e read-only}: writer specs are rejected up front — online
+    updates go through {!Workload.run_clients} on the owning tenant's
+    store, because cluster latches are keyed by page id and the commit
+    log is kept per store. The repeat-traffic front door works as on a
+    single pool, per tenant: result-cache entries key on the tenant
+    store's uid and content digest, and a job follows an in-flight
+    leader only on the same tenant store with the same path text, so
+    co-located tenants never serve each other's answers or share each
+    other's scans. *)
 
 type t
 (** A shard topology: K storage stacks with tenant documents placed on
@@ -116,8 +105,7 @@ type shard_stat = {
 
 type result = {
   jobs : (string * Workload.job) list;
-      (** (tenant, job) in completion order. Writer fields are 0 and
-          [shared] is false (no followers in the sharded engine). *)
+      (** (tenant, job) in completion order. Writer fields are 0. *)
   tenant_stats : tenant_stat list;  (** One per tenant, creation order. *)
   shard_stats : shard_stat list;  (** One per shard, id order. *)
   turns : int;  (** Global balancer turns. *)
@@ -145,12 +133,13 @@ val run_clients :
 (** [run_clients t clients] runs one closed-loop client per array entry
     (as {!Workload.run_clients}): each client submits its next job the
     moment the previous finishes; jobs queue at their tenant's shard and
-    are admitted under the per-shard pin-demand bound
-    ([{!Workload.demand_frames} * (n+1) <= capacity], alone always
+    are admitted under the per-shard pin-demand bound of the
+    {!Workload} engine ([2 (n + 1) <= capacity], alone always
     admissible). [quantum] is the per-turn cost credit in simulated
     seconds (default [0.004]); [cold] resets every shard's pool and disk
     clock first.
     @raise Invalid_argument on an empty client array, an unknown tenant,
-    or a writer spec.
+    a writer spec, or a read spec {!Xnav_core.Exec.plan_error} rejects —
+    all before any job runs.
     @raise Failure if any shard's frames are left pinned, or (with
     [config.validate]) on an invariant violation. *)

@@ -79,9 +79,31 @@ type result = {
   violations : string list;
 }
 
+
+type pool_stat = {
+  pool_reads : int;
+  pool_io : float;
+  pool_turns : int;
+  pool_scan_resist_hits : int;
+}
+
+type topology_run = {
+  result : result;
+  site_jobs : (int * job) list;
+  pools : pool_stat array;
+  rebalance_moves : int;
+}
+
+(* A lane is one admitted job: a reader's stream, a writer's op queue,
+   or (never entering a pool's active list) a cache hit or a follower.
+   [site] is the lane's store; [pool] the pool that store lives on — all
+   of the lane's I/O, clock readings and admission happen there. *)
 type lane = {
   spec : spec;
   client : int;
+  site : int;
+  store : Store.t;
+  pool : int;
   submitted_at : float;
   started_at : float;
   mutable ctx : Context.t;  (* counter holder; the stream's context when one exists *)
@@ -132,6 +154,11 @@ type lane = {
    cache hits pin nothing and are exempt from admission. *)
 let demand_frames = 2
 
+(* Serve one cost credit for at most this many results: the cap keeps
+   rotation alive for queries that are momentarily free (every page
+   resident advances no simulated time at all). *)
+let step_cap = 256
+
 let percentile xs p =
   match List.sort compare xs with
   | [] -> 0.0
@@ -142,43 +169,65 @@ let percentile xs p =
 
 let doc_order (a : Store.info) (b : Store.info) = Ordpath.compare a.ordpath b.ordpath
 
-let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients =
+let run_topology ~config ~quantum ~ordered ~cold ~pools ~sites clients =
   if Array.length clients = 0 then invalid_arg "Workload.run_clients: no clients";
-  let buffer = Store.buffer store in
-  let disk = Buffer_manager.disk buffer in
-  let sched = Buffer_manager.scheduler buffer in
-  if cold then begin
-    Buffer_manager.reset buffer;
-    Disk.reset_clock disk
-  end;
-  let disk_before = Disk.stats disk in
-  let io_before = Disk.elapsed disk in
+  (* A spec no plan can run is rejected before any state moves: found at
+     admission instead, the raise would strand the pins other lanes
+     hold. *)
+  Array.iter
+    (List.iter (fun (_, spec) ->
+         if spec.ops = [] then
+           Option.iter
+             (fun msg -> invalid_arg (Printf.sprintf "Workload: job %S: %s" spec.label msg))
+             (Exec.plan_error spec.path spec.plan)))
+    clients;
+  let k = Array.length pools in
+  let disks = Array.map Buffer_manager.disk pools in
+  let scheds = Array.map Buffer_manager.scheduler pools in
+  if cold then
+    Array.iteri
+      (fun p buffer ->
+        Buffer_manager.reset buffer;
+        Disk.reset_clock disks.(p))
+      pools;
+  let disk_before = Array.map Disk.stats disks in
+  let io_before = Array.map Disk.elapsed disks in
+  let buf_before = Array.map Buffer_manager.stats pools in
   let cpu_before = Sys.time () in
-  let now () = Disk.elapsed disk in
-  let capacity = Buffer_manager.capacity buffer in
+  let now p = Disk.elapsed disks.(p) in
   let cfg = match config with Some c -> c | None -> Context.default_config in
   (* The front door: both levels — result-cache consultation at admission
      and cross-client shared-scan dedup — ride the one knob, so knob-off
      reproduces the historical engine exactly. *)
   let front_door = cfg.Context.result_cache in
 
-  (* Closed-loop clients: each entry is the client's remaining jobs; a
-     client's next job is submitted the moment the previous finishes. *)
+  (* Closed-loop clients: each entry is the client's remaining (site,
+     spec) jobs; a client's next job is submitted the moment the previous
+     finishes, and queues at its site's pool. *)
   let remaining = Array.map (fun l -> ref l) clients in
-  let waiting = Queue.create () in
+  let waiting = Array.init k (fun _ -> Queue.create ()) in
   let submit client =
     match !(remaining.(client)) with
     | [] -> ()
-    | spec :: rest ->
-      remaining.(client) <- ref rest;
-      Queue.add (client, spec, now ()) waiting
+    | (site, spec) :: rest ->
+      remaining.(client) := rest;
+      let pool = snd sites.(site) in
+      Queue.add (client, site, spec, now pool) waiting.(pool)
   in
   Array.iteri (fun client _ -> submit client) clients;
 
-  let active = ref [] in
+  let active = Array.make k [] in
+  let rr = Array.make k 0 in
+  let granted = Array.make k 0 in
   let finished = ref [] in
   let max_concurrent = ref 0 in
   let turns = ref 0 in
+  let grr = ref 0 in
+  let rebalance_moves = ref 0 in
+  (* Cross-site fairness state: the turn at which each site was last
+     served (or admitted — arrival resets its aging). *)
+  let last_served = Array.make (Array.length sites) 0 in
+  let total_active () = Array.fold_left (fun a l -> a + List.length l) 0 active in
 
   (* Writer state, engine-wide. [latches] maps a cluster pid to the
      client holding it exclusively; readers never consult it (they are
@@ -190,12 +239,16 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
   let commit_count = ref 0 in
   let commit_log = ref [] in
 
-  let make_lane ~client ~spec ~submitted_at ~stream =
+  let make_lane ~client ~site ~spec ~submitted_at ~stream =
+    let store, pool = sites.(site) in
     {
       spec;
       client;
+      site;
+      store;
+      pool;
       submitted_at;
-      started_at = now ();
+      started_at = now pool;
       ctx =
         (match stream with
         | Some s -> Exec.stream_ctx s
@@ -222,7 +275,8 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
 
   (* Install a completed stream job's answer for the next identical
      statement. Streams always run from the root context, so every
-     completed job is cacheable. *)
+     completed job is cacheable. Entries key on the store's uid, so
+     co-located sites never alias. *)
   let cache_fill lane =
     if front_door then begin
       let nodes = Vec.sorted_to_list doc_order lane.nodes in
@@ -242,15 +296,16 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
         end
       in
       c.Context.cache_evictions <-
-        Result_cache.add ?clusters store (Path.to_string lane.spec.path)
+        Result_cache.add ?clusters lane.store (Path.to_string lane.spec.path)
           ~count:(List.length nodes) nodes
     end
   in
 
   let finish lane status =
-    active := List.filter (fun l -> l != lane) !active;
+    let p = lane.pool in
+    active.(p) <- List.filter (fun l -> l != lane) active.(p);
     lane.status <- status;
-    lane.done_at <- now ();
+    lane.done_at <- now p;
     lane.finish_commit <- !commit_count;
     lane.ctx.Context.counters.Context.snapshot_retries <- lane.retries;
     finished := lane :: !finished;
@@ -267,7 +322,7 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
              Vec.clear f.nodes;
              Vec.iter (Vec.push f.nodes) lane.nodes);
         f.status <- status;
-        f.done_at <- now ();
+        f.done_at <- now p;
         f.finish_commit <- !commit_count;
         finished := f :: !finished;
         submit f.client)
@@ -276,117 +331,120 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
     submit lane.client
   in
 
-  (* Shared-scan dedup (level 2): an identical statement already
-     in flight means this job's cluster demand is a subset of work the
-     pool is about to do anyway — attach it as a follower instead of
-     issuing a second scan. Deadline-carrying jobs keep their own lane
-     (a follower's fate is its leader's). *)
-  let find_leader spec =
+  (* Shared-scan dedup (level 2): an identical statement on the same
+     store already in flight means this job's cluster demand is a subset
+     of work the pool is about to do anyway — attach it as a follower
+     instead of issuing a second scan. Deadline-carrying jobs keep their
+     own lane (a follower's fate is its leader's). *)
+  let find_leader site spec =
     if (not front_door) || spec.timeout <> None then None
     else
       let key = Path.to_string spec.path in
       List.find_opt
         (fun l ->
-          l.stream <> None && l.spec.timeout = None && Path.to_string l.spec.path = key)
-        !active
+          l.site = site && l.stream <> None && l.spec.timeout = None
+          && Path.to_string l.spec.path = key)
+        active.(snd sites.(site))
   in
 
-  let admit () =
+  let admit p =
+    let q = waiting.(p) in
+    let capacity = Buffer_manager.capacity pools.(p) in
     let stop = ref false in
-    while (not !stop) && not (Queue.is_empty waiting) do
-      let client, spec, submitted_at = Queue.peek waiting in
-      if spec.ops <> [] then begin
-        (* Writer job: no front door (a writer produces no statement
-           answer to cache or share), a plain lane slot. Its transient
-           fix/unfix pattern fits the same two-frame demand bound. *)
-        let n = List.length !active in
-        if n = 0 || demand_frames * (n + 1) <= capacity then begin
-          ignore (Queue.pop waiting);
-          let lane = make_lane ~client ~spec ~submitted_at ~stream:None in
-          active := !active @ [ lane ];
-          if List.length !active > !max_concurrent then max_concurrent := List.length !active
-        end
-        else stop := true
-      end
-      else
-      match find_leader spec with
+    while (not !stop) && not (Queue.is_empty q) do
+      let client, site, spec, submitted_at = Queue.peek q in
+      (* Writers skip the front door: a writer produces no statement
+         answer to cache or share. *)
+      let reader = spec.ops = [] in
+      match if reader then find_leader site spec else None with
       | Some leader ->
-        ignore (Queue.pop waiting);
-        let lane = make_lane ~client ~spec ~submitted_at ~stream:None in
+        ignore (Queue.pop q);
+        let lane = make_lane ~client ~site ~spec ~submitted_at ~stream:None in
         lane.ctx.Context.counters.Context.shared_demand <- 1;
         leader.followers <- lane :: leader.followers
       | None -> (
         match
-          if front_door then Result_cache.find store (Path.to_string spec.path) else None
+          if reader && front_door then
+            Result_cache.find (fst sites.(site)) (Path.to_string spec.path)
+          else None
         with
         | Some entry ->
           (* Level 1 hit: the job completes at admission, no lane slot,
              no planning, no I/O. *)
-          ignore (Queue.pop waiting);
-          let lane = make_lane ~client ~spec ~submitted_at ~stream:None in
+          ignore (Queue.pop q);
+          let lane = make_lane ~client ~site ~spec ~submitted_at ~stream:None in
           lane.ctx.Context.counters.Context.cache_hits <- 1;
           lane.sorted <- Some (Result_cache.nodes entry);
-          lane.done_at <- now ();
+          lane.done_at <- now p;
           lane.finish_commit <- !commit_count;
           finished := lane :: !finished;
           submit lane.client
         | None ->
-          let n = List.length !active in
+          let n = List.length active.(p) in
           (* Alone is always admissible — the single-query engine makes
              progress on any pool down to one frame (and recovers through
-             the fallback restart if it cannot). Company needs headroom. *)
+             the fallback restart if it cannot). Company needs headroom;
+             each pool only absorbs its own lanes' pin demand. A writer's
+             transient fix/unfix pattern fits the same bound. *)
           if n = 0 || demand_frames * (n + 1) <= capacity then begin
-            ignore (Queue.pop waiting);
-            let stream = Exec.prepare ?config store spec.path spec.plan in
-            let lane = make_lane ~client ~spec ~submitted_at ~stream:(Some stream) in
-            active := !active @ [ lane ];
-            if List.length !active > !max_concurrent then max_concurrent := List.length !active
+            ignore (Queue.pop q);
+            match
+              if reader then Some (Exec.prepare ?config (fst sites.(site)) spec.path spec.plan)
+              else None
+            with
+            | stream ->
+              let lane = make_lane ~client ~site ~spec ~submitted_at ~stream in
+              active.(p) <- active.(p) @ [ lane ];
+              last_served.(site) <- max last_served.(site) !turns;
+              let tot = total_active () in
+              if tot > !max_concurrent then max_concurrent := tot
+            | exception Buffer_manager.Buffer_full ->
+              (* A Simple plan reads its context node while preparing; with
+                 batch installs overcommitting the pool, other lanes' pins
+                 can leave no frame for it. Recover the job serially, like
+                 a stream that wedges later. *)
+              finish (make_lane ~client ~site ~spec ~submitted_at ~stream:None) Recovered
           end
           else stop := true)
     done
   in
 
   (* A query is boosted when some cluster it has queued demand for is
-     already cheap: resident in the shared pool, inside another query's
-     open scan window, or part of a coalescible pending run. Serving it
-     now converts another query's work (or the scheduler's batching) into
-     this query's progress — the cross-query coalescing of the tentpole. *)
-  let boosted all lane =
+     already cheap on its pool: resident, inside another co-resident
+     query's open scan window, or part of a coalescible pending run.
+     Serving it now converts another query's work (or the scheduler's
+     batching) into this query's progress. *)
+  let boosted p lanes lane =
     match lane.stream with
     | None -> false
     | Some stream -> (
       match Exec.stream_demand stream with
       | [] -> false
       | demand ->
+        let buffer = pools.(p) and sched = scheds.(p) in
         let windows =
           List.filter_map
-            (fun l ->
-              if l == lane then None else Option.bind l.stream Exec.stream_scan_window)
-            all
+            (fun l -> if l == lane then None else Option.bind l.stream Exec.stream_scan_window)
+            lanes
         in
         List.exists
           (fun pid ->
             Buffer_manager.resident buffer pid
             || (Io_scheduler.is_pending sched pid
-               && (Io_scheduler.is_pending sched (pid - 1) || Io_scheduler.is_pending sched (pid + 1)))
+               && (Io_scheduler.is_pending sched (pid - 1)
+                  || Io_scheduler.is_pending sched (pid + 1)))
             || List.exists (fun (lo, hi) -> pid >= lo && pid <= hi) windows)
           demand)
   in
-
-  (* Serve one cost credit: run until the quantum's worth of simulated
-     time is spent, a random I/O fires (yield immediately — cheaper work
-     can run while the head repositions), the stream ends, or the pool is
-     exhausted (tear down, recompute serially later). The step cap keeps
-     rotation alive for queries that are momentarily free (every page
-     resident advances no simulated time at all). *)
-  let step_cap = 256 in
 
   (* Snapshot rule: a stream is valid while no writer has committed into
      a cluster the stream has already observed ([touched]). Commits are
      atomic within a writer's turn, so checking once at the top of each
      reader turn suffices — the stream cannot observe a half-applied
-     op. On conflict the stream restarts from scratch under a fresh
-     stamp; fairness credits of the abandoned attempt are carried. *)
+     op. Page stamps never exceed the store's mutation counter, so the
+     fold only runs once something has committed since the snapshot. On
+     conflict the stream restarts from scratch under a fresh stamp;
+     fairness credits of the abandoned attempt are carried. *)
   let restart lane stream =
     Exec.stream_abandon stream;
     let c = lane.ctx.Context.counters in
@@ -396,18 +454,26 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
     Vec.clear lane.nodes;
     Hashtbl.reset lane.touched;
     lane.retries <- lane.retries + 1;
-    let s = Exec.prepare ?config store lane.spec.path lane.spec.plan in
+    let s = Exec.prepare ?config lane.store lane.spec.path lane.spec.plan in
     lane.stream <- Some s;
     lane.ctx <- Exec.stream_ctx s;
-    lane.snapshot <- Store.mutation_stamp store
+    lane.snapshot <- Store.mutation_stamp lane.store
   in
 
+  (* Serve one cost credit: run until the quantum's worth of simulated
+     time is spent, a random I/O fires (yield immediately — cheaper work
+     can run while the head repositions), the step cap is reached, the
+     stream ends, or the pool is exhausted (tear down, recompute serially
+     later). *)
   let serve_reader lane stream =
+    let store = lane.store and p = lane.pool in
+    let disk = disks.(p) in
     let saved = Store.swap_touch_log store (Some lane.touched) in
     let conflicted =
-      Hashtbl.fold
-        (fun pid () acc -> acc || Store.page_stamp store pid > lane.snapshot)
-        lane.touched false
+      Store.mutation_stamp store > lane.snapshot
+      && Hashtbl.fold
+           (fun pid () acc -> acc || Store.page_stamp store pid > lane.snapshot)
+           lane.touched false
     in
     let stream =
       if not conflicted then Some stream
@@ -421,7 +487,7 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
     (match stream with
     | None -> ()
     | Some stream ->
-      let start = now () in
+      let start = now p in
       let steps = ref 0 in
       let running = ref true in
       while !running do
@@ -440,7 +506,7 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
             lane.yields <- lane.yields + 1;
             running := false
           end
-          else if now () -. start >= quantum || !steps >= step_cap then running := false
+          else if now p -. start >= quantum || !steps >= step_cap then running := false
         | exception Buffer_manager.Buffer_full ->
           (* The pool is exhausted under contention (or this lane wedged
              post-fallback). Unwind its async state and recompute the
@@ -469,7 +535,7 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
     | Insert_child { parent; _ } -> [ parent.Node_id.pid ]
     | Delete_subtree victim -> [ victim.Node_id.pid ]
   in
-  let op_valid op =
+  let op_valid store op =
     match op with
     | Insert_child { parent; _ } -> (
       match Store.read store parent with
@@ -481,6 +547,7 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
       | _ | (exception Failure _) | (exception Invalid_argument _) -> false)
   in
   let serve_writer lane =
+    let store = lane.store in
     let c = lane.ctx.Context.counters in
     match lane.armed with
     | Some (op, held) ->
@@ -524,7 +591,7 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
         if blocked then c.Context.latch_waits <- c.Context.latch_waits + 1
         else begin
           List.iter (fun pid -> Hashtbl.replace latches pid lane.client) targets;
-          match op_valid op with
+          match op_valid store op with
           | true ->
             lane.armed <- Some (op, targets);
             lane.pending_ops <- rest
@@ -545,88 +612,146 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
     else match lane.stream with None -> () | Some stream -> serve_reader lane stream
   in
 
-  let rr = ref 0 in
-  while !active <> [] || not (Queue.is_empty waiting) do
-    admit ();
-    (* Deadlines, on the simulated clock, before the turn is given out:
-       a timed-out query unwinds through abort_async and its client moves
-       on to its next job. *)
-    let t = now () in
-    List.iter
-      (fun lane ->
-        match (lane.spec.timeout, lane.stream) with
-        | Some dt, Some stream when t -. lane.started_at >= dt ->
-          Exec.stream_abandon stream;
-          finish lane Timed_out
-        | _ -> ())
-      !active;
-    match !active with
+  let pending_work () =
+    Array.exists (fun l -> l <> []) active || Array.exists (fun q -> not (Queue.is_empty q)) waiting
+  in
+  while pending_work () do
+    for p = 0 to k - 1 do
+      admit p
+    done;
+    (* Deadlines, each on the owning pool's clock, before the turn is
+       given out: a timed-out query unwinds through abort_async and its
+       client moves on to its next job. *)
+    Array.iteri
+      (fun p lanes ->
+        let t = now p in
+        List.iter
+          (fun lane ->
+            match (lane.spec.timeout, lane.stream) with
+            | Some dt, Some stream when t -. lane.started_at >= dt ->
+              Exec.stream_abandon stream;
+              finish lane Timed_out
+            | _ -> ())
+          lanes)
+      active;
+    let cands = ref [] in
+    for p = k - 1 downto 0 do
+      if active.(p) <> [] then cands := p :: !cands
+    done;
+    match !cands with
     | [] -> ()
-    | lanes ->
+    | cands ->
       incr turns;
+      (* Level 2, the balancer: round-robin over pools with runnable
+         lanes — unless a site's pressure (turns unserved) exceeds the
+         gate, in which case that site is served directly wherever it
+         lives. The window scales with the load: under n active lanes a
+         fair rotation serves each about every n turns, so 2n + 4 flags a
+         genuinely starved site, not a slow rotation. A lone site is
+         served or admitted every turn, so its pressure never passes 1
+         and the gate never fires. *)
+      let default_pool = List.nth cands (!grr mod List.length cands) in
+      incr grr;
+      let threshold = (2 * total_active ()) + 4 in
+      let worst = ref None in
+      Array.iter
+        (List.iter (fun l ->
+             let pressure = !turns - last_served.(l.site) in
+             match !worst with
+             | Some (wp, ws) when wp > pressure || (wp = pressure && ws <= l.site) -> ()
+             | _ -> worst := Some (pressure, l.site)))
+        active;
+      let focus =
+        match !worst with Some (pressure, site) when pressure > threshold -> Some site | _ -> None
+      in
+      let p = match focus with Some site -> snd sites.(site) | None -> default_pool in
+      granted.(p) <- granted.(p) + 1;
+      (* Level 1, within the chosen pool: round-robin rotation with the
+         cheap-demand boost override. *)
+      let lanes = active.(p) in
       let n = List.length lanes in
-      let k = !rr mod n in
-      incr rr;
-      let rotated = List.filteri (fun i _ -> i >= k) lanes @ List.filteri (fun i _ -> i < k) lanes in
+      let kk = rr.(p) mod n in
+      rr.(p) <- rr.(p) + 1;
+      let rotated =
+        List.filteri (fun i _ -> i >= kk) lanes @ List.filteri (fun i _ -> i < kk) lanes
+      in
       let head = List.hd rotated in
-      let lane =
-        match List.filter (boosted lanes) rotated with
-        | [] -> head
-        | b :: _ ->
-          if b != head then b.boosts <- b.boosts + 1;
-          b
+      let default_pick =
+        match List.filter (boosted p lanes) rotated with [] -> head | b :: _ -> b
       in
-      let credit l = l.ctx.Context.counters.Context.served_ticks <-
-        l.ctx.Context.counters.Context.served_ticks + 1
+      let pick =
+        match focus with
+        | Some site -> (
+          match List.find_opt (fun l -> l.site = site) rotated with
+          | Some l ->
+            if l != default_pick then incr rebalance_moves;
+            l
+          | None -> default_pick)
+        | None -> default_pick
       in
-      credit lane;
+      if pick != head && pick == default_pick then pick.boosts <- pick.boosts + 1;
+      let credit l =
+        let c = l.ctx.Context.counters in
+        c.Context.served_ticks <- c.Context.served_ticks + 1
+      in
+      credit pick;
       (* Fairness credits are charged to every sharer: a follower is
          being served whenever its leader's scan advances. *)
-      List.iter credit lane.followers;
-      List.iter
-        (fun l ->
-          if l != lane then begin
-            let c = l.ctx.Context.counters in
-            c.Context.starved_ticks <- c.Context.starved_ticks + 1
-          end)
-        lanes;
-      serve lane
+      List.iter credit pick.followers;
+      last_served.(pick.site) <- !turns;
+      (* Starvation is engine-wide: every other runnable lane, on any
+         pool, waited this turn — that keeps served/starved ratios
+         comparable across sites, which is what the gate protects. *)
+      Array.iter
+        (List.iter (fun l ->
+             if l != pick then begin
+               let c = l.ctx.Context.counters in
+               c.Context.starved_ticks <- c.Context.starved_ticks + 1
+             end))
+        active;
+      serve pick
   done;
 
-  (* The pool is quiescent now: recompute abandoned queries serially with
-     the Simple plan (the paper's fallback answer path). The recompute's
-     simulated time is charged to the job's latency. With the front door
-     on, a recovered leader's recompute installs its answer and its
-     recovered followers hit the cache immediately after. *)
+  (* Pools are quiescent now: recompute abandoned queries serially with
+     the Simple plan (the paper's fallback answer path), charging the
+     recompute's simulated time to the job on its own pool's clock. With
+     the front door on, a recovered leader's recompute installs its
+     answer and its recovered followers hit the cache immediately
+     after. *)
   List.iter
     (fun lane ->
       if lane.status = Recovered then begin
-        let io0 = now () in
-        let r = Exec.run ?config ~ordered:false store lane.spec.path Plan.simple in
+        let io0 = now lane.pool in
+        let r = Exec.run ?config ~ordered:false lane.store lane.spec.path Plan.simple in
         Vec.clear lane.nodes;
         List.iter (Vec.push lane.nodes) r.Exec.nodes;
         lane.finish_commit <- !commit_count;
-        lane.done_at <- lane.done_at +. (now () -. io0)
+        lane.done_at <- lane.done_at +. (now lane.pool -. io0)
       end)
     (List.rev !finished);
 
-  let pinned = Buffer_manager.pinned_count buffer in
-  if pinned <> 0 then failwith (Printf.sprintf "Workload.run_clients: %d pages left pinned" pinned);
+  Array.iteri
+    (fun p buffer ->
+      let pinned = Buffer_manager.pinned_count buffer in
+      if pinned <> 0 then
+        failwith (Printf.sprintf "Workload: pool %d left %d pages pinned" p pinned))
+    pools;
+  let validate = cfg.Context.validate in
   let violations =
     let v = ref [] in
     let fail fmt = Printf.ksprintf (fun msg -> v := msg :: !v) fmt in
-    let pending = Io_scheduler.pending_count sched in
-    if pending <> 0 then fail "io-scheduler: %d requests still pending after the workload" pending;
-    let completed = Buffer_manager.completed_count buffer in
-    if completed <> 0 then fail "buffer: %d batch-installed pages never delivered" completed;
-    (match Buffer_manager.consistency_error buffer with
-    | None -> ()
-    | Some msg -> fail "io-scheduler: %s" msg);
+    Array.iteri
+      (fun p buffer ->
+        let pending = Io_scheduler.pending_count scheds.(p) in
+        if pending <> 0 then fail "pool %d: %d requests still pending after the workload" p pending;
+        let completed = Buffer_manager.completed_count buffer in
+        if completed <> 0 then fail "pool %d: %d batch-installed pages never delivered" p completed;
+        match Buffer_manager.consistency_error buffer with
+        | None -> ()
+        | Some msg -> fail "pool %d: %s" p msg)
+      pools;
     if Hashtbl.length latches <> 0 then
       fail "writers: %d cluster latches still held after the workload" (Hashtbl.length latches);
-    let validate =
-      match config with Some c -> c.Context.validate | None -> Context.default_config.Context.validate
-    in
     if validate then
       List.iter
         (fun lane ->
@@ -634,17 +759,15 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
           | None -> ()
           | Some stream ->
             List.iter
-              (fun msg -> fail "%s [%s]" msg lane.spec.label)
+              (fun msg -> fail "%s [site %d: %s]" msg lane.site lane.spec.label)
               (Exec.stream_violations stream))
         !finished;
     List.rev !v
   in
-  if violations <> [] && (match config with Some c -> c.Context.validate | None -> false) then
+  if violations <> [] && validate then
     failwith (Printf.sprintf "Workload invariant violation: %s" (String.concat "; " violations));
 
   let cpu_time = Sys.time () -. cpu_before in
-  let io_time = Disk.elapsed disk -. io_before in
-  let disk_after = Disk.stats disk in
   let to_job lane =
     let nodes =
       if lane.status = Timed_out then []
@@ -655,62 +778,84 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
           if ordered then Vec.sorted_to_list doc_order lane.nodes else Vec.to_list lane.nodes
     in
     let c = lane.ctx.Context.counters in
+    ( lane.site,
+      {
+        job_label = lane.spec.label;
+        client = lane.client;
+        status = lane.status;
+        nodes;
+        count = List.length nodes;
+        submitted = lane.submitted_at;
+        started = lane.started_at;
+        finished = lane.done_at;
+        latency = lane.done_at -. lane.submitted_at;
+        pin_wait = lane.started_at -. lane.submitted_at;
+        served_ticks = lane.carry_served + c.Context.served_ticks;
+        starved_ticks = lane.carry_starved + c.Context.starved_ticks;
+        yields = lane.yields;
+        boosts = lane.boosts;
+        shared = c.Context.shared_demand > 0;
+        cache_hit = c.Context.cache_hits > 0;
+        writer_commits = c.Context.writer_commits;
+        latch_waits = c.Context.latch_waits;
+        snapshot_retries = lane.retries;
+        finish_commit = lane.finish_commit;
+        fell_back = (match lane.stream with Some s -> Exec.stream_fell_back s | None -> false);
+      } )
+  in
+  let site_jobs = List.rev_map to_job !finished in
+  let jobs = List.map snd site_jobs in
+  let pool_stats =
+    Array.init k (fun p ->
+        {
+          pool_reads = (Disk.stats disks.(p)).Disk.reads - disk_before.(p).Disk.reads;
+          pool_io = now p -. io_before.(p);
+          pool_turns = granted.(p);
+          pool_scan_resist_hits =
+            (Buffer_manager.stats pools.(p)).Buffer_manager.scan_resist_hits
+            - buf_before.(p).Buffer_manager.scan_resist_hits;
+        })
+  in
+  let disk_delta field =
+    let d = ref 0 in
+    Array.iteri (fun p disk -> d := !d + field (Disk.stats disk) - field disk_before.(p)) disks;
+    !d
+  in
+  let sum_lanes field =
+    List.fold_left (fun a lane -> a + field lane.ctx.Context.counters) 0 !finished
+  in
+  let io_time = Array.fold_left (fun a s -> a +. s.pool_io) 0.0 pool_stats in
+  let result =
     {
-      job_label = lane.spec.label;
-      client = lane.client;
-      status = lane.status;
-      nodes;
-      count = List.length nodes;
-      submitted = lane.submitted_at;
-      started = lane.started_at;
-      finished = lane.done_at;
-      latency = lane.done_at -. lane.submitted_at;
-      pin_wait = lane.started_at -. lane.submitted_at;
-      served_ticks = lane.carry_served + c.Context.served_ticks;
-      starved_ticks = lane.carry_starved + c.Context.starved_ticks;
-      yields = lane.yields;
-      boosts = lane.boosts;
-      shared = c.Context.shared_demand > 0;
-      cache_hit = c.Context.cache_hits > 0;
-      writer_commits = c.Context.writer_commits;
-      latch_waits = c.Context.latch_waits;
-      snapshot_retries = lane.retries;
-      finish_commit = lane.finish_commit;
-      fell_back = (match lane.stream with Some s -> Exec.stream_fell_back s | None -> false);
+      jobs;
+      io_time;
+      cpu_time;
+      total_time = io_time +. cpu_time;
+      page_reads = disk_delta (fun s -> s.Disk.reads);
+      seek_distance = disk_delta (fun s -> s.Disk.seek_distance);
+      batched_reads = disk_delta (fun s -> s.Disk.batched_reads);
+      batch_pages = disk_delta (fun s -> s.Disk.batch_pages);
+      coalesce_runs = disk_delta (fun s -> s.Disk.coalesce_runs);
+      max_concurrent = !max_concurrent;
+      turns = !turns;
+      shared_jobs = List.length (List.filter (fun j -> j.shared) jobs);
+      cache_hits = List.length (List.filter (fun j -> j.cache_hit) jobs);
+      cache_misses = sum_lanes (fun c -> c.Context.cache_misses);
+      writer_commits = !commit_count;
+      latch_waits = sum_lanes (fun c -> c.Context.latch_waits);
+      snapshot_retries = List.fold_left (fun a lane -> a + lane.retries) 0 !finished;
+      cluster_stales = sum_lanes (fun c -> c.Context.cluster_stales);
+      commit_log = List.rev !commit_log;
+      violations;
     }
   in
-  let jobs = List.rev_map to_job !finished in
-  {
-    jobs;
-    io_time;
-    cpu_time;
-    total_time = io_time +. cpu_time;
-    page_reads = disk_after.Disk.reads - disk_before.Disk.reads;
-    seek_distance = disk_after.Disk.seek_distance - disk_before.Disk.seek_distance;
-    batched_reads = disk_after.Disk.batched_reads - disk_before.Disk.batched_reads;
-    batch_pages = disk_after.Disk.batch_pages - disk_before.Disk.batch_pages;
-    coalesce_runs = disk_after.Disk.coalesce_runs - disk_before.Disk.coalesce_runs;
-    max_concurrent = !max_concurrent;
-    turns = !turns;
-    shared_jobs = List.length (List.filter (fun j -> j.shared) jobs);
-    cache_hits = List.length (List.filter (fun j -> j.cache_hit) jobs);
-    cache_misses =
-      List.fold_left
-        (fun a lane -> a + lane.ctx.Context.counters.Context.cache_misses)
-        0 !finished;
-    writer_commits = !commit_count;
-    latch_waits =
-      List.fold_left
-        (fun a lane -> a + lane.ctx.Context.counters.Context.latch_waits)
-        0 !finished;
-    snapshot_retries = List.fold_left (fun a lane -> a + lane.retries) 0 !finished;
-    cluster_stales =
-      List.fold_left
-        (fun a lane -> a + lane.ctx.Context.counters.Context.cluster_stales)
-        0 !finished;
-    commit_log = List.rev !commit_log;
-    violations;
-  }
+  { result; site_jobs; pools = pool_stats; rebalance_moves = !rebalance_moves }
+
+let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients =
+  (run_topology ~config ~quantum ~ordered ~cold ~pools:[| Store.buffer store |]
+     ~sites:[| (store, 0) |]
+     (Array.map (List.map (fun spec -> (0, spec))) clients))
+    .result
 
 let run ?config ?quantum ?ordered ~cold store specs =
   if specs = [] then invalid_arg "Workload.run: no queries";

@@ -1,32 +1,56 @@
 (** Concurrent multi-query workload engine.
 
-    The session layer the paper's outlook anticipates: N queries admitted
-    over {e one} shared {!Xnav_storage.Buffer_manager} /
-    {!Xnav_storage.Io_scheduler}, their XSchedule/XScan/Simple iterators
-    interleaved by a round-robin-with-cost-credit scheduler. Concurrent
-    queries' cluster requests merge in the scheduler's pending set, so
-    demand from different queries coalesces into the same sequential runs
-    a single XSchedule already exploits — contention becomes sharing.
+    The session layer the paper's outlook anticipates: closed-loop
+    clients whose queries are admitted over shared
+    {!Xnav_storage.Buffer_manager} / {!Xnav_storage.Io_scheduler} pools,
+    their XSchedule/XScan/Simple iterators interleaved by a
+    round-robin-with-cost-credit scheduler. Concurrent queries' cluster
+    requests merge in a pool's pending set, so demand from different
+    queries coalesces into the same sequential runs a single XSchedule
+    already exploits — contention becomes sharing.
+
+    {2 One engine, two topologies}
+
+    There is one scheduler loop ({!run_topology}). It runs over a
+    {e topology}: an array of {e pools} (disk + buffer + scheduler, each
+    with its own waiting queue, active lanes and round-robin cursor) and
+    an array of {e sites} (a store and the index of the pool it lives
+    on). Every job names a site; it queues, is admitted, pins, reads and
+    is timed on that site's pool.
+
+    - {!run_clients} is the engine over one pool and one site.
+    - [Shard.run_clients] is the engine over K pools, one site per
+      tenant document; it adds placement, input checks and per-tenant /
+      per-shard statistics.
 
     {2 Scheduling}
 
-    Each turn serves one query for a {e cost credit} (the [quantum],
-    in simulated disk seconds): the query runs until its credit is spent,
-    until it triggers a random I/O (the expensive event the paper's cost
-    model penalises — the query yields immediately so cheaper work can
-    run while the head is repositioned), or until it finishes. Queries
-    whose queued demand is already cheap to serve — a demanded cluster is
-    resident, falls inside another query's open scan window, or sits in a
-    coalescible pending run ([pid±1] also pending) — are {e boosted}
-    ahead of plain round-robin order, which is what turns cross-query
-    contention into cross-query batching. Fairness is observable: the
-    chosen query's {!Xnav_core.Context.counters.served_ticks} and every
-    other runnable query's [starved_ticks] advance each turn.
+    Each turn has two levels. The {e balancer} picks a pool: round-robin
+    over pools with runnable lanes, under a {e cross-site fairness
+    gate} — every site's {e pressure} (turns since it was last served
+    or admitted) is tracked, and when the worst pressure exceeds
+    [2 * active_lanes + 4] the gate serves that site's lane directly.
+    With a single site the gate cannot fire: the site is served every
+    turn, so its pressure never exceeds 1.
+
+    Within the chosen pool, one query is served for a {e cost credit}
+    (the [quantum], in simulated disk seconds): the query runs until its
+    credit is spent, until it triggers a random I/O (the expensive event
+    the paper's cost model penalises — the query yields immediately so
+    cheaper work can run while the head is repositioned), or until it
+    finishes. Queries whose queued demand is already cheap to serve on
+    their pool — a demanded cluster is resident, falls inside another
+    query's open scan window, or sits in a coalescible pending run
+    ([pid±1] also pending) — are {e boosted} ahead of plain round-robin
+    order, which is what turns cross-query contention into cross-query
+    batching. Fairness is observable: the chosen query's
+    {!Xnav_core.Context.counters.served_ticks} and every other runnable
+    query's [starved_ticks], on any pool, advance each turn.
 
     {2 Admission}
 
-    A query is only admitted while its worst-case steady pin demand
-    cannot wedge the pool (generalising the capacity-1
+    A query is only admitted to a pool while its worst-case steady pin
+    demand cannot wedge that pool (generalising the capacity-1
     release-before-acquire fix): every plan holds at most one steady pin
     (XSchedule's current cluster; Simple/XScan navigation pins are
     transient) plus one frame of headroom for the page being entered, so
@@ -38,7 +62,9 @@
     because a wedged query raises
     {!Xnav_storage.Buffer_manager.Buffer_full}, is torn down through
     {!Xnav_storage.Buffer_manager.abort_async} and is recomputed serially
-    once the pool is quiescent (status {!constructor:Recovered}).
+    on its own pool's clock once the pools are quiescent (status
+    {!constructor:Recovered}). A spec {!Xnav_core.Exec.plan_error}
+    rejects fails the whole run before any state moves.
 
     {2 The repeat-traffic front door}
 
@@ -47,14 +73,15 @@
     {e Level 1}: admission consults the process-wide
     {!Xnav_core.Result_cache} — a hit completes the job instantly (no
     lane, no planning, no I/O), and every completed stream job installs
-    its answer for the next identical statement. {e Level 2}: if an
-    identical statement is already in flight, the new job's pending
-    cluster demand would duplicate work the pool is about to do anyway —
-    it attaches as a {e follower} of the in-flight {e leader} lane and
-    receives the leader's answer the instant the shared scan completes.
-    Followers pin nothing and bypass admission; fairness credits
-    ([served_ticks]) are charged to all sharers each time the leader is
-    served, and each deduped job reports
+    its answer for the next identical statement. Entries key on the
+    store, so co-located sites never serve each other's answers.
+    {e Level 2}: a job may {e follow} an in-flight {e leader} lane with
+    the same store and the same path text — its pending cluster demand
+    would duplicate work the pool is about to do anyway — and receives
+    the leader's answer the instant the shared scan completes. Followers
+    never cross stores (so never tenants), pin nothing and bypass
+    admission; fairness credits ([served_ticks]) are charged to all
+    sharers each time the leader is served, and each deduped job reports
     {!Xnav_core.Context.counters.shared_demand}. Jobs with a [timeout]
     never share (a follower's fate is its leader's). With the knob off
     (the default) both levels are inert and the engine reproduces the
@@ -64,9 +91,12 @@
 
     A spec whose [ops] list is non-empty is a {e writer job}: instead of
     evaluating a path it applies in-place updates
-    ({!Xnav_store.Update.insert_element} / [delete_subtree]) against the
-    same shared store, interleaved turn-by-turn with the readers. Three
-    rules keep the mix coherent:
+    ({!Xnav_store.Update.insert_element} / [delete_subtree]) against its
+    store, interleaved turn-by-turn with the readers. Writers run on
+    single-pool topologies only ([Shard.run_clients] rejects them up
+    front): cluster latches are keyed by page id and the commit log is
+    kept per store, so neither means anything across several stores.
+    Three rules keep the mix coherent:
 
     - {e Cluster latches (writer–writer)}: each op declares its target
       cluster; a writer latches it exclusively for the op's duration
@@ -83,6 +113,8 @@
       stream to restart from scratch under a fresh stamp
       ([snapshot_retries]). Commits it never observed are invisible to
       it — a running query always sees a single consistent snapshot.
+      The check costs nothing while the store's
+      {!Xnav_store.Store.mutation_stamp} has not moved.
     - {e Cluster-granular invalidation}: a commit stales only the
       result-cache entries whose recorded cluster footprint intersects
       its write set ({!Xnav_core.Result_cache.stale_clusters}, counted
@@ -100,9 +132,9 @@
     {2 Clocks}
 
     All latencies ([submitted]/[started]/[finished], and the derived
-    [latency] and [pin_wait]) are measured on the simulated disk clock —
-    deterministic, so percentiles are CI-stable. Process CPU time is
-    reported separately at the engine level. *)
+    [latency] and [pin_wait]) are measured on the simulated clock of the
+    job's pool — deterministic, so percentiles are CI-stable. Process
+    CPU time is reported separately at the engine level. *)
 
 type update_op =
   | Insert_child of { parent : Xnav_store.Node_id.t; tag : Xnav_xml.Tag.t }
@@ -129,9 +161,10 @@ type status =
   | Completed  (** Ran to the end of its stream. *)
   | Timed_out  (** Aborted at its deadline; [nodes] is empty. *)
   | Recovered
-      (** The stream raised [Buffer_full] under pool contention and was
-          abandoned; the answer was recomputed serially with the Simple
-          plan once the pool drained, so [nodes] is still correct. *)
+      (** The stream raised [Buffer_full] under pool contention (while
+          being prepared or later) and was abandoned; the answer was
+          recomputed serially with the Simple plan once the pool
+          drained, so [nodes] is still correct. *)
 
 val status_to_string : status -> string
 
@@ -215,6 +248,8 @@ val run_clients :
     seconds (default [0.004], about one random access); [ordered]
     (default [true]) sorts each job's nodes into document order. [cold]
     resets the buffer pool and disk clock first.
+    @raise Invalid_argument on an empty client array or a read spec
+    {!Xnav_core.Exec.plan_error} rejects, before any job runs.
     @raise Failure if any frame is left pinned at the end, or (with
     [config.validate]) on an invariant violation. *)
 
@@ -233,7 +268,35 @@ val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [0..100]: the nearest-rank percentile
     of [xs] (0 on an empty list). *)
 
-val demand_frames : int
-(** Worst-case steady pin demand per admitted query (one held frame plus
-    one frame of headroom — see {e Admission} above). Exposed so the
-    {!Shard} engine's per-shard admission applies the identical bound. *)
+(** {2 Topologies}
+
+    The engine beneath {!run_clients} and [Shard.run_clients]. *)
+
+type pool_stat = {
+  pool_reads : int;
+  pool_io : float;  (** Simulated seconds this pool's disk spent. *)
+  pool_turns : int;  (** Turns the balancer granted this pool. *)
+  pool_scan_resist_hits : int;  (** Protected-queue hits (0 with 2Q off). *)
+}
+
+type topology_run = {
+  result : result;  (** Disk figures summed over the pools. *)
+  site_jobs : (int * job) list;  (** [result.jobs] paired with each job's site. *)
+  pools : pool_stat array;  (** One per pool, in pool order. *)
+  rebalance_moves : int;
+      (** Turns the cross-site fairness gate overrode the balancer. *)
+}
+
+val run_topology :
+  config:Xnav_core.Context.config option ->
+  quantum:float ->
+  ordered:bool ->
+  cold:bool ->
+  pools:Xnav_storage.Buffer_manager.t array ->
+  sites:(Xnav_store.Store.t * int) array ->
+  (int * spec) list array ->
+  topology_run
+(** [run_topology ~pools ~sites clients] runs closed-loop clients whose
+    jobs name a site by index: [sites.(i)] is a store and the index of
+    the pool it lives on (the store's own buffer manager). Arguments and
+    failures are those of {!run_clients}; [cold] resets every pool. *)

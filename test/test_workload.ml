@@ -400,6 +400,257 @@ let shard_front_door_is_per_tenant () =
   Result_cache.clear ();
   Result_cache.reset_stats ()
 
+(* --- schedule pins ------------------------------------------------------------ *)
+
+(* A canonical dump of a run's simulated schedule: every per-job
+   scheduling figure (clock values printed exactly, with [%h]) and the
+   run-level totals. The expected dumps pin the schedule of both
+   topologies: any change to admission, boosting, serving, recovery or
+   the balancer shows up as a diff here. *)
+let dump_job b tenant (j : Workload.job) =
+  Printf.bprintf b
+    "%s%s c%d %s n%d sub=%h st=%h fin=%h srv=%d stv=%d y=%d bo=%d sh=%b ch=%b wc=%d lw=%d sr=%d \
+     fc=%d\n"
+    tenant j.Workload.job_label j.Workload.client
+    (Workload.status_to_string j.Workload.status)
+    j.Workload.count j.Workload.submitted j.Workload.started j.Workload.finished
+    j.Workload.served_ticks j.Workload.starved_ticks j.Workload.yields j.Workload.boosts
+    j.Workload.shared j.Workload.cache_hit j.Workload.writer_commits j.Workload.latch_waits
+    j.Workload.snapshot_retries j.Workload.finish_commit
+
+let dump_run ~jobs ~turns ~max_concurrent ~rebalance_moves ~page_reads ~commits =
+  let b = Buffer.create 1024 in
+  List.iter (fun (tenant, j) -> dump_job b tenant j) jobs;
+  Printf.bprintf b "turns=%d maxc=%d moves=%d reads=%d commits=%d\n" turns max_concurrent
+    rebalance_moves page_reads commits;
+  Buffer.contents b
+
+(* (a) One pool, front door on: readers with repeated statements
+   (followers and cache hits), two writer clients, a zero-deadline job,
+   and a two-frame pool under a tiny memory budget, so fallen-back
+   streams wedge and are recovered serially. *)
+let pinned_single_pool () =
+  let store, import = Gen.import_store ~payload:96 ~page_size:256 ~capacity:2 (doc ()) in
+  let ids = import.Import.node_ids in
+  let config = { validating with Context.result_cache = true; memory_budget = 2 } in
+  let w1 =
+    spec
+      ~ops:
+        [
+          Workload.Insert_child { parent = ids.(0); tag = Tag.of_string "w" };
+          Workload.Delete_subtree ids.(7);
+        ]
+      "w1" "/child::*" Plan.simple
+  in
+  let w2 =
+    spec
+      ~ops:
+        [
+          Workload.Insert_child { parent = ids.(1); tag = Tag.of_string "y" };
+          Workload.Insert_child { parent = ids.(0); tag = Tag.of_string "w" };
+        ]
+      "w2" "/child::*" Plan.simple
+  in
+  let qx = spec "q-x" "/child::*/child::x" (Plan.xschedule ()) in
+  let qy = spec "q-y" "/descendant::y" (Plan.xscan ()) in
+  let qa = spec "q-a" "/child::a" (Plan.xschedule ()) in
+  let qd = spec "q-d" "/descendant::x" (Plan.xschedule ()) in
+  let qe = spec "q-e" "/child::*/child::y" (Plan.xschedule ()) in
+  let qt = spec ~timeout:0.0 "q-t" "/descendant::y" (Plan.xschedule ()) in
+  let clients =
+    [| [ qx; qd; qx ]; [ qe; qa; qd ]; [ qy; qt; qe ]; [ qd; qx; qy ]; [ qe; qd ]; [ w1 ]; [ w2 ] |]
+  in
+  Result_cache.clear ();
+  let r = Workload.run_clients ~config ~cold:true store clients in
+  Result_cache.clear ();
+  dump_run
+    ~jobs:(List.map (fun j -> ("", j)) r.Workload.jobs)
+    ~turns:r.Workload.turns ~max_concurrent:r.Workload.max_concurrent ~rebalance_moves:0
+    ~page_reads:r.Workload.page_reads ~commits:(List.length r.Workload.commit_log)
+
+(* (b)/(c) The sharded engine, front door off, over the three tenant
+   documents: on two shards, and co-located on one shard, where a
+   tenant waits long enough for the fairness gate to override the
+   balancer. *)
+let pinned_shards ~shards =
+  let t = topology ~shards () in
+  let j tenant label path plan = { Shard.tenant; spec = spec label path plan } in
+  let clients =
+    [|
+      [
+        j "alpha" "a-d" "/descendant::y" (Plan.xscan ());
+        j "alpha" "a-x" "/child::*/child::x" (Plan.xschedule ());
+      ];
+      [
+        j "alpha" "a-x" "/child::*/child::x" (Plan.xschedule ());
+        j "beta" "b-all" "/descendant::*" (Plan.xschedule ());
+      ];
+      [
+        j "beta" "b-c" "/descendant::c" (Plan.xschedule ());
+        j "gamma" "g-b" "/descendant::B" Plan.simple;
+      ];
+      [
+        j "gamma" "g-a" "/child::*/child::A" (Plan.xschedule ());
+        j "alpha" "a-y" "/descendant::y" Plan.simple;
+      ];
+      [
+        j "gamma" "g-c" "/descendant::C" (Plan.xscan ());
+        j "beta" "b-d" "/descendant::d" (Plan.xschedule ());
+      ];
+    |]
+  in
+  let r = Shard.run_clients ~config:validating ~cold:true t clients in
+  check Alcotest.(list string) "clean end" [] r.Shard.violations;
+  ( dump_run
+      ~jobs:(List.map (fun (tenant, j) -> (tenant ^ "/", j)) r.Shard.jobs)
+      ~turns:r.Shard.turns ~max_concurrent:r.Shard.max_concurrent
+      ~rebalance_moves:r.Shard.rebalance_moves ~page_reads:r.Shard.page_reads ~commits:0,
+    r.Shard.rebalance_moves )
+
+let pin_single_pool_expected = {|q-x c0 recovered n13 sub=0x0p+0 st=0x0p+0 fin=0x1.05335725348c8p-3 srv=1 stv=0 y=0 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-e c1 recovered n15 sub=0x0p+0 st=0x1.3d31b9b66f932p-10 fin=0x1.10344b361404p-3 srv=2 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-y c2 completed n14 sub=0x0p+0 st=0x1.affa6b861f9dp-8 fin=0x1.434de6b58b826p-6 srv=3 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+q-d c3 completed n14 sub=0x0p+0 st=0x1.434de6b58b826p-6 fin=0x1.1316b4ec759e1p-5 srv=4 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+q-e c4 recovered n15 sub=0x0p+0 st=0x1.1316b4ec759e1p-5 fin=0x1.427f6af1297dfp-5 srv=2 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+w1 c5 completed n0 sub=0x0p+0 st=0x1.427f6af1297dfp-5 fin=0x1.cbbb080b1bd8ep-4 srv=4 stv=0 y=0 bo=0 sh=false ch=false wc=2 lw=0 sr=0 fc=2
+w2 c6 completed n0 sub=0x0p+0 st=0x1.cbbb080b1bd8ep-4 fin=0x1.83d5faec674f7p-3 srv=4 stv=0 y=0 bo=0 sh=false ch=false wc=2 lw=0 sr=0 fc=4
+q-d c0 completed n13 sub=0x1.3d31b9b66f932p-10 st=0x1.83d5faec674f7p-3 fin=0x1.968df8f516495p-3 srv=3 stv=0 y=0 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-a c1 completed n8 sub=0x1.affa6b861f9dp-8 st=0x1.968df8f516495p-3 fin=0x1.006c2c65e618p-2 srv=8 stv=0 y=7 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-t c2 timed-out n0 sub=0x1.434de6b58b826p-6 st=0x1.006c2c65e618p-2 fin=0x1.006c2c65e618p-2 srv=0 stv=0 y=0 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-d c4 completed n13 sub=0x1.427f6af1297dfp-5 st=0x1.006c2c65e618p-2 fin=0x1.006c2c65e618p-2 srv=0 stv=0 y=0 bo=0 sh=false ch=true wc=0 lw=0 sr=0 fc=4
+q-d c1 completed n13 sub=0x1.006c2c65e618p-2 st=0x1.006c2c65e618p-2 fin=0x1.006c2c65e618p-2 srv=0 stv=0 y=0 bo=0 sh=false ch=true wc=0 lw=0 sr=0 fc=4
+q-x c3 recovered n13 sub=0x1.1316b4ec759e1p-5 st=0x1.006c2c65e618p-2 fin=0x1.0657053a8a41cp-2 srv=2 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-x c0 recovered n13 sub=0x1.968df8f516495p-3 st=0x1.006c2c65e618p-2 fin=0x1.0657053a8a41cp-2 srv=2 stv=0 y=0 bo=0 sh=true ch=false wc=0 lw=0 sr=0 fc=4
+q-e c2 recovered n15 sub=0x1.006c2c65e618p-2 st=0x1.0657053a8a41cp-2 fin=0x1.0bd9bd2eec50cp-2 srv=2 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-y c3 completed n15 sub=0x1.0657053a8a41cp-2 st=0x1.0bd9bd2eec50cp-2 fin=0x1.194eb1ec2c8bep-2 srv=3 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+turns=38 maxc=1 moves=0 reads=611 commits=4
+|}
+let pin_two_shards_expected = {|gamma/g-c c4 completed n4 sub=0x0p+0 st=0x0p+0 fin=0x1.dba50136f6c8bp-7 srv=2 stv=5 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+gamma/g-a c3 completed n2 sub=0x0p+0 st=0x0p+0 fin=0x1.dba50136f6c8bp-7 srv=3 stv=6 y=2 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+alpha/a-d c0 completed n14 sub=0x0p+0 st=0x0p+0 fin=0x1.45f723d24df6ep-5 srv=2 stv=9 y=0 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+beta/b-c c2 completed n1 sub=0x0p+0 st=0x0p+0 fin=0x1.94e19bec7354cp-5 srv=2 stv=10 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+gamma/g-b c2 completed n5 sub=0x1.dba50136f6c8bp-7 st=0x1.dba50136f6c8bp-7 fin=0x1.dba50136f6c8bp-7 srv=1 stv=0 y=0 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+beta/b-d c4 completed n1 sub=0x1.324e7e9c5206cp-6 st=0x1.324e7e9c5206cp-6 fin=0x1.d16fb84b0247ep-4 srv=2 stv=11 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+alpha/a-x c1 completed n14 sub=0x0p+0 st=0x0p+0 fin=0x1.6539da4436d9fp-3 srv=9 stv=19 y=7 bo=3 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+alpha/a-x c0 completed n14 sub=0x1.45f723d24df6ep-5 st=0x1.45f723d24df6ep-5 fin=0x1.c9c1e96c22c18p-3 srv=9 stv=15 y=7 bo=2 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+beta/b-all c1 completed n4 sub=0x1.6539da4436d9fp-3 st=0x1.6539da4436d9fp-3 fin=0x1.00abe52c6043bp-2 srv=5 stv=7 y=4 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+alpha/a-y c3 completed n14 sub=0x1.c8fa471a30ab7p-6 st=0x1.c8fa471a30ab7p-6 fin=0x1.0200aeb250b35p-2 srv=6 stv=26 y=5 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+turns=41 maxc=5 moves=0 reads=295 commits=0
+|}
+let pin_one_shard_expected = {|beta/b-c c2 completed n1 sub=0x0p+0 st=0x0p+0 fin=0x1.ac6f607803ddbp-5 srv=2 stv=6 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+gamma/g-a c3 completed n2 sub=0x0p+0 st=0x0p+0 fin=0x1.22d73e529753ap-3 srv=3 stv=20 y=2 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+gamma/g-b c2 completed n5 sub=0x1.ac6f607803ddbp-5 st=0x1.ad8001aff76ap-5 fin=0x1.89710e9c0d1ap-3 srv=4 stv=17 y=3 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+alpha/a-x c1 completed n14 sub=0x0p+0 st=0x0p+0 fin=0x1.fdac0371ea65cp-3 srv=14 stv=24 y=13 bo=5 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+alpha/a-d c0 completed n14 sub=0x0p+0 st=0x0p+0 fin=0x1.08ff99bd9faa9p-2 srv=9 stv=32 y=7 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+gamma/g-c c4 completed n4 sub=0x0p+0 st=0x0p+0 fin=0x1.178375725b331p-2 srv=5 stv=39 y=4 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+beta/b-d c4 completed n1 sub=0x1.178375725b331p-2 st=0x1.178375725b331p-2 fin=0x1.4d2e5c57f9d6p-2 srv=2 stv=6 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+beta/b-all c1 completed n4 sub=0x1.fdac0371ea65cp-3 st=0x1.fdac0371ea65cp-3 fin=0x1.6d92237d1511fp-2 srv=5 stv=13 y=4 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+alpha/a-x c0 completed n14 sub=0x1.08ff99bd9faa9p-2 st=0x1.08ff99bd9faa9p-2 fin=0x1.77eec5be96028p-2 srv=7 stv=10 y=5 bo=3 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+alpha/a-y c3 completed n14 sub=0x1.22d73e529753ap-3 st=0x1.2c31beccdd43cp-3 fin=0x1.89cbb533a999cp-2 srv=9 stv=28 y=8 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+turns=60 maxc=5 moves=1 reads=317 commits=0
+|}
+
+let schedules_are_pinned () =
+  check Alcotest.string "(a) single pool, writers, recovery" pin_single_pool_expected
+    (pinned_single_pool ());
+  check Alcotest.string "(b) two shards" pin_two_shards_expected (fst (pinned_shards ~shards:2));
+  let one, moves = pinned_shards ~shards:1 in
+  check Alcotest.string "(c) one shard" pin_one_shard_expected one;
+  check Alcotest.bool "(c) the fairness gate fired" true (moves > 0)
+
+(* --- bad specs and shard followers ------------------------------------------ *)
+
+(* A reordered plan over a non-downward path is rejected before any
+   state moves. The bad job is queued behind a quick one while a long
+   XSchedule scan holds its current cluster pinned: had the engine only
+   found out at admission, the raise would strand that pin. *)
+let bad_spec_clients tenant_job =
+  let long = spec "long" "/descendant::x" (Plan.xschedule ()) in
+  let quick = spec "quick" "/child::a" (Plan.xschedule ()) in
+  let bad = spec "bad" "/descendant::y/parent::*" (Plan.xschedule ()) in
+  [| [ tenant_job long ]; [ tenant_job quick; tenant_job bad ] |]
+
+let bad_spec_leaves_no_pins () =
+  let store = build ~capacity:16 (Gen.wide_tree ~children:200 ()) in
+  (match Workload.run_clients ~cold:true store (bad_spec_clients Fun.id) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument for a non-downward reordered plan");
+  check Alcotest.int "no pins leaked" 0 (Buffer_manager.pinned_count (Store.buffer store))
+
+let shard_bad_spec_leaves_no_pins () =
+  let t =
+    Shard.create ~capacity:16 ~page_size:256 ~payload:96 ~shards:2
+      [ ("wide", Gen.wide_tree ~children:200 ()); ("alpha", doc ()) ]
+  in
+  let wide spec = { Shard.tenant = "wide"; spec } in
+  (match Shard.run_clients ~cold:true t (bad_spec_clients wide) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument for a non-downward reordered plan");
+  check Alcotest.int "no pins leaked" 0
+    (Buffer_manager.pinned_count (Store.buffer (Shard.store t "wide")));
+  (* The topology stays usable warm. *)
+  let r =
+    Shard.run_clients ~cold:false t
+      [| [ wide (spec "quick" "/child::a" (Plan.xschedule ())) ] |]
+  in
+  check Alcotest.(list string) "clean warm rerun" [] r.Shard.violations
+
+(* Followers on shards: two concurrent identical statements on one
+   tenant share a single scan, while the same text on a neighbour runs
+   its own. Every answer equals its tenant's serial cold run. *)
+let shard_followers_stay_within_a_tenant () =
+  let t = topology () in
+  let caching = { validating with Context.result_cache = true } in
+  let q = spec "q" "/child::*/child::x" (Plan.xschedule ()) in
+  let want tenant = serial_ids (Shard.store t tenant) validating q in
+  let expected = [ ("alpha", want "alpha"); ("beta", want "beta") ] in
+  Result_cache.clear ();
+  let job tenant = [ { Shard.tenant; spec = q } ] in
+  let r =
+    Shard.run_clients ~config:caching ~cold:true t [| job "alpha"; job "alpha"; job "beta" |]
+  in
+  Result_cache.clear ();
+  check Alcotest.(list string) "clean end" [] r.Shard.violations;
+  let shared tenant =
+    List.length
+      (List.filter (fun (tn, (j : Workload.job)) -> tn = tenant && j.Workload.shared) r.Shard.jobs)
+  in
+  check Alcotest.int "one alpha job rides the other's scan" 1 (shared "alpha");
+  check Alcotest.int "beta never follows alpha" 0 (shared "beta");
+  List.iter
+    (fun (tenant, (j : Workload.job)) ->
+      check id_list (tenant ^ " equals serial") (List.assoc tenant expected)
+        (ids_of j.Workload.nodes))
+    r.Shard.jobs
+
+(* A sharded differential case where co-located lanes' pins (batch
+   installs overcommit a 16-frame MRU pool) leave no frame for a Simple
+   plan to read its context node while it is being admitted. The job
+   must be recovered serially, not raise out of the engine. *)
+let full_pool_at_admission_recovers () =
+  let module D = Xnav_check.Differential in
+  let case =
+    {
+      D.doc_seed = 108992;
+      fidelity = 0.001;
+      physical =
+        {
+          D.strategy = Import.Bfs;
+          page_size = 512;
+          payload = 220;
+          capacity = 16;
+          policy = Io_scheduler.Elevator;
+          replacement = Buffer_manager.Mru;
+        };
+      k = 100;
+      speculative = false;
+      memory_budget = 1_000_000;
+      path = Xpath_parser.parse "/descendant-or-self::*";
+    }
+  in
+  check Alcotest.(list string) "sharded run equals serial" []
+    (List.map (fun m -> m.D.plan ^ ": " ^ m.D.detail) (D.check_shards_case case))
+
 let percentiles_are_nearest_rank () =
   let xs = [ 4.0; 1.0; 3.0; 2.0; 5.0 ] in
   check (Alcotest.float 1e-9) "p50" 3.0 (Workload.percentile xs 50.0);
@@ -428,6 +679,10 @@ let suite =
           untouched_paths_keep_hitting_across_commits;
         Alcotest.test_case "latency percentiles use nearest rank" `Quick
           percentiles_are_nearest_rank;
+        Alcotest.test_case "single-pool and sharded schedules are pinned" `Quick
+          schedules_are_pinned;
+        Alcotest.test_case "a bad spec is rejected before any pin is taken" `Quick
+          bad_spec_leaves_no_pins;
       ] );
     ( "workload.shards",
       [
@@ -438,5 +693,11 @@ let suite =
         Alcotest.test_case "sharded mix equals serial per tenant and query" `Quick
           sharded_mix_equals_serial;
         Alcotest.test_case "the front door is per-tenant" `Quick shard_front_door_is_per_tenant;
+        Alcotest.test_case "a bad spec is rejected before any pin is taken" `Quick
+          shard_bad_spec_leaves_no_pins;
+        Alcotest.test_case "followers stay within a tenant" `Quick
+          shard_followers_stay_within_a_tenant;
+        Alcotest.test_case "a full pool at admission recovers the job" `Quick
+          full_pool_at_admission_recovers;
       ] );
   ]
