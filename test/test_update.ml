@@ -315,7 +315,7 @@ let op_gen =
       (int_range 0 1000 >|= fun victim -> Op_delete victim);
     ]
 
-let apply_ops doc store import ops =
+let apply_ops ?(after_op = fun _ -> ()) doc store import ops =
   ignore (Tree.index doc);
   (* id <-> tree-node correspondence, maintained across updates. *)
   let by_id = Node_id.Tbl.create 64 in
@@ -368,8 +368,33 @@ let apply_ops doc store import ops =
           let vid, vnode = List.nth nodes (1 + (vpick mod (n - 1))) in
           ignore (Update.delete_subtree store vid);
           mirror_delete vnode
-        end)
+        end;
+      after_op by_id)
     ops
+
+(* Every axis from every live node, drained through the store and mapped
+   back through the id <-> node correspondence, equals the oracle's axis
+   on the mirror. *)
+let axes_match store by_id =
+  let next = Store.global_axis store Xnav_xml.Axis.Descendant_or_self (Store.root store) in
+  let rec live acc = match next () with None -> acc | Some (i : Store.info) -> live (i :: acc) in
+  List.for_all
+    (fun (context : Store.info) ->
+      let node = Node_id.Tbl.find by_id context.Store.id in
+      List.for_all
+        (fun axis ->
+          let expected = Xnav_xml.Tree_axes.nodes axis node in
+          let next = Store.global_axis store axis context.Store.id in
+          let rec same = function
+            | [] -> next () = None
+            | e :: rest -> (
+              match next () with
+              | Some (i : Store.info) -> Node_id.Tbl.find by_id i.Store.id == e && same rest
+              | None -> false)
+          in
+          same expected)
+        Xnav_xml.Axis.all)
+    (live [])
 
 let props =
   [
@@ -395,4 +420,23 @@ let props =
           [ Plan.simple; Plan.xschedule (); Plan.xscan () ]);
   ]
 
-let suite = [ ("update", unit_tests); Gen.qsuite "update.props" props ]
+let axis_props =
+  [
+    QCheck2.Test.make ~name:"update: every axis matches the mirror after every op" ~count:40
+      QCheck2.Gen.(
+        triple (Gen.tree_gen ~size:25 ())
+          (list_size (int_range 1 25) op_gen)
+          (oneofl [ Import.Dfs; Import.Scattered 13 ]))
+      ~print:(fun (tree, ops, strategy) ->
+        Printf.sprintf "%s | %d ops | %s" (Gen.tree_print tree) (List.length ops)
+          (Import.strategy_to_string strategy))
+      (fun (tree, ops, strategy) ->
+        let store, import = Gen.import_store ~strategy ~payload:170 tree in
+        let ok = ref true in
+        apply_ops tree store import ops ~after_op:(fun by_id ->
+            if !ok then ok := axes_match store by_id);
+        !ok && Buffer_manager.pinned_count (Store.buffer store) = 0);
+  ]
+
+let suite =
+  [ ("update", unit_tests); Gen.qsuite "update.props" props; Gen.qsuite "update.axes" axis_props ]
