@@ -281,15 +281,9 @@ let run ?config ?contexts ?trace ?(ordered = true) store path plan =
      duplicate-free through R, but the Simple method needs it, Sec. 5.1)
      and re-established document order (Sec. 5.5) — one dedup pass into
      a flat array, one in-place sort. *)
-  let seen = Node_id.Tbl.create (max 16 (Vec.length out)) in
+  let seen = Node_id.Seen.create () in
   let distinct = Vec.create () in
-  Vec.iter
-    (fun (i : Store.info) ->
-      if not (Node_id.Tbl.mem seen i.id) then begin
-        Node_id.Tbl.replace seen i.id ();
-        Vec.push distinct i
-      end)
-    out;
+  Vec.iter (fun (i : Store.info) -> if Node_id.Seen.add seen i.id then Vec.push distinct i) out;
   if ordered then
     Vec.sort (fun (a : Store.info) b -> Ordpath.compare a.ordpath b.ordpath) distinct;
   let count = Vec.length distinct in

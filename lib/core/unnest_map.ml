@@ -4,7 +4,7 @@ module Path = Xnav_xpath.Path
 
 let create ctx ~step ~dedup producer =
   let counters = ctx.Context.counters in
-  let seen : unit Node_id.Tbl.t = Node_id.Tbl.create 64 in
+  let seen = Node_id.Seen.create () in
   let current = ref None in
   let rec next () =
     match !current with
@@ -15,12 +15,11 @@ let create ctx ~step ~dedup producer =
         next ()
       | Some (info : Store.info) ->
         if Path.matches step.Path.test info.tag then begin
-          if dedup && Node_id.Tbl.mem seen info.id then begin
+          if dedup && not (Node_id.Seen.add seen info.id) then begin
             counters.Context.dedup_hits <- counters.Context.dedup_hits + 1;
             next ()
           end
           else begin
-            if dedup then Node_id.Tbl.replace seen info.id ();
             counters.Context.instances <- counters.Context.instances + 1;
             Some info
           end

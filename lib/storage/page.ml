@@ -50,12 +50,12 @@ let get page slot =
   if offset = free_sentinel then invalid_arg (Printf.sprintf "Page.get: slot %d is free" slot);
   Bytes.sub_string page.bytes offset (slot_length page slot)
 
-let record_span page slot =
+let record_offset page slot =
   check_slot page slot;
   let offset = slot_offset page slot in
   if offset = free_sentinel then
-    invalid_arg (Printf.sprintf "Page.record_span: slot %d is free" slot);
-  (page.bytes, offset)
+    invalid_arg (Printf.sprintf "Page.record_offset: slot %d is free" slot);
+  offset
 
 let record_byte page slot =
   check_slot page slot;

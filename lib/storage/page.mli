@@ -51,13 +51,12 @@ val get : t -> int -> string
 val mem : t -> int -> bool
 (** Whether the slot number holds a live record. *)
 
-val record_span : t -> int -> Bytes.t * int
-(** [record_span page slot] is the underlying page buffer and the byte
-    offset of the record stored in [slot] — the zero-copy counterpart of
-    {!get} for codecs that parse a few fields in place (the navigation
-    fast path decodes its packed word from this span; copying every
-    record out of the page first was the dominant decode cost). The
-    caller must not mutate the buffer.
+val record_offset : t -> int -> int
+(** [record_offset page slot] is the byte offset, within {!to_bytes}, of
+    the record stored in [slot] — the zero-copy counterpart of {!get} for
+    codecs that parse a few fields in place (copying every record out of
+    the page first was the dominant decode cost). The caller must not
+    mutate the buffer.
     @raise Invalid_argument if the slot is out of range or free. *)
 
 val record_byte : t -> int -> char

@@ -26,3 +26,17 @@ module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
 
 module Tbl : Hashtbl.S with type key = t
+
+(** A duplicate filter: one bitmap per page, indexed by slot, with the
+    last page's bitmap cached — adding an id mostly costs one bit
+    operation rather than a hash-table probe. The Simple plan's per-step
+    and final duplicate elimination use it. *)
+module Seen : sig
+  type id := t
+  type t
+
+  val create : unit -> t
+
+  val add : t -> id -> bool
+  (** [add s id] records [id]; [false] iff it was recorded before. *)
+end

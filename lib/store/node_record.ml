@@ -79,68 +79,166 @@ let encode record =
     add_node_id buf u.owner);
   Buffer.contents buf
 
-let read_u16 s off = Char.code s.[off] lor (Char.code s.[off + 1] lsl 8)
+(* --- In-place field access -----------------------------------------------
 
-let read_slot s off =
-  let v = read_u16 s off in
-  if v = none_slot then None else Some v
+   A record read where it lies — a page span
+   ({!Xnav_storage.Page.record_offset}) or a string — with no copy and
+   no option boxes. This is the one place the layout is spelled out;
+   [decode] is built on it and [nav_of_bytes] reads the same offsets:
 
-let read_varint s off =
-  let rec go off shift acc =
-    let byte = Char.code s.[off] in
-    let acc = acc lor ((byte land 0x7f) lsl shift) in
-    if byte < 0x80 then (acc, off + 1) else go (off + 1) (shift + 7) acc
-  in
-  go off 0 0
+   {v
+   Core  0 | parent u16 | first u16 | last u16 | next u16 | prev u16 | tag varint | ordpath
+   Down  1 | parent u16 | next u16 | prev u16 | target pid varint | target slot varint
+   Up  2|3 | first u16 | last u16 | target pid, slot varints | owner pid, slot varints
+   v}
 
-let read_node_id s off =
-  let pid, off = read_varint s off in
-  let slot, off = read_varint s off in
-  (Node_id.make ~pid ~slot, off)
+   (kind 3 is an Up whose run continues the chain). Absent links read as
+   [-1]. *)
 
-let decode s =
-  match s.[0] with
+type kind = Kind_core | Kind_down | Kind_up
+
+let kind_name = function Kind_core -> "core" | Kind_down -> "Down" | Kind_up -> "Up"
+
+let kind_error b off =
+  invalid_arg (Printf.sprintf "Node_record: unknown record kind %d" (Char.code (Bytes.get b off)))
+
+let kind_at b off =
+  match Bytes.get b off with
+  | '\000' -> Kind_core
+  | '\001' -> Kind_down
+  | '\002' | '\003' -> Kind_up
+  | _ -> kind_error b off
+
+type links = {
+  mutable kind : kind;
+  mutable continues : bool;
+  mutable parent : int;
+  mutable first_child : int;
+  mutable last_child : int;
+  mutable next_sibling : int;
+  mutable prev_sibling : int;
+  mutable target_pid : int;
+  mutable target_slot : int;
+  mutable owner_pid : int;
+  mutable owner_slot : int;
+}
+
+let links () =
+  {
+    kind = Kind_core;
+    continues = false;
+    parent = -1;
+    first_child = -1;
+    last_child = -1;
+    next_sibling = -1;
+    prev_sibling = -1;
+    target_pid = -1;
+    target_slot = -1;
+    owner_pid = -1;
+    owner_slot = -1;
+  }
+
+let slot_at b off =
+  let v = Bytes.get_uint16_le b off in
+  if v = none_slot then -1 else v
+
+let varint_value b off =
+  let acc = ref 0 and shift = ref 0 and pos = ref off in
+  while Char.code (Bytes.get b !pos) >= 0x80 do
+    acc := !acc lor ((Char.code (Bytes.get b !pos) land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    incr pos
+  done;
+  !acc lor (Char.code (Bytes.get b !pos) lsl !shift)
+
+let varint_skip b off =
+  let pos = ref off in
+  while Char.code (Bytes.get b !pos) >= 0x80 do
+    incr pos
+  done;
+  !pos + 1
+
+let read_links l b off =
+  match Bytes.get b off with
   | '\000' ->
-    let parent = read_slot s 1 in
-    let first_child = read_slot s 3 in
-    let last_child = read_slot s 5 in
-    let next_sibling = read_slot s 7 in
-    let prev_sibling = read_slot s 9 in
-    let tag_id, off = read_varint s 11 in
-    let ordpath, _ = Xnav_xml.Ordpath.decode s off in
+    l.kind <- Kind_core;
+    l.parent <- slot_at b (off + 1);
+    l.first_child <- slot_at b (off + 3);
+    l.last_child <- slot_at b (off + 5);
+    l.next_sibling <- slot_at b (off + 7);
+    l.prev_sibling <- slot_at b (off + 9)
+  | '\001' ->
+    l.kind <- Kind_down;
+    l.parent <- slot_at b (off + 1);
+    l.next_sibling <- slot_at b (off + 3);
+    l.prev_sibling <- slot_at b (off + 5);
+    l.target_pid <- varint_value b (off + 7);
+    l.target_slot <- varint_value b (varint_skip b (off + 7))
+  | ('\002' | '\003') as kind ->
+    l.kind <- Kind_up;
+    l.continues <- kind = '\003';
+    l.first_child <- slot_at b (off + 1);
+    l.last_child <- slot_at b (off + 3);
+    let target = off + 5 in
+    l.target_pid <- varint_value b target;
+    let target_slot = varint_skip b target in
+    l.target_slot <- varint_value b target_slot;
+    let owner = varint_skip b target_slot in
+    l.owner_pid <- varint_value b owner;
+    l.owner_slot <- varint_value b (varint_skip b owner)
+  | _ -> kind_error b off
+
+let core_label_off b off =
+  match Bytes.get b off with
+  | '\000' -> off + 11
+  | '\001' | '\002' | '\003' -> invalid_arg "Node_record: a border record has no tag or ordpath"
+  | _ -> kind_error b off
+
+let tag_at b off = Xnav_xml.Tag.of_id (varint_value b (core_label_off b off))
+let ordpath_at b off = Xnav_xml.Ordpath.decode_bytes b (varint_skip b (core_label_off b off))
+
+let decode_at b off =
+  let l = links () in
+  read_links l b off;
+  let slot v = if v < 0 then None else Some v in
+  match l.kind with
+  | Kind_core ->
     Core
       {
-        tag = Xnav_xml.Tag.of_id tag_id;
-        ordpath;
-        parent;
-        first_child;
-        last_child;
-        next_sibling;
-        prev_sibling;
+        tag = tag_at b off;
+        ordpath = ordpath_at b off;
+        parent = slot l.parent;
+        first_child = slot l.first_child;
+        last_child = slot l.last_child;
+        next_sibling = slot l.next_sibling;
+        prev_sibling = slot l.prev_sibling;
       }
-  | '\001' ->
-    let parent = read_slot s 1 in
-    let next_sibling = read_slot s 3 in
-    let prev_sibling = read_slot s 5 in
-    let target, _ = read_node_id s 7 in
-    Down { parent; next_sibling; prev_sibling; target }
-  | ('\002' | '\003') as kind ->
-    let first_child = read_slot s 1 in
-    let last_child = read_slot s 3 in
-    let target, off = read_node_id s 5 in
-    let owner, _ = read_node_id s off in
-    Up { first_child; last_child; target; owner; continues = kind = '\003' }
-  | c -> invalid_arg (Printf.sprintf "Node_record.decode: unknown kind %d" (Char.code c))
+  | Kind_down ->
+    Down
+      {
+        parent = slot l.parent;
+        next_sibling = slot l.next_sibling;
+        prev_sibling = slot l.prev_sibling;
+        target = Node_id.make ~pid:l.target_pid ~slot:l.target_slot;
+      }
+  | Kind_up ->
+    Up
+      {
+        first_child = slot l.first_child;
+        last_child = slot l.last_child;
+        target = Node_id.make ~pid:l.target_pid ~slot:l.target_slot;
+        owner = Node_id.make ~pid:l.owner_pid ~slot:l.owner_slot;
+        continues = l.continues;
+      }
+
+let decode s = decode_at (Bytes.unsafe_of_string s) 0
 
 (* --- Packed navigation words -------------------------------------------
 
    Chain walking (the fused automaton) needs only four things from a
    record: its kind, its tag, and its first-child / next-sibling links.
-   A full [decode] materialises ~90 heap words per record (the page-copy
-   string, five slot options, the ordpath) — by far the dominant CPU
-   cost of a scan. [nav_of_bytes] instead parses exactly those fields in
-   place, from the span {!Xnav_storage.Page.record_span} exposes, into
-   one unboxed int:
+   [nav_of_bytes] reads exactly those fields in place into one unboxed
+   int, which the view caches per slot:
 
    {v
    bits 0..1    kind (1 = Core, 2 = Down, 3 = Up; 0 is never produced,
@@ -164,35 +262,20 @@ let nav_link1 word = ((word lsr 2) land 0x7fff) - 1
 let nav_link2 word = ((word lsr 17) land 0x7fff) - 1
 let nav_high word = word lsr 32
 
-let slot_field v = if v = none_slot then 0 else v + 1
-
-let read_u16_bytes b off = Char.code (Bytes.get b off) lor (Char.code (Bytes.get b (off + 1)) lsl 8)
-
-let read_varint_bytes b off =
-  let rec go off shift acc =
-    let byte = Char.code (Bytes.get b off) in
-    let acc = acc lor ((byte land 0x7f) lsl shift) in
-    if byte < 0x80 then (acc, off + 1) else go (off + 1) (shift + 7) acc
-  in
-  go off 0 0
-
 let nav_of_bytes b off =
   match Bytes.get b off with
   | '\000' ->
-    let first_child = read_u16_bytes b (off + 3) in
-    let next_sibling = read_u16_bytes b (off + 7) in
-    let tag_id, _ = read_varint_bytes b (off + 11) in
-    nav_core lor (slot_field first_child lsl 2) lor (slot_field next_sibling lsl 17)
-    lor (tag_id lsl 32)
+    nav_core
+    lor ((slot_at b (off + 3) + 1) lsl 2)
+    lor ((slot_at b (off + 7) + 1) lsl 17)
+    lor (varint_value b (off + 11) lsl 32)
   | '\001' ->
-    let next_sibling = read_u16_bytes b (off + 3) in
-    let pid, off' = read_varint_bytes b (off + 7) in
-    let slot, _ = read_varint_bytes b off' in
-    nav_down lor (slot_field next_sibling lsl 2) lor ((slot + 1) lsl 17) lor (pid lsl 32)
-  | '\002' | '\003' ->
-    let first_child = read_u16_bytes b (off + 1) in
-    nav_up lor (slot_field first_child lsl 2)
-  | c -> invalid_arg (Printf.sprintf "Node_record.nav_of_bytes: unknown kind %d" (Char.code c))
+    nav_down
+    lor ((slot_at b (off + 3) + 1) lsl 2)
+    lor ((varint_value b (varint_skip b (off + 7)) + 1) lsl 17)
+    lor (varint_value b (off + 7) lsl 32)
+  | '\002' | '\003' -> nav_up lor ((slot_at b (off + 1) + 1) lsl 2)
+  | _ -> kind_error b off
 
 let encoded_size record = String.length (encode record)
 

@@ -62,14 +62,60 @@ val target : t -> Node_id.t
 val encode : t -> string
 val decode : string -> t
 
+val decode_at : Bytes.t -> int -> t
+(** [decode_at bytes off] decodes the record encoded at [off] without
+    copying it out first. *)
+
+(** {2 In-place field access}
+
+    A record read where it lies — a page buffer and the record's offset
+    in it ({!Xnav_storage.Page.record_offset}) — without copying it or
+    boxing anything. {!decode} is built on these, and the store's global
+    navigation reads pinned pages through them. *)
+
+type kind = Kind_core | Kind_down | Kind_up
+
+val kind_at : Bytes.t -> int -> kind
+(** @raise Invalid_argument on an unknown kind byte. *)
+
+val kind_name : kind -> string
+
+(** The fixed-size fields of one record. Slot links read as [-1] when
+    absent; fields the record's kind lacks keep their previous value. *)
+type links = {
+  mutable kind : kind;
+  mutable continues : bool;  (** [Up]: the run continues the chain. *)
+  mutable parent : int;  (** [Core], [Down]. *)
+  mutable first_child : int;  (** [Core], [Up]. *)
+  mutable last_child : int;  (** [Core], [Up]. *)
+  mutable next_sibling : int;  (** [Core], [Down]. *)
+  mutable prev_sibling : int;  (** [Core], [Down]. *)
+  mutable target_pid : int;  (** [Down], [Up]: the companion border. *)
+  mutable target_slot : int;
+  mutable owner_pid : int;  (** [Up]: the run's logical parent. *)
+  mutable owner_slot : int;
+}
+
+val links : unit -> links
+(** A fresh register set (all links [-1]). *)
+
+val read_links : links -> Bytes.t -> int -> unit
+(** [read_links l bytes off] parses the kind, slot links, border target
+    and [Up] owner of the record at [off] into [l]; allocates nothing.
+    @raise Invalid_argument on an unknown kind byte. *)
+
+val tag_at : Bytes.t -> int -> Xnav_xml.Tag.t
+val ordpath_at : Bytes.t -> int -> Xnav_xml.Ordpath.t
+(** The tag and label of the core record at [off] (the label is the only
+    allocation). @raise Invalid_argument on a border record. *)
+
 (** {2 Packed navigation words}
 
     Chain walking needs only a record's kind, tag and first-child /
     next-sibling links; a full {!decode} allocates ~90 heap words per
     record (page copy, slot options, ordpath) and dominated scan CPU.
-    [nav_of_bytes] parses exactly those fields in place — from the span
-    {!Xnav_storage.Page.record_span} exposes — into one unboxed int the
-    fused automaton can test and follow without allocating. *)
+    [nav_of_bytes] parses exactly those fields in place into one unboxed
+    int the fused automaton can test and follow without allocating. *)
 
 val nav_core : int
 val nav_down : int

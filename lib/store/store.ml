@@ -354,13 +354,12 @@ let get v slot =
    stamp with [get]; a parsed word is cached per slot exactly like a
    decoded record (0 marks an unparsed slot — [nav_of_bytes] never
    returns it). *)
+let nav_at page slot = Node_record.nav_of_bytes (Page.to_bytes page) (Page.record_offset page slot)
+
 let nav v slot =
   check_live v;
   let t = v.owner in
-  if not t.swizzle then begin
-    let bytes, off = Page.record_span v.page slot in
-    Node_record.nav_of_bytes bytes off
-  end
+  if not t.swizzle then nav_at v.page slot
   else begin
     revalidate v t;
     if slot >= 0 && slot < Array.length v.nav then begin
@@ -370,8 +369,7 @@ let nav v slot =
         word
       end
       else begin
-        let bytes, off = Page.record_span v.page slot in
-        let word = Node_record.nav_of_bytes bytes off in
+        let word = nav_at v.page slot in
         t.swizzle_misses <- t.swizzle_misses + 1;
         v.nav.(slot) <- word;
         word
@@ -379,8 +377,7 @@ let nav v slot =
     end
     else begin
       t.swizzle_misses <- t.swizzle_misses + 1;
-      let bytes, off = Page.record_span v.page slot in
-      Node_record.nav_of_bytes bytes off
+      nav_at v.page slot
     end
   end
 
@@ -488,126 +485,218 @@ let rec next_emission cursor =
 
 type info = { id : Node_id.t; tag : Xnav_xml.Tag.t; ordpath : Xnav_xml.Ordpath.t }
 
-let read t (id : Node_id.t) =
-  touch t id.pid;
-  let frame = Buffer_manager.fix t.buffer id.pid in
-  (* Decode under the pin, but never leak it: a stale slot (removed by a
-     concurrent delete) makes [Page.get] raise, and callers probing for
-     exactly that condition must find the pool balanced afterwards. *)
-  match Node_record.decode (Page.get (Buffer_manager.page frame) id.slot) with
-  | record ->
+(* One record access: [touch], [fix], [parse arg bytes off] on the
+   record's span under the pin, [unfix]. The pin is released also when
+   [parse] raises: a stale slot (removed by a concurrent delete) or a
+   malformed record, and callers probing for exactly that condition
+   must find the pool balanced afterwards. Global navigation pays just
+   this per record it reads: one buffer lookup, no copy. *)
+let access t pid slot parse arg =
+  touch t pid;
+  let frame = Buffer_manager.fix t.buffer pid in
+  match
+    let page = Buffer_manager.page frame in
+    parse arg (Page.to_bytes page) (Page.record_offset page slot)
+  with
+  | v ->
     Buffer_manager.unfix t.buffer frame;
-    record
+    v
   | exception e ->
     Buffer_manager.unfix t.buffer frame;
     raise e
 
-let info t id =
-  match read t id with
-  | Node_record.Core c -> { id; tag = c.tag; ordpath = c.ordpath }
-  | Node_record.Down _ | Node_record.Up _ ->
-    invalid_arg (Printf.sprintf "Store.info: %s is a border record" (Node_id.to_string id))
+let read t (id : Node_id.t) = access t id.pid id.slot (fun () -> Node_record.decode_at) ()
+
+let parse_info (id : Node_id.t) b off =
+  match Node_record.kind_at b off with
+  | Node_record.Kind_core ->
+    Some { id; tag = Node_record.tag_at b off; ordpath = Node_record.ordpath_at b off }
+  | Node_record.Kind_down | Node_record.Kind_up -> None
+
+let info t (id : Node_id.t) =
+  match access t id.pid id.slot parse_info id with
+  | Some i -> i
+  | None -> invalid_arg (Printf.sprintf "Store.info: %s is a border record" (Node_id.to_string id))
+
+let context_error () = invalid_arg "Store.global_axis: context is a border record"
+
+let context_info t (id : Node_id.t) =
+  match access t id.pid id.slot parse_info id with Some _ as i -> i | None -> context_error ()
 
 (* --- Global navigation --------------------------------------------------- *)
 
-(* Forward walk of a sibling chain across clusters: Down records are
-   resolved eagerly through their target Up, and at the end of a run the
-   walk resumes after the run's Down (runs created by in-place updates
-   may sit mid-chain). Positions are (pid, slot option, anchor slot). *)
-let rec chain_next ?stop_up t pid slot_opt ~parent_slot =
-  match slot_opt with
-  | None -> begin
-    (* End of a segment: if anchored by an Up, resume after its Down —
-       unless the Up is [stop_up], the entry point of a border
-       continuation, whose post-run siblings belong to the cluster the
-       crossing came from. *)
-    match parent_slot with
-    | None -> None
-    | Some pslot -> begin
-      let anchor = Node_id.make ~pid ~slot:pslot in
-      match read t anchor with
-      | Node_record.Core _ -> None (* true end of the children list *)
-      | Node_record.Up u ->
-        if
-          (not u.continues)
-          || match stop_up with Some stop -> Node_id.equal stop anchor | None -> false
-        then None
-        else begin
-          match read t u.target with
-          | Node_record.Down d ->
-            chain_next ?stop_up t u.target.pid d.next_sibling ~parent_slot:d.parent
-          | Node_record.Core _ | Node_record.Up _ -> assert false
-        end
-      | Node_record.Down _ -> assert false
-    end
-  end
-  | Some slot -> begin
-    match read t (Node_id.make ~pid ~slot) with
-    | Node_record.Core c ->
-      Some
-        ( { id = Node_id.make ~pid ~slot; tag = c.tag; ordpath = c.ordpath },
-          c,
-          (pid, c.next_sibling, c.parent) )
-    | Node_record.Down d -> begin
-      match read t d.target with
-      | Node_record.Up u ->
-        chain_next t d.target.pid u.first_child ~parent_slot:(Some d.target.slot)
-      | Node_record.Core _ | Node_record.Down _ -> assert false
-    end
-    | Node_record.Up _ -> assert false
-  end
+(* A border-transparent walk. Every access parses the record in place
+   into the walker's registers ({!Node_record.links}: kind, slot links, a
+   border's target, an Up's owner), and only a core the walk emits has
+   its tag and ORDPATH decoded. Chain positions are stack frames of three
+   ints: page, slot (-1 = end of segment) and anchoring slot
+   (-1 = none). *)
+type walker = {
+  store : t;
+  descend : bool;  (* push each emitted core's children above it *)
+  mutable stop_pid : int;
+  mutable stop_slot : int;  (* the Up a border continuation entered at; -1 = none *)
+  mutable stack : int array;
+  mutable depth : int;  (* ints of [stack] in use *)
+  (* The access in progress, handed to [parse_record] without a closure. *)
+  mutable at_pid : int;
+  mutable at_slot : int;
+  mutable emit : bool;  (* decode the record's tag and ORDPATH if it is a core *)
+  r : Node_record.links;
+}
 
-(* Backward walk: at the head of a run, jump through the anchoring Up to
-   the Down that stands for the run and continue before it. *)
-let rec chain_prev t pid slot_opt ~parent_slot =
-  match slot_opt with
-  | None -> begin
-    (* Head of a segment: if anchored by an Up, continue before its Down. *)
-    match parent_slot with
-    | None -> None
-    | Some pslot -> begin
-      match read t (Node_id.make ~pid ~slot:pslot) with
-      | Node_record.Core _ -> None (* true start of the children list *)
-      | Node_record.Up u -> begin
-        match read t u.target with
-        | Node_record.Down d -> chain_prev t u.target.pid d.prev_sibling ~parent_slot:d.parent
-        | Node_record.Core _ | Node_record.Up _ -> assert false
+let walker t ~descend =
+  {
+    store = t;
+    descend;
+    stop_pid = -1;
+    stop_slot = -1;
+    stack = (if descend then Array.make 24 0 else [| 0; 0; 0 |]);
+    depth = 0;
+    at_pid = -1;
+    at_slot = -1;
+    emit = false;
+    r = Node_record.links ();
+  }
+
+let parse_record w b off =
+  Node_record.read_links w.r b off;
+  if w.emit && w.r.kind = Node_record.Kind_core then
+    Some
+      {
+        id = Node_id.make ~pid:w.at_pid ~slot:w.at_slot;
+        tag = Node_record.tag_at b off;
+        ordpath = Node_record.ordpath_at b off;
+      }
+  else None
+
+(* Read record [pid.slot] into the registers; with [emit], a core comes
+   back as its info. *)
+let load w ~emit pid slot =
+  w.at_pid <- pid;
+  w.at_slot <- slot;
+  w.emit <- emit;
+  access w.store pid slot parse_record w
+
+let unexpected w expected =
+  invalid_arg
+    (Printf.sprintf "Store: record %d.%d is a %s record, expected %s" w.at_pid w.at_slot
+       (Node_record.kind_name w.r.kind) expected)
+
+(* Follow the border the registers hold to its companion, which must be
+   of kind [kind]. *)
+let cross w kind expected =
+  ignore (load w ~emit:false w.r.target_pid w.r.target_slot);
+  if w.r.kind <> kind then unexpected w expected
+
+let set_frame w at pid slot pslot =
+  w.stack.(at) <- pid;
+  w.stack.(at + 1) <- slot;
+  w.stack.(at + 2) <- pslot
+
+let push w pid slot pslot =
+  if w.depth + 3 > Array.length w.stack then begin
+    let grown = Array.make (2 * Array.length w.stack) 0 in
+    Array.blit w.stack 0 grown 0 w.depth;
+    w.stack <- grown
+  end;
+  set_frame w w.depth pid slot pslot;
+  w.depth <- w.depth + 3
+
+(* Advance the top frame to the next core of its sibling chain and emit
+   it. A Down is resolved through its target Up. At the end of a run
+   whose Down sits mid-chain ([continues]) the walk resumes after that
+   Down — unless the run's Up is the walk's stop, the entry of a border
+   continuation, whose post-run siblings belong to the cluster the
+   crossing came from. An emitted core's frame moves on to its next
+   sibling and, in a descending walk, its children go on top. [None]
+   when the frame's chain is exhausted. *)
+let rec forward w =
+  let top = w.depth - 3 in
+  let pid = w.stack.(top) and slot = w.stack.(top + 1) and pslot = w.stack.(top + 2) in
+  if slot >= 0 then begin
+    match load w ~emit:true pid slot with
+    | Some _ as emitted ->
+      set_frame w top pid w.r.next_sibling w.r.parent;
+      if w.descend then push w pid w.r.first_child slot;
+      emitted
+    | None ->
+      if w.r.kind <> Node_record.Kind_down then unexpected w "a core or a Down border";
+      cross w Node_record.Kind_up "an Up border";
+      set_frame w top w.at_pid w.r.first_child w.at_slot;
+      forward w
+  end
+  else if pslot < 0 then None
+  else begin
+    ignore (load w ~emit:false pid pslot);
+    match w.r.kind with
+    | Node_record.Kind_core -> None (* true end of the children list *)
+    | Node_record.Kind_down -> unexpected w "a core or an Up border"
+    | Node_record.Kind_up ->
+      if (not w.r.continues) || (pid = w.stop_pid && pslot = w.stop_slot) then None
+      else begin
+        cross w Node_record.Kind_down "a Down border";
+        set_frame w top w.at_pid w.r.next_sibling w.r.parent;
+        forward w
       end
-      | Node_record.Down _ -> assert false
-    end
-  end
-  | Some slot -> begin
-    match read t (Node_id.make ~pid ~slot) with
-    | Node_record.Core c ->
-      Some
-        ( { id = Node_id.make ~pid ~slot; tag = c.tag; ordpath = c.ordpath },
-          pid,
-          c.prev_sibling,
-          c.parent )
-    | Node_record.Down d -> begin
-      (* A remote run precedes: walk it backwards from its last entry. *)
-      match read t d.target with
-      | Node_record.Up u -> chain_prev t d.target.pid u.last_child ~parent_slot:(Some d.target.slot)
-      | Node_record.Core _ | Node_record.Down _ -> assert false
-    end
-    | Node_record.Up _ -> assert false
   end
 
-let parent_info t (id : Node_id.t) =
-  match read t id with
-  | Node_record.Core c -> begin
-    match c.parent with
-    | None -> None
-    | Some pslot -> begin
-      match read t (Node_id.make ~pid:id.pid ~slot:pslot) with
-      | Node_record.Core pc ->
-        Some { id = Node_id.make ~pid:id.pid ~slot:pslot; tag = pc.tag; ordpath = pc.ordpath }
-      | Node_record.Up u -> Some (info t u.owner)
-      | Node_record.Down _ -> assert false
-    end
+let rec next_down w =
+  if w.depth = 0 then None
+  else
+    match forward w with
+    | Some _ as emitted -> emitted
+    | None ->
+      w.depth <- w.depth - 3;
+      next_down w
+
+(* The mirror of [forward] over the one frame of a preceding-sibling
+   walk: a Down stands for a remote run that precedes, walked backwards
+   from its last entry; at the head of a run, the walk continues before
+   the run's Down. *)
+let rec backward w =
+  let pid = w.stack.(0) and slot = w.stack.(1) and pslot = w.stack.(2) in
+  if slot >= 0 then begin
+    match load w ~emit:true pid slot with
+    | Some _ as emitted ->
+      set_frame w 0 pid w.r.prev_sibling w.r.parent;
+      emitted
+    | None ->
+      if w.r.kind <> Node_record.Kind_down then unexpected w "a core or a Down border";
+      cross w Node_record.Kind_up "an Up border";
+      set_frame w 0 w.at_pid w.r.last_child w.at_slot;
+      backward w
   end
-  | Node_record.Down _ | Node_record.Up _ ->
-    invalid_arg "Store.global_axis: context is a border record"
+  else if pslot < 0 then None
+  else begin
+    ignore (load w ~emit:false pid pslot);
+    match w.r.kind with
+    | Node_record.Kind_core -> None (* true start of the children list *)
+    | Node_record.Kind_down -> unexpected w "a core or an Up border"
+    | Node_record.Kind_up ->
+      cross w Node_record.Kind_down "a Down border";
+      set_frame w 0 w.at_pid w.r.prev_sibling w.r.parent;
+      backward w
+  end
+
+(* Load the context core [id] into the registers. *)
+let load_context w (id : Node_id.t) =
+  ignore (load w ~emit:false id.pid id.slot);
+  if w.r.kind <> Node_record.Kind_core then context_error ()
+
+(* The parent of core [pid.slot]: the core in its parent slot, or, when
+   an Up anchors it, the run's owner. *)
+let parent_of w pid slot =
+  load_context w (Node_id.make ~pid ~slot);
+  if w.r.parent < 0 then None
+  else
+    match load w ~emit:true pid w.r.parent with
+    | Some _ as parent -> parent
+    | None -> (
+      if w.r.kind <> Node_record.Kind_up then unexpected w "a core or an Up border";
+      match load w ~emit:true w.r.owner_pid w.r.owner_slot with
+      | Some _ as owner -> owner
+      | None -> unexpected w "a core")
 
 let global_axis t axis (id : Node_id.t) =
   match (axis : Axis.t) with
@@ -617,122 +706,56 @@ let global_axis t axis (id : Node_id.t) =
       if !fired then None
       else begin
         fired := true;
-        Some (info t id)
+        context_info t id
       end
-  | Child ->
-    let record = read t id in
-    let first =
-      match record with
-      | Node_record.Core c -> c.first_child
-      | Node_record.Down _ | Node_record.Up _ ->
-        invalid_arg "Store.global_axis: context is a border record"
-    in
-    let pos = ref (id.pid, first, (Some id.slot : int option)) in
+  | Child | Descendant | Following_sibling ->
+    let w = walker t ~descend:(axis = Descendant) in
+    load_context w id;
+    if axis = Following_sibling then push w id.pid w.r.next_sibling w.r.parent
+    else push w id.pid w.r.first_child id.slot;
+    fun () -> next_down w
+  | Descendant_or_self ->
+    let w = walker t ~descend:true in
+    load_context w id;
+    push w id.pid w.r.first_child id.slot;
+    let self_pending = ref true in
     fun () ->
-      let pid, slot, parent_slot = !pos in
-      begin
-        match chain_next t pid slot ~parent_slot with
-        | None -> None
-        | Some (inf, _core, next_pos) ->
-          pos := next_pos;
-          Some inf
-      end
-  | Descendant | Descendant_or_self ->
-    (* Stack of chain positions; each emitted core pushes its children. *)
-    let stack = ref [] in
-    let self_pending = ref (axis = Descendant_or_self) in
-    let record = read t id in
-    (match record with
-    | Node_record.Core c -> stack := [ (id.pid, c.first_child, Some id.slot) ]
-    | Node_record.Down _ | Node_record.Up _ ->
-      invalid_arg "Store.global_axis: context is a border record");
-    let rec next () =
       if !self_pending then begin
         self_pending := false;
-        Some (info t id)
+        context_info t id
       end
-      else begin
-        match !stack with
-        | [] -> None
-        | (pid, slot, parent_slot) :: rest -> begin
-          match chain_next t pid slot ~parent_slot with
-          | None ->
-            stack := rest;
-            next ()
-          | Some (inf, core, (pid', nxt, par')) ->
-            stack :=
-              (inf.id.pid, core.first_child, Some inf.id.slot) :: (pid', nxt, par') :: rest;
-            Some inf
-        end
-      end
-    in
-    next
+      else next_down w
   | Parent ->
+    let w = walker t ~descend:false in
     let fired = ref false in
     fun () ->
       if !fired then None
       else begin
         fired := true;
-        parent_info t id
+        parent_of w id.pid id.slot
       end
   | Ancestor | Ancestor_or_self ->
+    let w = walker t ~descend:false in
     let current = ref (Some id) in
     let self_pending = ref (axis = Ancestor_or_self) in
     fun () ->
       if !self_pending then begin
         self_pending := false;
-        Some (info t id)
+        context_info t id
       end
       else begin
         match !current with
         | None -> None
-        | Some node -> begin
-          match parent_info t node with
-          | None ->
-            current := None;
-            None
-          | Some inf ->
-            current := Some inf.id;
-            Some inf
-        end
-      end
-  | Following_sibling ->
-    let record = read t id in
-    let next =
-      match record with
-      | Node_record.Core c -> c.next_sibling
-      | Node_record.Down _ | Node_record.Up _ ->
-        invalid_arg "Store.global_axis: context is a border record"
-    in
-    let parent0 =
-      match record with Node_record.Core c -> c.parent | _ -> None
-    in
-    let pos = ref (id.pid, next, parent0) in
-    fun () ->
-      let pid, slot, parent_slot = !pos in
-      begin
-        match chain_next t pid slot ~parent_slot with
-        | None -> None
-        | Some (inf, _core, next_pos) ->
-          pos := next_pos;
-          Some inf
+        | Some node ->
+          let parent = parent_of w node.pid node.slot in
+          current := Option.map (fun i -> i.id) parent;
+          parent
       end
   | Preceding_sibling ->
-    let record = read t id in
-    let prev, parent =
-      match record with
-      | Node_record.Core c -> (c.prev_sibling, c.parent)
-      | Node_record.Down _ | Node_record.Up _ ->
-        invalid_arg "Store.global_axis: context is a border record"
-    in
-    let pos = ref (id.pid, prev, parent) in
-    fun () ->
-      let pid, slot, parent_slot = !pos in
-      match chain_prev t pid slot ~parent_slot with
-      | None -> None
-      | Some (inf, pid', prv, par) ->
-        pos := (pid', prv, par);
-        Some inf
+    let w = walker t ~descend:false in
+    load_context w id;
+    push w id.pid w.r.prev_sibling w.r.parent;
+    fun () -> backward w
 
 let global_count t axis id =
   let next = global_axis t axis id in
@@ -741,45 +764,20 @@ let global_count t axis id =
 
 let global_resume t axis (up_id : Node_id.t) =
   check_downward axis;
-  let up =
-    match read t up_id with
-    | Node_record.Up u -> u
-    | Node_record.Core _ | Node_record.Down _ ->
-      invalid_arg "Store.global_resume: entry is not an Up border"
-  in
+  (* Descendants: the run's nodes and all their descendants; Child: only
+     this run — the walk stops at the run's own Up instead of resuming
+     past its Down (those siblings were enumerated in the cluster the
+     crossing came from). *)
+  let w = walker t ~descend:(axis <> Axis.Child) in
+  w.stop_pid <- up_id.pid;
+  w.stop_slot <- up_id.slot;
+  ignore (load w ~emit:false up_id.pid up_id.slot);
+  if w.r.kind <> Node_record.Kind_up then
+    invalid_arg "Store.global_resume: entry is not an Up border";
   match (axis : Axis.t) with
   | Self -> fun () -> None
-  | Child ->
-    (* Only this run: the walk must not resume past the run's own Down
-       (those siblings were enumerated in the cluster the crossing came
-       from). *)
-    let pos = ref (up_id.pid, up.first_child, (Some up_id.slot : int option)) in
-    fun () ->
-      let pid, slot, parent_slot = !pos in
-      begin
-        match chain_next ~stop_up:up_id t pid slot ~parent_slot with
-        | None -> None
-        | Some (inf, _core, next_pos) ->
-          pos := next_pos;
-          Some inf
-      end
-  | Descendant | Descendant_or_self ->
-    (* The run's nodes and all their descendants. *)
-    let stack = ref [ (up_id.pid, up.first_child, (Some up_id.slot : int option)) ] in
-    let rec next () =
-      match !stack with
-      | [] -> None
-      | (pid, slot, parent_slot) :: rest -> begin
-        match chain_next ~stop_up:up_id t pid slot ~parent_slot with
-        | None ->
-          stack := rest;
-          next ()
-        | Some (inf, core, (pid', nxt, par')) ->
-          stack :=
-            (inf.id.pid, core.first_child, Some inf.id.slot) :: (pid', nxt, par') :: rest;
-          Some inf
-      end
-    in
-    next
+  | Child | Descendant | Descendant_or_self ->
+    push w up_id.pid w.r.first_child up_id.slot;
+    fun () -> next_down w
   | Parent | Ancestor | Ancestor_or_self | Following_sibling | Preceding_sibling ->
     assert false (* excluded by check_downward *)

@@ -19,9 +19,10 @@
 
     {!global_axis} enumerates any of the nine axes transparently across
     cluster borders, paying a buffer-manager lookup (and possibly a
-    random synchronous page read) per page touched. This is the access
-    pattern of the paper's Simple method and of fallback mode, and it
-    doubles as the specification layer the cursors are tested against. *)
+    random synchronous page read) per record read, which it parses in
+    place from the pinned page. This is the access pattern of the
+    paper's Simple method and of fallback mode, and it doubles as the
+    specification layer the cursors are tested against. *)
 
 type t
 
@@ -263,10 +264,17 @@ type info = { id : Node_id.t; tag : Xnav_xml.Tag.t; ordpath : Xnav_xml.Ordpath.t
     for node tests, ordpath for re-establishing document order. *)
 
 val read : t -> Node_id.t -> Node_record.t
-(** Synchronous single-record access (fix, decode, unfix). *)
+(** Synchronous single-record access (fix, full decode, unfix). For
+    callers that need the whole record — the update layer and the
+    writer path's validation probe; navigation parses only the fields
+    it needs instead. The pin is released even when the slot is free or
+    the record malformed. *)
 
 val info : t -> Node_id.t -> info
-(** @raise Invalid_argument if the NodeID names a border record. *)
+(** The identity, tag and ORDPATH of a core record, parsed in place from
+    the pinned page: one buffer lookup, and only the label is
+    allocated. @raise Invalid_argument if the NodeID names a border
+    record. *)
 
 (** {2 Global navigation} *)
 
@@ -274,7 +282,20 @@ val global_axis : t -> Xnav_xml.Axis.t -> Node_id.t -> unit -> info option
 (** [global_axis t axis id] is a stateful pull iterator over the full
     axis result for the core node [id], resolving border crossings
     eagerly with synchronous page fixes. Supports all nine axes, in the
-    axis' natural order. *)
+    axis' natural order.
+
+    Every record the walk reads costs exactly one [fix]/[unfix] pair
+    (one buffer-manager lookup, a synchronous read on a miss) and is
+    parsed in place from the pinned page: the kind byte, the slot links
+    and a border's target NodeID. Only a node the iterator emits has its
+    tag and ORDPATH decoded; nothing is swizzled or cached across
+    accesses.
+    @raise Invalid_argument if [id] names a border record (message
+    ["Store.global_axis: context is a border record"], for every axis;
+    raised when the iterator is created, or on its first pull for the
+    [Self], [Parent] and [Ancestor*] axes), or — naming the NodeID and
+    the kind expected — when a link leads to a record of the wrong kind
+    (e.g. a [Down] whose target is a core). No pin is left behind. *)
 
 val global_count : t -> Xnav_xml.Axis.t -> Node_id.t -> int
 (** Drains {!global_axis} and counts. *)

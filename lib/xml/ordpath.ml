@@ -141,6 +141,33 @@ let decode s off =
   done;
   (label, !off)
 
+(* [decode] straight from a byte buffer, in one pass and without the
+   tuples and closures [decode_varint] costs: the store reads labels in
+   place from pinned pages. *)
+let decode_bytes b off =
+  let pos = ref off in
+  let n = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
+    let byte = Char.code (Bytes.get b !pos) in
+    n := !n lor ((byte land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    incr pos;
+    more := byte >= 0x80
+  done;
+  let label = Array.make !n 0 in
+  for i = 0 to !n - 1 do
+    let c = ref 0 and shift = ref 0 and more = ref true in
+    while !more do
+      let byte = Char.code (Bytes.get b !pos) in
+      c := !c lor ((byte land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      incr pos;
+      more := byte >= 0x80
+    done;
+    label.(i) <- unzigzag !c
+  done;
+  label
+
 let pp ppf label =
   Array.iteri
     (fun i c -> if i = 0 then Format.fprintf ppf "%d" c else Format.fprintf ppf ".%d" c)

@@ -61,6 +61,11 @@ val decode : string -> int -> t * int
 (** [decode s off] reads a label encoded by {!encode} at offset [off],
     returning it and the offset just past it. *)
 
+val decode_bytes : Bytes.t -> int -> t
+(** [decode_bytes bytes off] is the label {!decode} reads at [off], taken
+    straight from a byte buffer (a pinned page) with no intermediate
+    copies; only the label array is allocated. *)
+
 val encoded_size : t -> int
 (** Exact number of bytes {!encode} will append. *)
 
