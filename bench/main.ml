@@ -29,6 +29,8 @@ module Xmark = Xnav_xmark.Gen
 module Queries = Xnav_xmark.Queries
 module Workload = Xnav_workload.Workload
 module Shard = Xnav_workload.Shard
+module Json = Xnav_bench.Json
+module Gate = Xnav_bench.Gate
 
 (* --- configuration --------------------------------------------------------- *)
 
@@ -68,40 +70,92 @@ let paper_plans =
     ("xindex", Plan.xindex ());
   ]
 
-let make_store ?(strategy = Import.Dfs) cfg doc =
-  let disk = Disk.create ~config:{ Disk.default_config with Disk.page_size = cfg.page_size } () in
-  let import = Import.run ~strategy disk doc in
-  let buffer = Buffer_manager.create ~capacity:cfg.buffer disk in
+let rotate k xs =
+  let k = k mod List.length xs in
+  List.filteri (fun i _ -> i >= k) xs @ List.filteri (fun i _ -> i < k) xs
+
+(* A fresh disk, buffer pool and store over [doc]. *)
+let attach ?strategy ?payload ?policy ?replacement ~page_size ~capacity doc =
+  let disk = Disk.create ~config:{ Disk.default_config with Disk.page_size } () in
+  let import = Import.run ?strategy ?payload disk doc in
+  let buffer = Buffer_manager.create ~capacity ?policy ?replacement disk in
   (Store.attach buffer import, import)
 
-(* Evaluate a benchmark query, each path started cold as in the paper;
-   return the result count and the paths' metrics combined. *)
-let run_query ?config store plan (q : Queries.t) =
+let make_store ?strategy cfg doc =
+  attach ?strategy ~page_size:cfg.page_size ~capacity:cfg.buffer doc
+
+let xmark_doc cfg ~scale =
+  Xmark.generate ~config:{ Xmark.default_config with Xmark.scale; fidelity = cfg.fidelity } ()
+
+let xmark_store ?strategy cfg ~scale = make_store ?strategy cfg (xmark_doc cfg ~scale)
+
+(* Evaluate a benchmark query, each path started cold as in the paper
+   (and on a collected heap with [collect]); return the result count and
+   the paths' metrics combined. *)
+let run_query ?config ?(collect = false) store plan (q : Queries.t) =
   List.fold_left
     (fun (count, m) path ->
+      if collect then Gc.full_major ();
       let r = Exec.cold_run ?config ~ordered:false store path plan in
       (count + r.Exec.count, Counters.add m r.Exec.metrics))
     (0, Counters.create ()) q.Queries.paths
 
+(* One line of total times, every paper plan on [q]. *)
+let plan_totals fmt store q =
+  List.iter
+    (fun (_, plan) -> Printf.printf fmt (snd (run_query store plan q)).Exec.total_time)
+    paper_plans;
+  print_newline ()
+
 (* --- figures 9, 10, 11 and table 3 ------------------------------------------ *)
 
 (* One shared sweep: for each scaling factor, build the document once and
-   run every query with every plan. *)
-let sweep cfg =
+   run every query with every plan, each run on a collected heap. With
+   [repetitions] > 1 a row keeps the metrics of its median-CPU run, since
+   one ~20 ms run is at the mercy of the GC work the previous row left
+   behind; the plan order rotates between repetitions, so no plan always
+   runs first after the document is generated, and every field but the
+   CPU-derived times must agree across the repetitions. *)
+let sweep ?(repetitions = 1) cfg =
+  (* An 8 MB minor heap: over 6-10 --quick processes on a 2-vCPU host, the
+     rows' CPU ratio to Simple then spread 1.12-1.21x between processes on
+     average, against 1.28-1.34x with the default 2 MB. *)
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 20 };
   List.map
     (fun scale ->
-      let doc =
-        Xmark.generate ~config:{ Xmark.default_config with Xmark.scale; fidelity = cfg.fidelity } ()
-      in
-      let store, import = make_store cfg doc in
-      let rows =
-        List.map
+      let store, import = xmark_store cfg ~scale in
+      let runs = Hashtbl.create 16 in
+      for rep = 0 to repetitions - 1 do
+        List.iter
           (fun (q : Queries.t) ->
-            ( q.Queries.name,
-              List.map (fun (pname, plan) -> (pname, run_query store plan q)) paper_plans ))
+            List.iter
+              (fun (pname, plan) ->
+                match run_query ~collect:true store plan q with
+                | r -> Hashtbl.add runs (q.Queries.name, pname) r
+                | exception e ->
+                  Printf.eprintf "bench: plan %s on %s at sf %.2f raised %s\n" pname
+                    q.Queries.name scale (Printexc.to_string e);
+                  exit 1)
+              (rotate rep paper_plans))
           Queries.all
+      done;
+      let median (q : Queries.t) (pname, _) =
+        let cpu (_, (m : Exec.metrics)) = m.Exec.cpu_time in
+        let reps = Hashtbl.find_all runs (q.Queries.name, pname) in
+        let reps = List.sort (fun a b -> compare (cpu a) (cpu b)) reps in
+        let stable (count, m) =
+          let fields = Counters.bench_fields m in
+          (count, List.filter (fun (k, _) -> k <> "cpu_time" && k <> "total_time") fields)
+        in
+        if List.exists (fun r -> stable r <> stable (List.hd reps)) reps then begin
+          Printf.eprintf "bench: %s/%s/sf%.2f: a non-CPU field differs across repetitions\n"
+            q.Queries.name pname scale;
+          exit 1
+        end;
+        (pname, List.nth reps (repetitions / 2))
       in
-      (scale, import.Import.node_count, import.Import.page_count, rows))
+      let row (q : Queries.t) = (q.Queries.name, List.map (median q) paper_plans) in
+      (scale, import.Import.node_count, import.Import.page_count, List.map row Queries.all))
     cfg.scale_factors
 
 let figure sweep_data fig_no (q : Queries.t) =
@@ -113,10 +167,7 @@ let figure sweep_data fig_no (q : Queries.t) =
   List.iter
     (fun (scale, nodes, pages, rows) ->
       let cells = List.assoc q.Queries.name rows in
-      let t name =
-        let _, m = List.assoc name cells in
-        m.Exec.total_time
-      in
+      let t name = (snd (List.assoc name cells)).Exec.total_time in
       Printf.printf "%-6.2f %9d %9d %11.4f %11.4f %11.4f\n" scale nodes pages (t "simple")
         (t "xschedule") (t "xscan");
       worst_ratio := min !worst_ratio (t "simple" /. t "xschedule");
@@ -170,19 +221,17 @@ let example1 () =
           assignment.(pre) <- 1 + page_of_subtree.(subtree_index)
       end)
     doc;
-  let disk = Disk.create ~config:{ Disk.default_config with Disk.page_size = 512 } () in
-  let import = Import.run ~strategy:(Import.Explicit assignment) disk doc in
-  let buffer = Buffer_manager.create ~capacity:16 disk in
-  let store = Store.attach buffer import in
-  let path = Xpath_parser.parse "//node()" in
-  Disk.set_trace disk true;
-  let naive = Exec.cold_run store path Plan.simple in
-  let naive_order = Disk.trace disk in
-  let naive_seek = (Disk.stats disk).Disk.seek_distance in
-  Disk.set_trace disk true;
-  let sched = Exec.cold_run store path (Plan.xschedule ()) in
-  let sched_order = Disk.trace disk in
-  let sched_seek = (Disk.stats disk).Disk.seek_distance in
+  let store, import =
+    attach ~strategy:(Import.Explicit assignment) ~page_size:512 ~capacity:16 doc
+  in
+  let disk = Buffer_manager.disk (Store.buffer store) in
+  let traced plan =
+    Disk.set_trace disk true;
+    let r = Exec.cold_run store (Xpath_parser.parse "//node()") plan in
+    (r, Disk.trace disk, (Disk.stats disk).Disk.seek_distance)
+  in
+  let naive, naive_order, naive_seek = traced Plan.simple in
+  let sched, sched_order, sched_seek = traced (Plan.xschedule ()) in
   Disk.set_trace disk false;
   let show order = String.concat "," (List.map string_of_int order) in
   Printf.printf "document: %d nodes over %d pages\n" (Tree.size doc) import.Import.page_count;
@@ -251,12 +300,7 @@ let table1 () =
 
 let table2 cfg =
   section_header "Table 2: selected XMark queries (with result counts at sf=1)";
-  let doc =
-    Xmark.generate
-      ~config:{ Xmark.default_config with Xmark.scale = 1.0; fidelity = cfg.fidelity }
-      ()
-  in
-  let store, _ = make_store cfg doc in
+  let store, _ = xmark_store cfg ~scale:1.0 in
   Printf.printf "%-5s %-70s %8s\n" "No." "XPath queries" "count";
   List.iter
     (fun (q : Queries.t) ->
@@ -272,30 +316,19 @@ let trace_section () =
   section_header "Examples 6/7: operator cooperation trace for /A//B on a clustered tree";
   let e = Tree.elt in
   (* A small document in the spirit of the paper's Fig. 5. *)
-  let doc =
-    e "R" [ e "A" [ e "B" [] ; e "C" [ e "B" [] ] ]; e "C" [ e "A" [ e "B" [] ] ] ]
-  in
+  let doc = e "R" [ e "A" [ e "B" []; e "C" [ e "B" [] ] ]; e "C" [ e "A" [ e "B" [] ] ] ] in
   let path = Path.from_root_element (Xpath_parser.parse "/R/A//B") in
   List.iter
     (fun (label, plan) ->
       Printf.printf "--- %s plan ---\n" label;
-      let disk = Disk.create ~config:{ Disk.default_config with Disk.page_size = 256 } () in
-      let import = Import.run ~payload:120 ~strategy:Import.Bfs disk doc in
-      let buffer = Buffer_manager.create ~capacity:16 disk in
-      let store = Store.attach buffer import in
-      let r =
-        Exec.cold_run ~trace:(fun msg -> Printf.printf "  %s\n" msg) store path plan
+      let store, import =
+        attach ~payload:120 ~strategy:Import.Bfs ~page_size:256 ~capacity:16 doc
       in
+      let r = Exec.cold_run ~trace:(fun msg -> Printf.printf "  %s\n" msg) store path plan in
       Printf.printf "  => %d result nodes from %d pages\n" r.Exec.count import.Import.page_count)
     [ ("XSchedule (Example 6)", Plan.xschedule ()); ("XScan (Example 7)", Plan.xscan ()) ]
 
 (* --- ablations ----------------------------------------------------------------- *)
-
-let xmark_store ?(strategy = Import.Dfs) cfg ~scale =
-  let doc =
-    Xmark.generate ~config:{ Xmark.default_config with Xmark.scale; fidelity = cfg.fidelity } ()
-  in
-  make_store ~strategy cfg doc
 
 let ablation_k cfg =
   section_header "Ablation: XSchedule queue minimum k (//item from region contexts, scattered layout)";
@@ -323,23 +356,15 @@ let ablation_k cfg =
 let ablation_sched cfg =
   section_header "Ablation: asynchronous I/O policy (Q6' on a scattered layout)";
   Printf.printf "%-10s %10s %12s %10s\n" "policy" "io[s]" "seek-dist" "random";
-  let doc =
-    Xmark.generate
-      ~config:{ Xmark.default_config with Xmark.scale = 1.0; fidelity = cfg.fidelity }
-      ()
-  in
+  let doc = xmark_doc cfg ~scale:1.0 in
   List.iter
     (fun policy ->
-      let disk =
-        Disk.create ~config:{ Disk.default_config with Disk.page_size = cfg.page_size } ()
+      let store, _ =
+        attach ~strategy:(Import.Scattered 11) ~policy ~page_size:cfg.page_size
+          ~capacity:cfg.buffer doc
       in
-      let import = Import.run ~strategy:(Import.Scattered 11) disk doc in
-      let buffer = Buffer_manager.create ~capacity:cfg.buffer ~policy disk in
-      let store = Store.attach buffer import in
-      ignore import;
-      let q = Queries.q6' in
-      let _, m = run_query store (Plan.xschedule ~speculative:false ()) q in
-      let stats = Disk.stats disk in
+      let _, m = run_query store (Plan.xschedule ~speculative:false ()) Queries.q6' in
+      let stats = Disk.stats (Buffer_manager.disk (Store.buffer store)) in
       Printf.printf "%-10s %10.4f %12d %10d\n"
         (Io_scheduler.policy_to_string policy)
         m.Exec.io_time stats.Disk.seek_distance stats.Disk.random_reads)
@@ -367,10 +392,7 @@ let ablation_batching cfg =
           let agg =
             List.fold_left (fun acc (_, m) -> Counters.add acc m) (Counters.create ()) results
           in
-          let io i =
-            let _, m = List.nth results i in
-            m.Exec.io_time
-          in
+          let io i = (snd (List.nth results i)).Exec.io_time in
           Printf.printf "%-8d %-10s %10.4f %10.4f %10.4f %9d %9d %8d\n" coalesce_window
             (if scan_threshold <= 0.0 then "off" else Printf.sprintf "%.2f" scan_threshold)
             (io 0) (io 1) (io 2) agg.Exec.batched_reads agg.Exec.batch_pages
@@ -385,32 +407,18 @@ let ablation_clustering cfg =
     (fun strategy ->
       let store, _ = xmark_store ~strategy cfg ~scale:1.0 in
       Printf.printf "%-16s" (Import.strategy_to_string strategy);
-      List.iter
-        (fun (_, plan) ->
-          let _, m = run_query store plan Queries.q6' in
-          Printf.printf " %10.4f " m.Exec.total_time)
-        paper_plans;
-      print_newline ())
+      plan_totals " %10.4f " store Queries.q6')
     [ Import.Dfs; Import.Bfs; Import.Scattered 11 ]
 
 let ablation_buffer cfg =
   section_header "Ablation: buffer capacity (Q7)";
-  let doc =
-    Xmark.generate
-      ~config:{ Xmark.default_config with Xmark.scale = 1.0; fidelity = cfg.fidelity }
-      ()
-  in
+  let doc = xmark_doc cfg ~scale:1.0 in
   Printf.printf "%-8s %11s %11s %11s\n" "pages" "simple" "xschedule" "xscan";
   List.iter
     (fun capacity ->
       let store, _ = make_store { cfg with buffer = capacity } doc in
       Printf.printf "%-8d" capacity;
-      List.iter
-        (fun (_, plan) ->
-          let _, m = run_query store plan Queries.q7 in
-          Printf.printf " %10.4f " m.Exec.total_time)
-        paper_plans;
-      print_newline ())
+      plan_totals " %10.4f " store Queries.q7)
     [ 32; 64; 128; 256; 512; 1024 ]
 
 let ablation_fallback cfg =
@@ -491,21 +499,11 @@ let ablation_rewrite cfg =
 let ablation_decay cfg =
   section_header
     "Ablation: layout decay through real updates (bulk load, then grow the document in place)";
-  let doc =
-    Xmark.generate
-      ~config:{ Xmark.default_config with Xmark.scale = 0.5; fidelity = cfg.fidelity }
-      ()
-  in
-  let store, _ = make_store cfg doc in
+  let store, _ = xmark_store cfg ~scale:0.5 in
   let q = Queries.q6' in
   let measure label =
     Printf.printf "%-28s %9d pages |" label (Store.page_count store);
-    List.iter
-      (fun (_, plan) ->
-        let _, m = run_query store plan q in
-        Printf.printf " %10.4f" m.Exec.total_time)
-      paper_plans;
-    print_newline ()
+    plan_totals " %10.4f" store q
   in
   Printf.printf "%-28s %15s %10s %10s %10s\n" "state" "" "simple" "xschedule" "xscan";
   measure "freshly bulk-loaded";
@@ -561,24 +559,14 @@ let ablation_decay cfg =
 
 let ablation_replacement cfg =
   section_header "Ablation: buffer replacement policy (Q7 first path, Simple plan, small buffer)";
-  let doc =
-    Xmark.generate
-      ~config:{ Xmark.default_config with Xmark.scale = 1.0; fidelity = cfg.fidelity }
-      ()
-  in
+  let doc = xmark_doc cfg ~scale:1.0 in
   let path = List.hd Queries.q7.Queries.paths in
   Printf.printf "%-8s %11s %10s %10s\n" "policy" "total[s]" "hits" "misses";
   List.iter
     (fun replacement ->
-      let disk =
-        Disk.create ~config:{ Disk.default_config with Disk.page_size = cfg.page_size } ()
-      in
-      let import = Import.run disk doc in
-      let buffer = Buffer_manager.create ~capacity:64 ~replacement disk in
-      let store = Store.attach buffer import in
-      ignore import;
+      let store, _ = attach ~replacement ~page_size:cfg.page_size ~capacity:64 doc in
       let r = Exec.cold_run ~ordered:false store path Plan.simple in
-      let stats = Buffer_manager.stats buffer in
+      let stats = Buffer_manager.stats (Store.buffer store) in
       Printf.printf "%-8s %11.4f %10d %10d\n"
         (Buffer_manager.replacement_to_string replacement)
         r.Exec.metrics.Exec.total_time stats.Buffer_manager.hits stats.Buffer_manager.misses)
@@ -656,76 +644,53 @@ let swizzle_fixtures () =
   in
   List.map
     (fun (label, doc, payload) ->
-      let disk = Disk.create ~config:{ Disk.default_config with Disk.page_size = 4096 } () in
-      let import = Import.run ~payload disk doc in
-      let buffer = Buffer_manager.create ~capacity:256 disk in
-      (label, Store.attach buffer import, import.Import.page_count))
+      let store, import = attach ~payload ~page_size:4096 ~capacity:256 doc in
+      (label, store, import.Import.page_count))
     [ ("1page", one_page, 3800); ("100page", hundred_pages, 3400) ]
 
 let swizzle_axes = [ ("child", Xnav_xml.Axis.Child); ("descendant", Xnav_xml.Axis.Descendant) ]
 
 (* --- machine-readable output (--json) --------------------------------------- *)
 
-exception Malformed of string
-
-let jfloat v =
-  if not (Float.is_finite v) then raise (Malformed (Printf.sprintf "non-finite float %h" v));
-  Printf.sprintf "%.6f" v
-
-let jstring s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let jobj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> jstring k ^ ":" ^ v) fields) ^ "}"
-
-let jarr items = "[" ^ String.concat "," items ^ "]"
-
-(* Structural self-check on the emitted text: the file is written by
-   string concatenation, so guard against an unbalanced or truncated
-   document before it lands on disk. *)
-let check_json_shape s =
-  let depth = ref 0 and in_str = ref false and escaped = ref false in
-  String.iter
-    (fun c ->
-      if !in_str then begin
-        if !escaped then escaped := false
-        else if c = '\\' then escaped := true
-        else if c = '"' then in_str := false
-      end
-      else
-        match c with
-        | '"' -> in_str := true
-        | '{' | '[' -> incr depth
-        | '}' | ']' ->
-          decr depth;
-          if !depth < 0 then raise (Malformed "closing bracket without opener")
-        | _ -> ())
-    s;
-  if String.length s = 0 || !depth <> 0 || !in_str then
-    raise (Malformed "unbalanced braces or unterminated string")
-
 let metrics_fields count (m : Exec.metrics) =
-  ("count", string_of_int count)
+  ("count", Json.Int count)
   :: List.map
        (fun (name, v) ->
          ( name,
            match v with
-           | Counters.Int i -> string_of_int i
-           | Float f -> jfloat f
-           | Bool b -> string_of_bool b ))
+           | Counters.Int i -> Json.Int i
+           | Float f -> Json.Float f
+           | Bool b -> Json.Bool b ))
        (Counters.bench_fields m)
+
+(* Every document starts with the schema, its mode (the --json rows
+   document has none), the profile and the configuration. *)
+let document ?mode ~profile cfg config sections =
+  Json.Obj
+    ([ ("schema", Json.String Bench_schema.version) ]
+    @ Option.fold ~none:[] ~some:(fun m -> [ ("mode", Json.String m) ]) mode
+    @ [
+        ("profile", Json.String profile);
+        ( "config",
+          Json.Obj
+            ([
+               ("fidelity", Json.Float cfg.fidelity);
+               ("page_size", Json.Int cfg.page_size);
+               ("buffer", Json.Int cfg.buffer);
+             ]
+            @ config) );
+      ]
+    @ sections)
+
+(* Evaluate the run's gates over the document it has just written, so a
+   failing run still leaves its artefact; exit 1 on any failure. *)
+let gate ~run ?baseline ?(tolerance = 0.25) doc =
+  match Gate.evaluate ~run ?baseline ~tolerance doc with
+  | [] -> ()
+  | failures ->
+    List.iter (Format.printf "%a@." Gate.pp_failure) failures;
+    Printf.printf "%d gate failure(s)\n" (List.length failures);
+    exit 1
 
 (* CPU-time a thunk, growing the iteration count until the sample is
    long enough to trust; returns nanoseconds per call. *)
@@ -756,24 +721,14 @@ let fused_micro_fixtures () =
            Tree.elt "item" [ Tree.elt "name" []; Tree.elt "description" [ Tree.elt "text" [] ] ]))
   in
   let attach doc =
-    let disk = Disk.create ~config:{ Disk.default_config with Disk.page_size = 4096 } () in
-    let import = Import.run disk doc in
-    let buffer = Buffer_manager.create ~capacity:256 disk in
-    (Store.attach buffer import, import.Import.page_count)
+    let store, import = attach ~page_size:4096 ~capacity:256 doc in
+    (store, import.Import.page_count)
   in
-  let chain tag n =
-    List.init n (fun _ ->
-        { Path.axis = Xnav_xml.Axis.Child; Path.test = Path.Name (Xnav_xml.Tag.of_string tag) })
-  in
-  let descend tag =
-    [
-      { Path.axis = Xnav_xml.Axis.Descendant; Path.test = Path.Name (Xnav_xml.Tag.of_string tag) };
-    ]
-  in
+  let step axis tag = { Path.axis; test = Path.Name (Xnav_xml.Tag.of_string tag) } in
   [
-    ("deep-child-12", attach deep, chain "a" 12);
-    ("deep-child-6", attach deep, chain "a" 6);
-    ("bushy-descendant", attach bushy, descend "text");
+    ("deep-child-12", attach deep, List.init 12 (fun _ -> step Xnav_xml.Axis.Child "a"));
+    ("deep-child-6", attach deep, List.init 6 (fun _ -> step Xnav_xml.Axis.Child "a"));
+    ("bushy-descendant", attach bushy, [ step Xnav_xml.Axis.Descendant "text" ]);
   ]
 
 let fused_micro_rows () =
@@ -787,15 +742,15 @@ let fused_micro_rows () =
       let per_ext fused = time_ns (fun () -> run fused) /. float_of_int (max 1 transitions) in
       let fused_ns = per_ext true in
       let chain_ns = per_ext false in
-      jobj
+      Json.Obj
         [
-          ("name", jstring name);
-          ("pages", string_of_int pages);
-          ("steps", string_of_int (Path.length path));
-          ("transitions", string_of_int transitions);
-          ("fused_ns_per_ext", jfloat fused_ns);
-          ("chain_ns_per_ext", jfloat chain_ns);
-          ("speedup", jfloat (chain_ns /. Float.max 1e-9 fused_ns));
+          ("name", Json.String name);
+          ("pages", Json.Int pages);
+          ("steps", Json.Int (Path.length path));
+          ("transitions", Json.Int transitions);
+          ("fused_ns_per_ext", Json.Float fused_ns);
+          ("chain_ns_per_ext", Json.Float chain_ns);
+          ("speedup", Json.Float (chain_ns /. Float.max 1e-9 fused_ns));
         ])
     (fused_micro_fixtures ())
 
@@ -810,13 +765,13 @@ let swizzle_micro_rows () =
           in
           let on = timed true in
           let off = timed false in
-          jobj
+          Json.Obj
             [
-              ("name", jstring (Printf.sprintf "%s-step-%s" aname label));
-              ("pages", string_of_int pages);
-              ("swizzled_ns", jfloat on);
-              ("unswizzled_ns", jfloat off);
-              ("speedup", jfloat (off /. Float.max 1.0 on));
+              ("name", Json.String (Printf.sprintf "%s-step-%s" aname label));
+              ("pages", Json.Int pages);
+              ("swizzled_ns", Json.Float on);
+              ("unswizzled_ns", Json.Float off);
+              ("speedup", Json.Float (off /. Float.max 1.0 on));
             ])
         swizzle_axes)
     (swizzle_fixtures ())
@@ -838,6 +793,9 @@ let skew_variants () =
         (fun i path -> (Printf.sprintf "%s.%d" q.Queries.name i, path))
         q.Queries.paths)
     [ Queries.q6'; Queries.q7; Queries.q15 ]
+
+let spec ?(plan = Plan.xschedule ()) label path =
+  { Workload.label; path; plan; timeout = None; ops = [] }
 
 let skew_exponent = 1.1
 
@@ -863,38 +821,12 @@ let skew_mix ~clients ~per_client =
           in
           let rank = pick 0 0.0 in
           let label, path = variants.(rank) in
-          {
-            Workload.label = Printf.sprintf "%s#c%d.%d" label c j;
-            path;
-            plan = Plan.xschedule ();
-            timeout = None;
-            ops = [];
-          }))
+          spec (Printf.sprintf "%s#c%d.%d" label c j) path))
 
-type skew_summary = {
-  sk_clients : int;
-  sk_per_client : int;
-  sk_jobs : int;
-  sk_distinct : int;
-  sk_served_on : float;
-  sk_served_off : float;
-  sk_speedup : float;
-  sk_hits : int;
-  sk_shared : int;
-  sk_installs : int;
-  sk_reads_on : int;
-  sk_reads_off : int;
-  sk_time_on : float;
-  sk_time_off : float;
-}
+let print_violations what = List.iter (Printf.eprintf "bench %s: invariant violation: %s\n" what)
 
 let skew_measure cfg ~clients ~per_client =
-  let doc =
-    Xmark.generate
-      ~config:{ Xmark.default_config with Xmark.scale = 1.0; fidelity = cfg.fidelity }
-      ()
-  in
-  let store, _import = make_store cfg doc in
+  let store, _ = xmark_store cfg ~scale:1.0 in
   let queues = skew_mix ~clients ~per_client in
   let jobs = clients * per_client in
   let distinct =
@@ -908,78 +840,37 @@ let skew_measure cfg ~clients ~per_client =
       { Context.default_config with Context.validate = true; Context.result_cache = cache }
     in
     let r = Workload.run_clients ~config ~cold:true store queues in
-    if r.Workload.violations <> [] then begin
-      Printf.eprintf "bench --skew (cache %s): invariant violations:\n"
-        (if cache then "on" else "off");
-      List.iter (fun v -> Printf.eprintf "  %s\n" v) r.Workload.violations;
-      exit 1
-    end;
-    if List.length r.Workload.jobs <> jobs then begin
-      Printf.eprintf "bench --skew (cache %s): %d of %d jobs completed\n"
-        (if cache then "on" else "off")
-        (List.length r.Workload.jobs) jobs;
-      exit 1
-    end;
+    print_violations ("--skew, cache " ^ if cache then "on" else "off") r.Workload.violations;
     r
   in
   let off = run false in
-  if off.Workload.cache_hits + off.Workload.shared_jobs + off.Workload.cache_misses <> 0 then begin
-    Printf.eprintf "bench --skew: cache-off run touched the front door\n";
-    exit 1
-  end;
   let on = run true in
   Result_cache.clear ();
   let served (r : Workload.result) =
     if r.Workload.total_time > 0.0 then float_of_int jobs /. r.Workload.total_time else 0.0
   in
   let served_on = served on and served_off = served off in
-  {
-    sk_clients = clients;
-    sk_per_client = per_client;
-    sk_jobs = jobs;
-    sk_distinct = distinct;
-    sk_served_on = served_on;
-    sk_served_off = served_off;
-    sk_speedup = (if served_off > 0.0 then served_on /. served_off else 0.0);
-    sk_hits = on.Workload.cache_hits;
-    sk_shared = on.Workload.shared_jobs;
-    sk_installs = on.Workload.cache_misses;
-    sk_reads_on = on.Workload.page_reads;
-    sk_reads_off = off.Workload.page_reads;
-    sk_time_on = on.Workload.total_time;
-    sk_time_off = off.Workload.total_time;
-  }
-
-(* The front door must pay for itself by an order of magnitude on repeat
-   traffic — the within-run ratio is machine-independent (both runs use
-   the same simulated disk and the same host), so it is gated hard. *)
-let skew_gate_factor = 10.0
-
-let skew_check s =
-  if s.sk_speedup < skew_gate_factor then begin
-    Printf.eprintf
-      "bench --skew: cache-on served %.1f queries/s vs %.1f off — %.1fx, below the %.0fx gate\n"
-      s.sk_served_on s.sk_served_off s.sk_speedup skew_gate_factor;
-    exit 1
-  end
-
-let skew_fields s =
+  let both f = f on + f off in
   [
-    ("clients", string_of_int s.sk_clients);
-    ("jobs_per_client", string_of_int s.sk_per_client);
-    ("jobs", string_of_int s.sk_jobs);
-    ("distinct_paths", string_of_int s.sk_distinct);
-    ("exponent", jfloat skew_exponent);
-    ("served_per_sec_cache_on", jfloat s.sk_served_on);
-    ("served_per_sec_cache_off", jfloat s.sk_served_off);
-    ("speedup", jfloat s.sk_speedup);
-    ("cache_hits", string_of_int s.sk_hits);
-    ("shared_jobs", string_of_int s.sk_shared);
-    ("cache_installs", string_of_int s.sk_installs);
-    ("page_reads_cache_on", string_of_int s.sk_reads_on);
-    ("page_reads_cache_off", string_of_int s.sk_reads_off);
-    ("total_time_cache_on", jfloat s.sk_time_on);
-    ("total_time_cache_off", jfloat s.sk_time_off);
+    ("clients", Json.Int clients);
+    ("jobs_per_client", Json.Int per_client);
+    ("jobs", Json.Int jobs);
+    ("distinct_paths", Json.Int distinct);
+    ("exponent", Json.Float skew_exponent);
+    ("served_per_sec_cache_on", Json.Float served_on);
+    ("served_per_sec_cache_off", Json.Float served_off);
+    ("speedup", Json.Float (if served_off > 0.0 then served_on /. served_off else 0.0));
+    ("cache_hits", Json.Int on.Workload.cache_hits);
+    ("shared_jobs", Json.Int on.Workload.shared_jobs);
+    ("cache_installs", Json.Int on.Workload.cache_misses);
+    ("page_reads_cache_on", Json.Int on.Workload.page_reads);
+    ("page_reads_cache_off", Json.Int off.Workload.page_reads);
+    ("total_time_cache_on", Json.Float on.Workload.total_time);
+    ("total_time_cache_off", Json.Float off.Workload.total_time);
+    ("violations", Json.Int (both (fun r -> List.length r.Workload.violations)));
+    ("completed", Json.Int (both (fun r -> List.length r.Workload.jobs)));
+    ( "front_door_cache_off",
+      Json.Int (off.Workload.cache_hits + off.Workload.shared_jobs + off.Workload.cache_misses) );
   ]
 
 (* Enough repeats that the fixed cost of first-executing each distinct
@@ -998,71 +889,46 @@ let skew_mode ~profile ~smoke cfg ~clients out_file =
   section_header
     (Printf.sprintf "skewed repeat-query mix — %d clients, zipf(%.1f) over the q6'/q7/q15 variants"
        clients skew_exponent);
-  let s = skew_measure cfg ~clients ~per_client:(skew_per_client ~smoke ~clients) in
-  Printf.printf "%d jobs over %d distinct statements\n" s.sk_jobs s.sk_distinct;
-  Printf.printf "cache off: %8.1f served/s  (%d page reads, %.4fs)\n" s.sk_served_off s.sk_reads_off
-    s.sk_time_off;
-  Printf.printf "cache on:  %8.1f served/s  (%d page reads, %.4fs)\n" s.sk_served_on s.sk_reads_on
-    s.sk_time_on;
-  Printf.printf "speedup %.1fx — %d hits, %d shared scans, %d installs\n" s.sk_speedup s.sk_hits
-    s.sk_shared s.sk_installs;
-  skew_check s;
-  let out =
-    jobj
-      [
-        ("schema", jstring Bench_schema.version);
-        ("mode", jstring "workload-skew");
-        ("profile", jstring profile);
-        ( "config",
-          jobj
-            [
-              ("fidelity", jfloat cfg.fidelity);
-              ("page_size", string_of_int cfg.page_size);
-              ("buffer", string_of_int cfg.buffer);
-              ("scale", jfloat 1.0);
-            ] );
-        ("skew", jobj (skew_fields s));
-      ]
+  let fields = skew_measure cfg ~clients ~per_client:(skew_per_client ~smoke ~clients) in
+  let v key = Json.num (List.assoc key fields) in
+  let n key = int_of_float (v key) in
+  Printf.printf "%d jobs over %d distinct statements\n" (n "jobs") (n "distinct_paths");
+  Printf.printf "cache off: %8.1f served/s  (%d page reads, %.4fs)\n" (v "served_per_sec_cache_off")
+    (n "page_reads_cache_off") (v "total_time_cache_off");
+  Printf.printf "cache on:  %8.1f served/s  (%d page reads, %.4fs)\n" (v "served_per_sec_cache_on")
+    (n "page_reads_cache_on") (v "total_time_cache_on");
+  Printf.printf "speedup %.1fx — %d hits, %d shared scans, %d installs\n" (v "speedup")
+    (n "cache_hits") (n "shared_jobs") (n "cache_installs");
+  let doc =
+    document ~mode:"workload-skew" ~profile cfg
+      [ ("scale", Json.Float 1.0) ]
+      [ ("skew", Json.Obj fields) ]
   in
-  check_json_shape out;
-  let oc = open_out out_file in
-  output_string oc out;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote skew summary to %s\n" out_file
+  Json.write out_file doc;
+  Printf.printf "wrote skew summary to %s\n" out_file;
+  gate ~run:Gate.Skew doc
 
 let json_mode ~profile cfg out_file =
-  let rows = ref [] in
-  List.iter
-    (fun scale ->
-      let doc =
-        Xmark.generate ~config:{ Xmark.default_config with Xmark.scale; fidelity = cfg.fidelity } ()
-      in
-      let store, import = make_store cfg doc in
-      List.iter
-        (fun (q : Queries.t) ->
-          List.iter
-            (fun (pname, plan) ->
-              match run_query store plan q with
-              | count, m ->
-                rows :=
-                  jobj
-                    ([
-                       ("query", jstring q.Queries.name);
-                       ("plan", jstring pname);
-                       ("scale", jfloat scale);
-                       ("nodes", string_of_int import.Import.node_count);
-                       ("pages", string_of_int import.Import.page_count);
-                     ]
-                    @ metrics_fields count m)
-                  :: !rows
-              | exception e ->
-                Printf.eprintf "bench --json: plan %s on %s at sf %.2f raised %s\n" pname
-                  q.Queries.name scale (Printexc.to_string e);
-                exit 1)
-            paper_plans)
-        Queries.all)
-    cfg.scale_factors;
+  let rows =
+    List.concat_map
+      (fun (scale, nodes, pages, rows) ->
+        List.concat_map
+          (fun (qname, cells) ->
+            List.map
+              (fun (pname, (count, m)) ->
+                Json.Obj
+                  ([
+                     ("query", Json.String qname);
+                     ("plan", Json.String pname);
+                     ("scale", Json.Float scale);
+                     ("nodes", Json.Int nodes);
+                     ("pages", Json.Int pages);
+                   ]
+                  @ metrics_fields count m))
+              cells)
+          rows)
+      (sweep ~repetitions:5 cfg)
+  in
   let micro_rows = swizzle_micro_rows () in
   let fused_rows = fused_micro_rows () in
   (* The skewed repeat-query summary rides along in every --json run, so
@@ -1071,75 +937,49 @@ let json_mode ~profile cfg out_file =
   let skew =
     skew_measure cfg ~clients:8 ~per_client:(skew_per_client ~smoke:(profile = "smoke") ~clients:8)
   in
-  let out =
-    jobj
+  let doc =
+    document ~profile cfg
+      [ ("scale_factors", Json.List (List.map (fun f -> Json.Float f) cfg.scale_factors)) ]
       [
-        ("schema", jstring Bench_schema.version);
-        ("profile", jstring profile);
-        ( "config",
-          jobj
-            [
-              ("fidelity", jfloat cfg.fidelity);
-              ("page_size", string_of_int cfg.page_size);
-              ("buffer", string_of_int cfg.buffer);
-              ("scale_factors", jarr (List.map jfloat cfg.scale_factors));
-            ] );
-        ("rows", jarr (List.rev !rows));
-        ("micro", jarr micro_rows);
-        ("micro_fused", jarr fused_rows);
-        ("skew", jobj (skew_fields skew));
+        ("rows", Json.List rows);
+        ("micro", Json.List micro_rows);
+        ("micro_fused", Json.List fused_rows);
+        ("skew", Json.Obj skew);
       ]
   in
-  check_json_shape out;
-  let oc = open_out out_file in
-  output_string oc out;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %d benchmark rows and %d micro rows to %s\n" (List.length !rows)
+  Json.write out_file doc;
+  Printf.printf "wrote %d benchmark rows and %d micro rows to %s\n" (List.length rows)
     (List.length micro_rows) out_file;
-  out
+  doc
 
 (* --- concurrent workload mode (--workload) ------------------------------------ *)
 
 (* The paper's evaluation mix run as a session workload: every path of
    q6'/q7/q15 becomes one job, planned with speculative XSchedule. *)
-let workload_mix () =
-  List.concat_map
-    (fun (q : Queries.t) ->
-      List.mapi
-        (fun i path ->
-          {
-            Workload.label = Printf.sprintf "%s.%d" q.Queries.name i;
-            path;
-            plan = Plan.xschedule ();
-            timeout = None;
-            ops = [];
-          })
-        q.Queries.paths)
-    [ Queries.q6'; Queries.q7; Queries.q15 ]
+let workload_mix () = List.map (fun (label, path) -> spec label path) (skew_variants ())
 
-let workload_mode ~profile cfg ~clients ?(writers = 0) out_file =
+(* Print the jobs' outcomes and return them as summary fields. *)
+let tally jobs ~max_concurrent ~turns =
+  let count st = List.length (List.filter (fun j -> j.Workload.status = st) jobs) in
+  let c = count Workload.Completed and r = count Workload.Recovered in
+  let t = count Workload.Timed_out in
+  Printf.printf "%d jobs (%d completed, %d recovered, %d timed out), max %d concurrent, %d turns\n"
+    (List.length jobs) c r t max_concurrent turns;
+  [ ("completed", Json.Int c); ("recovered", Json.Int r); ("timed_out", Json.Int t) ]
+
+let workload_mode ~profile cfg ~clients ~writers out_file =
   section_header
     (Printf.sprintf "concurrent workload — %d closed-loop clients over the q6'/q7/q15 mix%s"
        clients
        (if writers > 0 then Printf.sprintf ", %d writer clients" writers else ""));
-  let doc =
-    Xmark.generate
-      ~config:{ Xmark.default_config with Xmark.scale = 1.0; fidelity = cfg.fidelity }
-      ()
-  in
-  let store, import = make_store cfg doc in
+  let store, import = xmark_store cfg ~scale:1.0 in
   let config = { Context.default_config with Context.validate = true } in
   (* With writers, the front door rides along so the run exercises
      cluster-granular invalidation (a commit stales only the cache
      entries whose footprint it wrote). *)
-  let config_run =
-    if writers > 0 then { config with Context.result_cache = true } else config
-  in
+  let config_run = { config with Context.result_cache = writers > 0 } in
   let mix = workload_mix () in
-  (* Serial baseline: each job of the mix run alone, started cold. The
-     concurrent run must beat [clients] independent serial passes, or the
-     session layer is not sharing any I/O across queries. *)
+  (* Serial baseline: each job of the mix run alone, started cold. *)
   let serial_reads =
     List.fold_left
       (fun acc (s : Workload.spec) ->
@@ -1149,15 +989,6 @@ let workload_mode ~profile cfg ~clients ?(writers = 0) out_file =
   in
   (* Each client works through the whole mix, rotated by its index so the
      clients are out of phase and every query sees contention. *)
-  let rotate k xs =
-    let k = k mod List.length xs in
-    let rec go i acc = function
-      | rest when i = 0 -> rest @ List.rev acc
-      | x :: rest -> go (i - 1) (x :: acc) rest
-      | [] -> List.rev acc
-    in
-    go k [] xs
-  in
   let queues = Array.init clients (fun i -> rotate i mix) in
   (* Writer clients: deterministic in-place insert/delete schedules over
      the imported NodeIDs (an LCG keeps the sample CI-stable). *)
@@ -1182,83 +1013,40 @@ let workload_mode ~profile cfg ~clients ?(writers = 0) out_file =
                   Workload.Insert_child
                     { parent = ids.(rand n); tag = tags.(rand (Array.length tags)) })
           in
-          {
-            Workload.label = Printf.sprintf "writer.%d" w;
-            path = (List.hd mix).Workload.path;
-            plan = Plan.simple;
-            timeout = None;
-            ops;
-          })
+          { (spec ~plan:Plan.simple (Printf.sprintf "writer.%d" w) (List.hd mix).Workload.path) with
+            Workload.ops })
     end
   in
-  let is_writer (j : Workload.job) =
-    List.exists (fun (s : Workload.spec) -> s.Workload.label = j.Workload.job_label) writer_specs
-  in
   (* With writers, first measure the same reader mix without them (same
-     config, pristine store — writers only run afterwards) to bound the
-     latency cost the writer traffic may impose on readers. *)
-  let baseline_reader_p99 =
-    if writers = 0 then None
+     config, pristine store — writers only run afterwards): the reader
+     tail latency the writer traffic may cost is gated against it. *)
+  let writer_free_p99 =
+    if writers = 0 then 0.0
     else begin
       Result_cache.clear ();
       let r0 = Workload.run_clients ~config:config_run ~cold:true store queues in
       Result_cache.clear ();
-      Some
-        (Workload.percentile
-           (List.map (fun (j : Workload.job) -> j.Workload.latency) r0.Workload.jobs)
-           99.0)
+      Workload.percentile
+        (List.map (fun (j : Workload.job) -> j.Workload.latency) r0.Workload.jobs)
+        99.0
     end
   in
   let queues =
     Array.append queues (Array.of_list (List.map (fun s -> [ s ]) writer_specs))
   in
   let r = Workload.run_clients ~config:config_run ~cold:true store queues in
-  if r.Workload.violations <> [] then begin
-    Printf.eprintf "bench --workload: invariant violations after the run:\n";
-    List.iter (fun v -> Printf.eprintf "  %s\n" v) r.Workload.violations;
-    exit 1
-  end;
+  print_violations "--workload" r.Workload.violations;
   let pinned = Buffer_manager.pinned_count (Store.buffer store) in
-  if pinned <> 0 then begin
-    Printf.eprintf "bench --workload: %d frame(s) left pinned\n" pinned;
-    exit 1
-  end;
   let total_jobs = List.length r.Workload.jobs in
-  let expected_jobs = (clients * List.length mix) + writers in
-  if total_jobs <> expected_jobs then begin
-    Printf.eprintf "bench --workload: %d of %d jobs completed\n" total_jobs expected_jobs;
-    exit 1
-  end;
-  (* Writer gates: the writers must actually commit, and reader tail
-     latency must stay within an order of magnitude of the writer-free
-     run — a livelocked latch or restart storm fails loudly here. *)
   let reader_p99 =
     Workload.percentile
       (List.filter_map
-         (fun (j : Workload.job) -> if is_writer j then None else Some j.Workload.latency)
+         (fun (j : Workload.job) ->
+           if j.Workload.client < clients then Some j.Workload.latency else None)
          r.Workload.jobs)
       99.0
   in
-  if writers > 0 then begin
-    if r.Workload.writer_commits = 0 then begin
-      Printf.eprintf "bench --workload --writers: no writer op committed\n";
-      exit 1
-    end;
-    match baseline_reader_p99 with
-    | Some base when reader_p99 > (10.0 *. base) +. 1.0 ->
-      Printf.eprintf
-        "bench --workload --writers: reader p99 %.4fs blew past the writer-free baseline %.4fs\n"
-        reader_p99 base;
-      exit 1
-    | _ -> ()
-  end;
   let read_budget = clients * serial_reads in
-  if serial_reads > 0 && r.Workload.page_reads >= read_budget then begin
-    Printf.eprintf
-      "bench --workload: no cross-query sharing: %d page reads, budget %d (%d clients x %d serial)\n"
-      r.Workload.page_reads read_budget clients serial_reads;
-    exit 1
-  end;
   let latencies = List.map (fun (j : Workload.job) -> j.Workload.latency) r.Workload.jobs in
   let p50 = Workload.percentile latencies 50.0 in
   let p95 = Workload.percentile latencies 95.0 in
@@ -1266,14 +1054,11 @@ let workload_mode ~profile cfg ~clients ?(writers = 0) out_file =
   let throughput =
     if r.Workload.total_time > 0.0 then float_of_int total_jobs /. r.Workload.total_time else 0.0
   in
-  let count_status st =
-    List.length (List.filter (fun (j : Workload.job) -> j.Workload.status = st) r.Workload.jobs)
-  in
   let yields = List.fold_left (fun a (j : Workload.job) -> a + j.Workload.yields) 0 r.Workload.jobs in
   let boosts = List.fold_left (fun a (j : Workload.job) -> a + j.Workload.boosts) 0 r.Workload.jobs in
-  Printf.printf "%d jobs (%d completed, %d recovered, %d timed out), max %d concurrent, %d turns\n"
-    total_jobs (count_status Workload.Completed) (count_status Workload.Recovered)
-    (count_status Workload.Timed_out) r.Workload.max_concurrent r.Workload.turns;
+  let statuses =
+    tally r.Workload.jobs ~max_concurrent:r.Workload.max_concurrent ~turns:r.Workload.turns
+  in
   Printf.printf "throughput %.1f jobs/s   latency p50 %.4fs  p95 %.4fs  p99 %.4fs\n" throughput p50
     p95 p99;
   Printf.printf "page reads %d vs budget %d (%d clients x %d serial) — sharing factor %.2fx\n"
@@ -1286,93 +1071,82 @@ let workload_mode ~profile cfg ~clients ?(writers = 0) out_file =
       "writers: %d commits, %d latch waits, %d snapshot retries, %d cluster stales; reader p99 \
        %.4fs (writer-free %.4fs)\n"
       r.Workload.writer_commits r.Workload.latch_waits r.Workload.snapshot_retries
-      r.Workload.cluster_stales reader_p99
-      (Option.value baseline_reader_p99 ~default:0.0);
+      r.Workload.cluster_stales reader_p99 writer_free_p99;
   let job_rows =
     List.map
       (fun (j : Workload.job) ->
-        jobj
+        Json.Obj
           [
-            ("label", jstring j.Workload.job_label);
-            ("client", string_of_int j.Workload.client);
-            ("status", jstring (Workload.status_to_string j.Workload.status));
-            ("count", string_of_int j.Workload.count);
-            ("submitted", jfloat j.Workload.submitted);
-            ("started", jfloat j.Workload.started);
-            ("finished", jfloat j.Workload.finished);
-            ("latency", jfloat j.Workload.latency);
-            ("pin_wait", jfloat j.Workload.pin_wait);
-            ("served_ticks", string_of_int j.Workload.served_ticks);
-            ("starved_ticks", string_of_int j.Workload.starved_ticks);
-            ("yields", string_of_int j.Workload.yields);
-            ("boosts", string_of_int j.Workload.boosts);
-            ("writer_commits", string_of_int j.Workload.writer_commits);
-            ("latch_waits", string_of_int j.Workload.latch_waits);
-            ("snapshot_retries", string_of_int j.Workload.snapshot_retries);
-            ("finish_commit", string_of_int j.Workload.finish_commit);
-            ("fell_back", if j.Workload.fell_back then "true" else "false");
+            ("label", Json.String j.Workload.job_label);
+            ("client", Json.Int j.Workload.client);
+            ("status", Json.String (Workload.status_to_string j.Workload.status));
+            ("count", Json.Int j.Workload.count);
+            ("submitted", Json.Float j.Workload.submitted);
+            ("started", Json.Float j.Workload.started);
+            ("finished", Json.Float j.Workload.finished);
+            ("latency", Json.Float j.Workload.latency);
+            ("pin_wait", Json.Float j.Workload.pin_wait);
+            ("served_ticks", Json.Int j.Workload.served_ticks);
+            ("starved_ticks", Json.Int j.Workload.starved_ticks);
+            ("yields", Json.Int j.Workload.yields);
+            ("boosts", Json.Int j.Workload.boosts);
+            ("writer_commits", Json.Int j.Workload.writer_commits);
+            ("latch_waits", Json.Int j.Workload.latch_waits);
+            ("snapshot_retries", Json.Int j.Workload.snapshot_retries);
+            ("finish_commit", Json.Int j.Workload.finish_commit);
+            ("fell_back", Json.Bool j.Workload.fell_back);
           ])
       r.Workload.jobs
   in
-  let out =
-    jobj
+  let doc =
+    document ~mode:"workload" ~profile cfg
       [
-        ("schema", jstring Bench_schema.version);
-        ("mode", jstring "workload");
-        ("profile", jstring profile);
-        ( "config",
-          jobj
-            [
-              ("fidelity", jfloat cfg.fidelity);
-              ("page_size", string_of_int cfg.page_size);
-              ("buffer", string_of_int cfg.buffer);
-              ("scale", jfloat 1.0);
-              ("clients", string_of_int clients);
-              ("nodes", string_of_int import.Import.node_count);
-              ("pages", string_of_int import.Import.page_count);
-            ] );
+        ("scale", Json.Float 1.0);
+        ("clients", Json.Int clients);
+        ("nodes", Json.Int import.Import.node_count);
+        ("pages", Json.Int import.Import.page_count);
+      ]
+      [
         ( "workload",
-          jobj
-            [
-              ("clients", string_of_int clients);
-              ("jobs", string_of_int total_jobs);
-              ("completed", string_of_int (count_status Workload.Completed));
-              ("recovered", string_of_int (count_status Workload.Recovered));
-              ("timed_out", string_of_int (count_status Workload.Timed_out));
-              ("throughput", jfloat throughput);
-              ("latency_p50", jfloat p50);
-              ("latency_p95", jfloat p95);
-              ("latency_p99", jfloat p99);
-              ("page_reads", string_of_int r.Workload.page_reads);
-              ("serial_page_reads", string_of_int serial_reads);
-              ("read_budget", string_of_int read_budget);
-              ("io_time", jfloat r.Workload.io_time);
-              ("cpu_time", jfloat r.Workload.cpu_time);
-              ("total_time", jfloat r.Workload.total_time);
-              ("seek_distance", string_of_int r.Workload.seek_distance);
-              ("batched_reads", string_of_int r.Workload.batched_reads);
-              ("batch_pages", string_of_int r.Workload.batch_pages);
-              ("coalesce_runs", string_of_int r.Workload.coalesce_runs);
-              ("max_concurrent", string_of_int r.Workload.max_concurrent);
-              ("turns", string_of_int r.Workload.turns);
-              ("yields", string_of_int yields);
-              ("boosts", string_of_int boosts);
-              ("writers", string_of_int writers);
-              ("writer_commits", string_of_int r.Workload.writer_commits);
-              ("latch_waits", string_of_int r.Workload.latch_waits);
-              ("snapshot_retries", string_of_int r.Workload.snapshot_retries);
-              ("cluster_stales", string_of_int r.Workload.cluster_stales);
-              ("reader_p99", jfloat reader_p99);
-            ] );
-        ("jobs", jarr job_rows);
+          Json.Obj
+            ([ ("clients", Json.Int clients); ("jobs", Json.Int total_jobs) ]
+            @ statuses
+            @ [
+                ("throughput", Json.Float throughput);
+                ("latency_p50", Json.Float p50);
+                ("latency_p95", Json.Float p95);
+                ("latency_p99", Json.Float p99);
+                ("page_reads", Json.Int r.Workload.page_reads);
+                ("serial_page_reads", Json.Int serial_reads);
+                ("read_budget", Json.Int read_budget);
+                ("io_time", Json.Float r.Workload.io_time);
+                ("cpu_time", Json.Float r.Workload.cpu_time);
+                ("total_time", Json.Float r.Workload.total_time);
+                ("seek_distance", Json.Int r.Workload.seek_distance);
+                ("batched_reads", Json.Int r.Workload.batched_reads);
+                ("batch_pages", Json.Int r.Workload.batch_pages);
+                ("coalesce_runs", Json.Int r.Workload.coalesce_runs);
+                ("max_concurrent", Json.Int r.Workload.max_concurrent);
+                ("turns", Json.Int r.Workload.turns);
+                ("yields", Json.Int yields);
+                ("boosts", Json.Int boosts);
+                ("writers", Json.Int writers);
+                ("writer_commits", Json.Int r.Workload.writer_commits);
+                ("latch_waits", Json.Int r.Workload.latch_waits);
+                ("snapshot_retries", Json.Int r.Workload.snapshot_retries);
+                ("cluster_stales", Json.Int r.Workload.cluster_stales);
+                ("reader_p99", Json.Float reader_p99);
+                ("violations", Json.Int (List.length r.Workload.violations));
+                ("pinned", Json.Int pinned);
+                ("expected_jobs", Json.Int ((clients * List.length mix) + writers));
+                ("writer_free_reader_p99", Json.Float writer_free_p99);
+              ]) );
+        ("jobs", Json.List job_rows);
       ]
   in
-  check_json_shape out;
-  let oc = open_out out_file in
-  output_string oc out;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %d workload job rows to %s\n" total_jobs out_file
+  Json.write out_file doc;
+  Printf.printf "wrote %d workload job rows to %s\n" total_jobs out_file;
+  gate ~run:Gate.Workload doc
 
 (* --- sharded tenancy mode (--workload --shards) -------------------------------- *)
 
@@ -1380,13 +1154,8 @@ let workload_mode ~profile cfg ~clients ?(writers = 0) out_file =
    documents placed on K shards by the stable hash, closed-loop clients
    each pinned to a home tenant, the q6'/q7/q15 mix plus one
    deliberately antagonistic XScan sweep per client rotation — the
-   co-located sequential scan the 2Q policy must absorb. Three hard
-   gates: every submitted job must come back, no tenant's p99 may
-   collapse relative to the median tenant (the cross-tenant fairness
-   gate made observable), and the sharded wall-clock (the busiest
-   shard's simulated disk time) must not exceed the same workload forced
-   onto a single shard — sharding that loses to colocation is a routing
-   bug, not a topology choice. *)
+   co-located sequential scan the 2Q policy must absorb. The wall-clock
+   is the busiest shard's simulated disk time. *)
 let shard_mode ~profile cfg ~clients ~shards ~tenants out_file =
   section_header
     (Printf.sprintf "sharded tenancy — %d clients, %d tenants on %d shards (q6'/q7/q15 + scan mix)"
@@ -1404,98 +1173,53 @@ let shard_mode ~profile cfg ~clients ~shards ~tenants out_file =
               { Xmark.scale = 1.0; fidelity = tenant_fidelity; seed = Xmark.default_config.Xmark.seed + i }
             () ))
   in
-  let config =
-    { Context.default_config with Context.validate = true; scan_resistant = true }
-  in
+  let config = { Context.default_config with Context.validate = true; scan_resistant = true } in
   let mix =
     workload_mix ()
     @ [
         (* The antagonist: a full sequential sweep of the tenant's pages.
            With 2Q on, its one-shot pages stay probationary and recycle
            against themselves instead of flushing the mix's hot set. *)
-        (match Queries.q7.Queries.paths with
-        | p :: _ ->
-          { Workload.label = "scan"; path = p; plan = Plan.xscan (); timeout = None; ops = [] }
-        | [] -> assert false);
+        spec ~plan:(Plan.xscan ()) "scan" (List.hd Queries.q7.Queries.paths);
       ]
   in
-  let rotate k xs =
-    let k = k mod List.length xs in
-    let rec go i acc = function
-      | rest when i = 0 -> rest @ List.rev acc
-      | x :: rest -> go (i - 1) (x :: acc) rest
-      | [] -> List.rev acc
-    in
-    go k [] xs
-  in
-  let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> [] in
   let per_client = if profile = "smoke" then 4 else 6 in
   let queues =
     Array.init clients (fun i ->
         let tenant = tenant_name (i mod tenants) in
-        List.map (fun spec -> { Shard.tenant; spec }) (take per_client (rotate i mix)))
+        List.filteri (fun k _ -> k < per_client) (rotate i mix)
+        |> List.map (fun spec -> { Shard.tenant; spec }))
   in
   let expected_jobs = Array.fold_left (fun a q -> a + List.length q) 0 queues in
   let run_topology k =
-    let t =
-      Shard.create ~capacity:cfg.buffer ~page_size:cfg.page_size ~shards:k tenant_docs
-    in
-    (t, Shard.run_clients ~config ~cold:true t queues)
+    let t = Shard.create ~capacity:cfg.buffer ~page_size:cfg.page_size ~shards:k tenant_docs in
+    Shard.run_clients ~config ~cold:true t queues
   in
-  let _t, r = run_topology shards in
   let wall_of (res : Shard.result) =
     List.fold_left (fun a (s : Shard.shard_stat) -> Float.max a s.Shard.io_time) 0.0
       res.Shard.shard_stats
   in
+  let r = run_topology shards in
   let wall = wall_of r in
   (* The colocation reference: same tenants, same clients, one stack. *)
-  let _t1, r1 = run_topology 1 in
-  let single_wall = wall_of r1 in
-  if r.Shard.violations <> [] then begin
-    Printf.eprintf "bench --shards: invariant violations after the run:\n";
-    List.iter (fun v -> Printf.eprintf "  %s\n" v) r.Shard.violations;
-    exit 1
-  end;
+  let single_wall = wall_of (run_topology 1) in
+  print_violations "--shards" r.Shard.violations;
   let total_jobs = List.length r.Shard.jobs in
-  if total_jobs <> expected_jobs then begin
-    Printf.eprintf "bench --shards: %d of %d jobs reported\n" total_jobs expected_jobs;
-    exit 1
-  end;
   let active_tenants =
     List.filter (fun (ts : Shard.tenant_stat) -> ts.Shard.jobs > 0) r.Shard.tenant_stats
   in
   let p99s = List.map (fun (ts : Shard.tenant_stat) -> ts.Shard.p99) active_tenants in
   let tenant_p99 = List.fold_left Float.max 0.0 p99s in
   let tenant_p99_median = Workload.percentile p99s 50.0 in
-  (* The per-tenant tail gate: a collapsing tenant shows up as a p99 far
-     off the median. The absolute floor keeps tiny smoke runs (median
-     near zero) from tripping on scheduler quantisation. *)
-  let p99_bound = (10.0 *. tenant_p99_median) +. 1.0 in
-  if tenant_p99 > p99_bound then begin
-    Printf.eprintf
-      "bench --shards: tenant p99 %.4fs blew past the fairness bound %.4fs (median %.4fs)\n"
-      tenant_p99 p99_bound tenant_p99_median;
-    exit 1
-  end;
-  if wall > (single_wall *. 1.05) +. 1e-6 then begin
-    Printf.eprintf
-      "bench --shards: sharded wall-clock %.4fs exceeds the single-shard reference %.4fs\n" wall
-      single_wall;
-    exit 1
-  end;
   let shard_reads = r.Shard.page_reads in
   let scan_resist_hits =
     List.fold_left (fun a (s : Shard.shard_stat) -> a + s.Shard.scan_resist_hits) 0
       r.Shard.shard_stats
   in
   let throughput = if wall > 0.0 then float_of_int total_jobs /. wall else 0.0 in
-  let count_status st =
-    List.length
-      (List.filter (fun ((_, j) : string * Workload.job) -> j.Workload.status = st) r.Shard.jobs)
+  let statuses =
+    tally (List.map snd r.Shard.jobs) ~max_concurrent:r.Shard.max_concurrent ~turns:r.Shard.turns
   in
-  Printf.printf "%d jobs (%d completed, %d recovered, %d timed out), max %d concurrent, %d turns\n"
-    total_jobs (count_status Workload.Completed) (count_status Workload.Recovered)
-    (count_status Workload.Timed_out) r.Shard.max_concurrent r.Shard.turns;
   Printf.printf
     "wall %.4fs (single-shard %.4fs)   throughput %.1f jobs/s   tenant p99 max %.4fs / median %.4fs\n"
     wall single_wall throughput tenant_p99 tenant_p99_median;
@@ -1504,401 +1228,72 @@ let shard_mode ~profile cfg ~clients ~shards ~tenants out_file =
   let shard_rows =
     List.map
       (fun (s : Shard.shard_stat) ->
-        jobj
+        Json.Obj
           [
-            ("shard", string_of_int s.Shard.shard);
-            ("tenants", string_of_int s.Shard.tenants);
-            ("page_reads", string_of_int s.Shard.page_reads);
-            ("io_time", jfloat s.Shard.io_time);
-            ("turns", string_of_int s.Shard.turns);
-            ("scan_resist_hits", string_of_int s.Shard.scan_resist_hits);
+            ("shard", Json.Int s.Shard.shard);
+            ("tenants", Json.Int s.Shard.tenants);
+            ("page_reads", Json.Int s.Shard.page_reads);
+            ("io_time", Json.Float s.Shard.io_time);
+            ("turns", Json.Int s.Shard.turns);
+            ("scan_resist_hits", Json.Int s.Shard.scan_resist_hits);
           ])
       r.Shard.shard_stats
   in
   let tenant_rows =
     List.map
       (fun (ts : Shard.tenant_stat) ->
-        jobj
+        Json.Obj
           [
-            ("tenant", jstring ts.Shard.tenant);
-            ("shard", string_of_int ts.Shard.shard);
-            ("jobs", string_of_int ts.Shard.jobs);
-            ("latency_p50", jfloat ts.Shard.p50);
-            ("latency_p99", jfloat ts.Shard.p99);
-            ("served_ticks", string_of_int ts.Shard.served_ticks);
-            ("starved_ticks", string_of_int ts.Shard.starved_ticks);
-            ("cache_hits", string_of_int ts.Shard.cache_hits);
+            ("tenant", Json.String ts.Shard.tenant);
+            ("shard", Json.Int ts.Shard.shard);
+            ("jobs", Json.Int ts.Shard.jobs);
+            ("latency_p50", Json.Float ts.Shard.p50);
+            ("latency_p99", Json.Float ts.Shard.p99);
+            ("served_ticks", Json.Int ts.Shard.served_ticks);
+            ("starved_ticks", Json.Int ts.Shard.starved_ticks);
+            ("cache_hits", Json.Int ts.Shard.cache_hits);
           ])
       r.Shard.tenant_stats
   in
-  let out =
-    jobj
+  let doc =
+    document ~mode:"workload-shards" ~profile
+      { cfg with fidelity = tenant_fidelity }
       [
-        ("schema", jstring Bench_schema.version);
-        ("mode", jstring "workload-shards");
-        ("profile", jstring profile);
-        ( "config",
-          jobj
-            [
-              ("fidelity", jfloat tenant_fidelity);
-              ("page_size", string_of_int cfg.page_size);
-              ("buffer", string_of_int cfg.buffer);
-              ("clients", string_of_int clients);
-              ("shards", string_of_int shards);
-              ("tenants", string_of_int tenants);
-              ("per_client", string_of_int per_client);
-            ] );
+        ("clients", Json.Int clients);
+        ("shards", Json.Int shards);
+        ("tenants", Json.Int tenants);
+        ("per_client", Json.Int per_client);
+      ]
+      [
         ( "shards_summary",
-          jobj
-            [
-              ("jobs", string_of_int total_jobs);
-              ("completed", string_of_int (count_status Workload.Completed));
-              ("recovered", string_of_int (count_status Workload.Recovered));
-              ("timed_out", string_of_int (count_status Workload.Timed_out));
-              ("shard_reads", string_of_int shard_reads);
-              ("tenant_p99", jfloat tenant_p99);
-              ("tenant_p99_median", jfloat tenant_p99_median);
-              ("rebalance_moves", string_of_int r.Shard.rebalance_moves);
-              ("scan_resist_hits", string_of_int scan_resist_hits);
-              ("throughput", jfloat throughput);
-              ("wall_simulated", jfloat wall);
-              ("single_shard_wall", jfloat single_wall);
-              ("turns", string_of_int r.Shard.turns);
-              ("max_concurrent", string_of_int r.Shard.max_concurrent);
-              ("cache_hits", string_of_int r.Shard.cache_hits);
-              ("cpu_time", jfloat r.Shard.cpu_time);
-              ("io_time", jfloat r.Shard.io_time);
-            ] );
-        ("shards", jarr shard_rows);
-        ("tenants", jarr tenant_rows);
+          Json.Obj
+            ([ ("jobs", Json.Int total_jobs) ]
+            @ statuses
+            @ [
+                ("shard_reads", Json.Int shard_reads);
+                ("tenant_p99", Json.Float tenant_p99);
+                ("tenant_p99_median", Json.Float tenant_p99_median);
+                ("rebalance_moves", Json.Int r.Shard.rebalance_moves);
+                ("scan_resist_hits", Json.Int scan_resist_hits);
+                ("throughput", Json.Float throughput);
+                ("wall_simulated", Json.Float wall);
+                ("single_shard_wall", Json.Float single_wall);
+                ("turns", Json.Int r.Shard.turns);
+                ("max_concurrent", Json.Int r.Shard.max_concurrent);
+                ("cache_hits", Json.Int r.Shard.cache_hits);
+                ("cpu_time", Json.Float r.Shard.cpu_time);
+                ("io_time", Json.Float r.Shard.io_time);
+                ("violations", Json.Int (List.length r.Shard.violations));
+                ("expected_jobs", Json.Int expected_jobs);
+              ]) );
+        ("shards", Json.List shard_rows);
+        ("tenants", Json.List tenant_rows);
       ]
   in
-  check_json_shape out;
-  let oc = open_out out_file in
-  output_string oc out;
-  output_char oc '\n';
-  close_out oc;
+  Json.write out_file doc;
   Printf.printf "wrote %d shard rows and %d tenant rows to %s\n" (List.length shard_rows)
-    (List.length tenant_rows) out_file
-
-(* --- baseline comparison (--compare) ------------------------------------------ *)
-
-(* A minimal JSON reader, enough for the --json files this harness writes
-   itself (there is no JSON library in the tree). *)
-type jv =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of jv list
-  | Jobj of (string * jv) list
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Malformed (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then incr pos else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-        incr pos;
-        if !pos >= n then fail "unterminated escape";
-        (match s.[!pos] with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'n' -> Buffer.add_char b '\n'
-        | 't' -> Buffer.add_char b '\t'
-        | 'r' -> Buffer.add_char b '\r'
-        | 'b' -> Buffer.add_char b '\b'
-        | 'f' -> Buffer.add_char b '\012'
-        | 'u' ->
-          if !pos + 4 >= n then fail "truncated unicode escape";
-          (match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
-          | Some code when code < 128 -> Buffer.add_char b (Char.chr code)
-          | Some _ -> Buffer.add_char b '?'
-          | None -> fail "bad unicode escape");
-          pos := !pos + 4
-        | c -> fail (Printf.sprintf "bad escape '%c'" c));
-        incr pos;
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        incr pos;
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let keyword w v =
-    let l = String.length w in
-    if !pos + l <= n && String.sub s !pos l = w then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "expected '%s'" w)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Jstr (parse_string ())
-    | Some '{' ->
-      incr pos;
-      skip_ws ();
-      if peek () = Some '}' then begin
-        incr pos;
-        Jobj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            incr pos;
-            members ((k, v) :: acc)
-          | Some '}' ->
-            incr pos;
-            List.rev ((k, v) :: acc)
-          | _ -> fail "expected ',' or '}'"
-        in
-        Jobj (members [])
-      end
-    | Some '[' ->
-      incr pos;
-      skip_ws ();
-      if peek () = Some ']' then begin
-        incr pos;
-        Jarr []
-      end
-      else begin
-        let rec items acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            incr pos;
-            items (v :: acc)
-          | Some ']' ->
-            incr pos;
-            List.rev (v :: acc)
-          | _ -> fail "expected ',' or ']'"
-        in
-        Jarr (items [])
-      end
-    | Some 't' -> keyword "true" (Jbool true)
-    | Some 'f' -> keyword "false" (Jbool false)
-    | Some 'n' -> keyword "null" Jnull
-    | Some _ ->
-      let start = !pos in
-      while
-        !pos < n
-        && match s.[!pos] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-      do
-        incr pos
-      done;
-      if !pos = start then fail "unexpected character";
-      (match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> Jnum f
-      | None -> fail "bad number")
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let jget row key = match row with Jobj fields -> List.assoc_opt key fields | _ -> None
-let jnum_exn what v = match v with Some (Jnum f) -> f | _ -> raise (Malformed (what ^ ": expected a number"))
-let jstr_exn what v = match v with Some (Jstr s) -> s | _ -> raise (Malformed (what ^ ": expected a string"))
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let contents = really_input_string ic len in
-  close_in ic;
-  contents
-
-let rows_of_json what j =
-  match jget j "rows" with
-  | Some (Jarr rows) -> rows
-  | _ -> raise (Malformed (what ^ ": no rows array"))
-
-(* Gate a fresh --json run against a committed baseline: every baseline
-   plan x query x scale row must reappear with the same result [count]
-   and a [total_time] no worse than [tolerance] (relative, with a small
-   absolute floor absorbing wall-clock jitter in the cpu_time component —
-   io_time is deterministic but total_time is not). Exits non-zero on any
-   regression so CI can gate on it. *)
-let compare_with_baseline ~tolerance current baseline_file =
-  let baseline = parse_json (String.trim (read_file baseline_file)) in
-  let base_rows = rows_of_json baseline_file baseline in
-  let current_json = parse_json (String.trim current) in
-  let current_rows = rows_of_json "current run" current_json in
-  let key row =
-    ( jstr_exn "row.query" (jget row "query"),
-      jstr_exn "row.plan" (jget row "plan"),
-      jnum_exn "row.scale" (jget row "scale") )
-  in
-  let floor_s = 0.02 in
-  let failures = ref 0 in
-  List.iter
-    (fun brow ->
-      let q, p, sc = key brow in
-      let label = Printf.sprintf "%s/%s/sf%.2f" q p sc in
-      match List.find_opt (fun crow -> key crow = (q, p, sc)) current_rows with
-      | None ->
-        incr failures;
-        Printf.printf "compare: %-28s missing from the current run\n" label
-      | Some crow ->
-        let bc = int_of_float (jnum_exn "row.count" (jget brow "count")) in
-        let cc = int_of_float (jnum_exn "row.count" (jget crow "count")) in
-        if bc <> cc then begin
-          incr failures;
-          Printf.printf "compare: %-28s result count changed %d -> %d\n" label bc cc
-        end
-        else begin
-          (* io_time is deterministic (simulated clock), so its floor
-             only absorbs rounding in the serialised floats; total_time
-             includes wall-clock cpu_time and needs the larger floor. *)
-          let gate field floor_s =
-            let bt = jnum_exn ("row." ^ field) (jget brow field) in
-            let ct = jnum_exn ("row." ^ field) (jget crow field) in
-            if ct > bt *. (1. +. tolerance) && ct -. bt > floor_s then begin
-              incr failures;
-              Printf.printf
-                "compare: %-28s %s regressed %.4fs -> %.4fs (+%.0f%%, tolerance %.0f%%)\n"
-                label field bt ct
-                (100. *. (ct -. bt) /. bt)
-                (100. *. tolerance)
-            end
-          in
-          gate "total_time" floor_s;
-          gate "io_time" 0.002;
-          (* cpu_time is process CPU (Sys.time), but cache/SMT
-             contention from co-running jobs still inflates it 50-100%
-             (e.g. when the compare runs under a parallel dune build),
-             so an absolute cross-run gate at the standard tolerance
-             flaps. Gate it (since xnav-bench/5) as the plan's CPU
-             relative to the Simple plan measured in the *same* run —
-             both inflate together under load, so the ratio isolates
-             plan-specific regressions such as losing the fused
-             automaton — plus a loose absolute backstop (5x tolerance)
-             that catches uniform slowdowns hitting every plan,
-             Simple included. *)
-          let cpu field = jnum_exn ("row." ^ field) in
-          let simple_cpu rows =
-            match List.find_opt (fun r -> key r = (q, "simple", sc)) rows with
-            | Some r -> cpu "cpu_time" (jget r "cpu_time")
-            | None -> 0.
-          in
-          let bt = cpu "cpu_time" (jget brow "cpu_time") in
-          let ct = cpu "cpu_time" (jget crow "cpu_time") in
-          let bs = simple_cpu base_rows and cs = simple_cpu current_rows in
-          if p <> "simple" && bs > 0. && cs > 0. then begin
-            let bratio = bt /. bs and cratio = ct /. cs in
-            if cratio > bratio *. (1. +. tolerance) && ct -. (bratio *. cs) > 0.005 then begin
-              incr failures;
-              Printf.printf
-                "compare: %-28s cpu_time/simple regressed %.3f -> %.3f (+%.0f%%, tolerance \
-                 %.0f%%)\n"
-                label bratio cratio
-                (100. *. (cratio -. bratio) /. bratio)
-                (100. *. tolerance)
-            end
-          end;
-          if ct > bt *. (1. +. (5. *. tolerance)) && ct -. bt > 0.01 then begin
-            incr failures;
-            Printf.printf
-              "compare: %-28s cpu_time regressed %.4fs -> %.4fs (+%.0f%%, backstop tolerance \
-               %.0f%%)\n"
-              label bt ct
-              (100. *. (ct -. bt) /. bt)
-              (100. *. 5. *. tolerance)
-          end
-        end)
-    base_rows;
-  (* Index gate (since xnav-bench/4): the structural index must actually
-     pay off on the selective query — q15's page reads with the index
-     plan must stay below 20% of the XSchedule plan's at every scale the
-     current run covers. Computed from the current rows, not the
-     baseline, so the gate always tests the run at hand. *)
-  let row_for q p sc = List.find_opt (fun r -> key r = (q, p, sc)) current_rows in
-  let index_scales =
-    List.filter_map
-      (fun r ->
-        let q, p, sc = key r in
-        if q = "q15" && p = "xindex" then Some sc else None)
-      current_rows
-    |> List.sort_uniq compare
-  in
-  List.iter
-    (fun sc ->
-      match (row_for "q15" "xindex" sc, row_for "q15" "xschedule" sc) with
-      | Some irow, Some srow ->
-        let ip = jnum_exn "row.page_reads" (jget irow "page_reads") in
-        let sp = jnum_exn "row.page_reads" (jget srow "page_reads") in
-        if ip >= 0.2 *. sp then begin
-          incr failures;
-          Printf.printf
-            "compare: q15/xindex/sf%.2f           page reads %.0f not < 20%% of xschedule's %.0f\n"
-            sc ip sp
-        end
-      | _ -> ())
-    index_scales;
-  (* Skew gate (since xnav-bench/6): the result-cache front door must
-     serve the skewed repeat-query mix at least [skew_gate_factor] times
-     faster than cache-off. The within-run ratio is gated hard (both
-     runs share the simulated disk and the host, so it is stable); the
-     cross-run comparison against the baseline's ratio only backstops at
-     a loose 5x tolerance, because served/s includes wall-clock CPU. *)
-  (match jget current_json "skew" with
-  | None ->
-    incr failures;
-    Printf.printf "compare: current run has no skew section (schema %s)\n" Bench_schema.version
-  | Some skew ->
-    let speedup = jnum_exn "skew.speedup" (jget skew "speedup") in
-    if speedup < skew_gate_factor then begin
-      incr failures;
-      Printf.printf "compare: skew speedup %.1fx below the %.0fx front-door gate\n" speedup
-        skew_gate_factor
-    end;
-    (match jget baseline "skew" with
-    | None -> ()
-    | Some bskew ->
-      let bspeedup = jnum_exn "skew.speedup" (jget bskew "speedup") in
-      if speedup < bspeedup /. (1. +. (5. *. tolerance)) then begin
-        incr failures;
-        Printf.printf
-          "compare: skew speedup regressed %.1fx -> %.1fx (backstop tolerance %.0f%%)\n" bspeedup
-          speedup
-          (100. *. 5. *. tolerance)
-      end));
-  if !failures = 0 then
-    Printf.printf "compare: no regressions vs %s (%d rows, tolerance %.0f%%)\n" baseline_file
-      (List.length base_rows) (100. *. tolerance)
-  else begin
-    Printf.printf "compare: %d regression(s) vs %s\n" !failures baseline_file;
-    exit 1
-  end
-
+    (List.length tenant_rows) out_file;
+  gate ~run:Gate.Shards doc
 (* --- Bechamel microbenches ------------------------------------------------------ *)
 
 let micro () =
@@ -2011,125 +1406,93 @@ let sections cfg =
     ("abl-estimate", fun () -> ablation_estimate cfg);
   ]
 
+(* Every flag the harness takes; those in [valued] take the next argument
+   as their value. Anything else is a usage error, so a misspelt CI flag
+   cannot pass a gate vacuously. *)
+let switches = [ "micro"; "--micro"; "--quick"; "--smoke"; "--workload"; "--skew" ]
+
+let valued =
+  [ "--json"; "--compare"; "--tolerance"; "--filter" ]
+  @ [ "--clients"; "--writers"; "--shards"; "--tenants" ]
+
+let usage_error msg =
+  prerr_endline ("bench: " ^ msg);
+  exit 2
+
+let parse_args argv =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | f :: rest when List.mem f switches -> go ((f, "") :: acc) rest
+    | f :: v :: rest when List.mem f valued -> go ((f, v) :: acc) rest
+    | f :: _ when List.mem f valued -> usage_error (f ^ " needs a value")
+    | f :: _ -> usage_error ("unknown flag " ^ f)
+  in
+  go [] argv
+
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let quick = List.mem "--quick" args in
-  let smoke = List.mem "--smoke" args in
-  let rec find_value flag = function
-    | f :: v :: _ when f = flag -> Some v
-    | _ :: rest -> find_value flag rest
-    | [] -> None
+  let args = parse_args (List.tl (Array.to_list Sys.argv)) in
+  let has flag = List.mem_assoc flag args in
+  let value flag = List.assoc_opt flag args in
+  let number flag parse ~min default =
+    match Option.map parse (value flag) with
+    | None -> default
+    | Some (Some n) when n >= min -> n
+    | Some _ -> usage_error (flag ^ ": not a number in range: " ^ Option.get (value flag))
   in
-  let filter = find_value "--filter" args in
-  let compare_file = find_value "--compare" args in
-  let json =
-    (* --compare needs a fresh run to compare; without an explicit --json
-       target the rows land in a scratch file. *)
-    match (find_value "--json" args, compare_file) with
-    | None, Some _ -> Some "bench-current.json"
-    | j, _ -> j
-  in
-  if List.mem "micro" args then micro ()
-  else if List.mem "--micro" args then begin
-    (* The fused-chain micro tier on its own: per-extension CPU cost of
-       the fused automaton vs the XStep iterator chain. Exits non-zero
-       on non-finite measurements (jfloat raises) — the CI smoke step. *)
-    section_header "fused vs iterator chain (ns per extension)";
-    try
-      let rows = fused_micro_rows () in
-      List.iter print_endline rows;
-      check_json_shape (jarr rows)
-    with Malformed msg ->
-      Printf.eprintf "bench --micro: malformed output: %s\n" msg;
-      exit 1
-  end
-  else begin
-    let profile, cfg =
-      if smoke then ("smoke", smoke_config)
-      else if quick then ("quick", quick_config)
-      else ("full", full_config)
-    in
-    if List.mem "--workload" args then begin
-      let clients =
-        match find_value "--clients" args with
-        | None -> 8
-        | Some v -> (
-          match int_of_string_opt v with
-          | Some n when n > 0 -> n
-          | _ ->
-            Printf.eprintf "bench --clients: not a positive integer: %s\n" v;
-            exit 1)
+  let int_flag flag = number flag int_of_string_opt in
+  let tolerance = number "--tolerance" float_of_string_opt ~min:0.0 0.25 in
+  try
+    if has "micro" then micro ()
+    else if has "--micro" then begin
+      (* The fused-chain micro tier on its own; a non-finite measurement
+         makes the printer raise, so the CI smoke step exits non-zero. *)
+      section_header "fused vs iterator chain (ns per extension)";
+      List.iter print_endline (List.map Json.to_string (fused_micro_rows ()))
+    end
+    else begin
+      let profile, cfg =
+        if has "--smoke" then ("smoke", smoke_config)
+        else if has "--quick" then ("quick", quick_config)
+        else ("full", full_config)
       in
-      let writers =
-        match find_value "--writers" args with
-        | None -> 0
-        | Some v -> (
-          match int_of_string_opt v with
-          | Some n when n >= 0 -> n
-          | _ ->
-            Printf.eprintf "bench --writers: not a non-negative integer: %s\n" v;
-            exit 1)
-      in
-      let pos_int flag default =
-        match find_value flag args with
-        | None -> default
-        | Some v -> (
-          match int_of_string_opt v with
-          | Some n when n > 0 -> n
-          | _ ->
-            Printf.eprintf "bench %s: not a positive integer: %s\n" flag v;
-            exit 1)
-      in
-      let out_file = Option.value (find_value "--json" args) ~default:"bench-workload.json" in
-      try
-        if List.mem "--shards" args then begin
-          let shards = pos_int "--shards" 4 in
-          let tenants = pos_int "--tenants" (2 * shards) in
+      if has "--workload" then begin
+        let clients = int_flag "--clients" ~min:1 8 in
+        let out_file = Option.value (value "--json") ~default:"bench-workload.json" in
+        if has "--shards" then
+          let shards = int_flag "--shards" ~min:1 4 in
+          let tenants = int_flag "--tenants" ~min:1 (2 * shards) in
           shard_mode ~profile cfg ~clients ~shards ~tenants out_file
-        end
-        else if List.mem "--skew" args then skew_mode ~profile ~smoke cfg ~clients out_file
-        else workload_mode ~profile cfg ~clients ~writers out_file
-      with Malformed msg ->
-        Printf.eprintf "bench --workload: malformed output: %s\n" msg;
-        exit 1
-    end
-    else
-    match json with
-    | Some out_file -> begin
-      try
-        let out = json_mode ~profile cfg out_file in
-        match compare_file with
-        | None -> ()
-        | Some baseline ->
-          let tolerance =
-            match find_value "--tolerance" args with
-            | Some t -> (
-              match float_of_string_opt t with
-              | Some f when f >= 0.0 -> f
-              | _ ->
-                Printf.eprintf "bench --tolerance: not a non-negative number: %s\n" t;
-                exit 1)
-            | None -> 0.25
-          in
-          compare_with_baseline ~tolerance out baseline
-      with Malformed msg ->
-        Printf.eprintf "bench --json: malformed output: %s\n" msg;
-        exit 1
-    end
-    | None ->
-      Printf.printf
-        "xnav benchmark harness — fidelity %.3f, %d-byte pages, %d-page buffer\n\
-         (simulated seconds from the deterministic disk model; see EXPERIMENTS.md)\n"
-        cfg.fidelity cfg.page_size cfg.buffer;
-      let sections = sections cfg in
-      (match filter with
-      | Some name -> begin
-        match List.assoc_opt name sections with
-        | Some f -> f ()
-        | None ->
-          Printf.eprintf "unknown section %s; available: %s\n" name
-            (String.concat ", " (List.map fst sections));
-          exit 1
+        else if has "--skew" then skew_mode ~profile ~smoke:(has "--smoke") cfg ~clients out_file
+        else workload_mode ~profile cfg ~clients ~writers:(int_flag "--writers" ~min:0 0) out_file
       end
-      | None -> List.iter (fun (_, f) -> f ()) sections)
-  end
+      else
+        match (value "--json", value "--compare") with
+        | None, None -> (
+          Printf.printf
+            "xnav benchmark harness — fidelity %.3f, %d-byte pages, %d-page buffer\n\
+             (simulated seconds from the deterministic disk model; see EXPERIMENTS.md)\n"
+            cfg.fidelity cfg.page_size cfg.buffer;
+          let sections = sections cfg in
+          match value "--filter" with
+          | Some name -> (
+            match List.assoc_opt name sections with
+            | Some f -> f ()
+            | None ->
+              Printf.eprintf "unknown section %s; available: %s\n" name
+                (String.concat ", " (List.map fst sections));
+              exit 1)
+          | None -> List.iter (fun (_, f) -> f ()) sections)
+        | json, baseline_file ->
+          (* --compare needs a fresh run to compare; without an explicit
+             --json target the rows land in a scratch file. *)
+          let doc = json_mode ~profile cfg (Option.value json ~default:"bench-current.json") in
+          gate ~run:Gate.Rows ?baseline:(Option.map Json.read baseline_file) ~tolerance doc;
+          Option.iter
+            (fun file ->
+              Printf.printf "compare: no regressions vs %s (tolerance %.0f%%)\n" file
+                (100. *. tolerance))
+            baseline_file
+    end
+  with Json.Malformed msg ->
+    Printf.eprintf "bench: malformed output: %s\n" msg;
+    exit 1

@@ -4,4 +4,4 @@
    emitters, the --compare parser's expectations and the test that pins
    the committed baseline all read it from here. *)
 
-let version = "xnav-bench/8"
+let version = "xnav-bench/9"

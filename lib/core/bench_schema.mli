@@ -15,8 +15,12 @@
     [--workload --writers K] mode, [/8] the [scan_resist_hits] counter
     (2Q protected hits) in every row plus the
     [--workload --shards K --tenants M] mode and its [workload-shards]
-    output shape. The per-plan row keys are derived from
-    {!Counters.table}. *)
+    output shape, [/9] the [minor_words] counter in every row, rows timed
+    as the median of five runs, and the summary keys the gate table reads
+    ([violations], [completed] and [front_door_cache_off] in [skew];
+    [violations], [pinned], [expected_jobs] and [writer_free_reader_p99]
+    in [workload]; [violations] and [expected_jobs] in [shards_summary]).
+    The per-plan row keys are derived from {!Counters.table}. *)
 
 val version : string
-(** ["xnav-bench/8"]. *)
+(** ["xnav-bench/9"]. *)

@@ -41,6 +41,7 @@ module Record = struct
     mutable shared_demand : int;
     mutable scan_resist_hits : int;
     mutable fell_back : bool;
+    mutable minor_words : int;
     mutable results_emitted : int;
     mutable dedup_hits : int;
     mutable served_ticks : int;
@@ -97,6 +98,7 @@ let create () =
     shared_demand = 0;
     scan_resist_hits = 0;
     fell_back = false;
+    minor_words = 0;
     results_emitted = 0;
     dedup_hits = 0;
     served_ticks = 0;
@@ -259,6 +261,8 @@ let table =
       (Count ((fun c -> c.scan_resist_hits), fun c v -> c.scan_resist_hits <- v));
     row "fell_back" Run "The run switched to the simple method (Sec. 5.4.6)."
       (Flag ((fun c -> c.fell_back), fun c v -> c.fell_back <- v));
+    row "minor_words" Run "Words allocated on the minor heap during the run (Gc.minor_words)."
+      (Count ((fun c -> c.minor_words), fun c v -> c.minor_words <- v));
     row "results_emitted" Assembly ~bench:false "Distinct result nodes XAssembly emitted."
       (Count ((fun c -> c.results_emitted), fun c v -> c.results_emitted <- v));
     row "dedup_hits" Assembly ~bench:false

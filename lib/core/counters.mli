@@ -58,6 +58,7 @@ module Record : sig
     mutable shared_demand : int;
     mutable scan_resist_hits : int;
     mutable fell_back : bool;
+    mutable minor_words : int;
     mutable results_emitted : int;
     mutable dedup_hits : int;
     mutable served_ticks : int;
@@ -77,7 +78,7 @@ val create : unit -> counters
 (** {1 The table} *)
 
 type layer =
-  | Run  (** End to end: times and the fallback switch. *)
+  | Run  (** End to end: times, allocation and the fallback switch. *)
   | Disk  (** The disk model. *)
   | Buffer  (** The buffer manager. *)
   | Store  (** Record decode through swizzled views. *)

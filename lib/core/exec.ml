@@ -104,6 +104,7 @@ let run ?(config = Context.default_config) ?contexts ?trace ?(ordered = true) st
   let buf_before = Buffer_manager.stats buffer in
   let swiz_hits_before, swiz_misses_before = Store.swizzle_stats store in
   let cpu_before = Sys.time () in
+  let words_before = Gc.minor_words () in
 
   (* The repeat-traffic front door: root-context statements are answered
      from the result cache before any planning or I/O happens. Only the
@@ -123,6 +124,7 @@ let run ?(config = Context.default_config) ?contexts ?trace ?(ordered = true) st
     m.cache_hits <- 1;
     m.cpu_time <- Sys.time () -. cpu_before;
     m.total_time <- m.cpu_time;
+    m.minor_words <- int_of_float (Gc.minor_words () -. words_before);
     { nodes = Result_cache.nodes entry; count = Result_cache.count entry; metrics = m }
   | None ->
 
@@ -170,6 +172,7 @@ let run ?(config = Context.default_config) ?contexts ?trace ?(ordered = true) st
   c.cpu_time <- Sys.time () -. cpu_before;
   c.io_time <- Disk.elapsed disk -. io_before;
   c.total_time <- c.io_time +. c.cpu_time;
+  c.minor_words <- int_of_float (Gc.minor_words () -. words_before);
   let d = Disk.stats disk in
   c.page_reads <- d.Disk.reads - disk_before.Disk.reads;
   c.sequential_reads <- d.Disk.sequential_reads - disk_before.Disk.sequential_reads;

@@ -113,18 +113,11 @@ let tests =
         (* The schema string lives in one place (Bench_schema.version);
            the committed baseline must have been regenerated against it,
            or `bench --compare` gates against stale numbers. *)
-        let ic = open_in "../BENCH_results.json" in
-        let contents = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        let needle = Printf.sprintf "%S" Xnav_core.Bench_schema.version in
-        let contains s sub =
-          let n = String.length s and m = String.length sub in
-          let rec scan i = i + m <= n && (String.sub s i m = sub || scan (i + 1)) in
-          scan 0
-        in
-        check bool
-          (Printf.sprintf "baseline mentions %s" needle)
-          true (contains contents needle));
+        let module Json = Xnav_bench.Json in
+        check
+          Alcotest.(option string)
+          "baseline schema" (Some Xnav_core.Bench_schema.version)
+          (Option.map Json.str (Json.member "schema" (Json.read "../BENCH_results.json"))));
   ]
 
 let suite = [ ("misc", tests) ]
