@@ -333,8 +333,7 @@ let query_cmd =
         result.Query_exec.segments result.Query_exec.predicate_checks;
       Printf.printf "count: %d\n" result.Query_exec.count;
       print_nodes result.Query_exec.nodes;
-      Printf.printf "total %.4fs (io %.4fs, cpu %.4fs)\n" result.Query_exec.total_time
-        result.Query_exec.io_time result.Query_exec.cpu_time
+      Format.printf "%a@." Xnav_core.Counters.pp result.Query_exec.metrics
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Evaluate a location path or extended query with cost metrics.")

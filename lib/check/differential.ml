@@ -12,7 +12,6 @@ module Eval_ref = Xnav_xpath.Eval_ref
 module Plan = Xnav_core.Plan
 module Exec = Xnav_core.Exec
 module Multi = Xnav_core.Multi
-module Interleave = Xnav_core.Interleave
 module Workload = Xnav_workload.Workload
 module Shard = Xnav_workload.Shard
 module Update = Xnav_store.Update
@@ -175,7 +174,7 @@ let plans_for case =
   else []
 
 (* Post-run storage sweep for the execution paths that do not go through
-   [Exec.run]'s invariant hook (Multi, Interleave). *)
+   [Exec.run]'s invariant hook (Multi). *)
 let storage_clean store =
   let buffer = Store.buffer store in
   let pinned = Buffer_manager.pinned_count buffer in
@@ -214,12 +213,6 @@ let check_built ~doc ~store ~import case =
   guarded "multi" (fun () ->
       let r = Multi.run ~config ~cold:true store [ case.path ] in
       ids_of r.Multi.per_path.(0));
-  guarded "interleave" (fun () ->
-      let r =
-        Interleave.run ~config ~cold:true store
-          [ (case.path, Plan.xschedule ~speculative:case.speculative ()) ]
-      in
-      ids_of r.Interleave.queries.(0).Interleave.nodes);
   List.rev !mismatches
 
 let check_case case =

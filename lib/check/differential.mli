@@ -3,8 +3,8 @@
     Samples random (document, location path, physical configuration)
     triples, runs every physical plan — Simple (with and without
     intermediate duplicate elimination), XSchedule, XScan (plus the
-    //-scan variant when applicable), and the Multi / Interleave
-    drivers — and compares the result node-id multiset of each against
+    //-scan variant when applicable), and the Multi shared-scan
+    driver — and compares the result node-id multiset of each against
     the tree-walking reference evaluator {!Xnav_xpath.Eval_ref}. Each
     run also executes with {!Xnav_core.Context.config.validate} set, so
     post-run invariants (no pinned frames, no dangling I/O, balanced

@@ -2,8 +2,9 @@
 
     Every plan run (and every workload job) accumulates its costs in one
     {!counters} record. Operators bump its mutable fields directly on the
-    hot path; {!Exec.run} fills in the disk and buffer deltas and the
-    times at the end and returns the record as {!Exec.metrics}.
+    hot path; at the end of a run {!Exec.measure} fills in the disk,
+    buffer and swizzle deltas and the times; {!Exec.run}, {!Multi.run}
+    and {!Query_exec.run} return the record as {!Exec.metrics}.
 
     {!table} describes every field once: its name, owning layer, doc,
     how two runs combine, the knob that must keep it zero when off, and

@@ -89,7 +89,68 @@ let pipeline ctx store path plan contexts =
            counters. *)
         schedule_pipeline true)
 
-let run ?(config = Context.default_config) ?contexts ?trace ?(ordered = true) store path plan =
+(* --- the measured-run boundary ------------------------------------------- *)
+
+type snapshot = {
+  buffer : Buffer_manager.t;
+  stores : Store.t list;
+  disk_before : Disk.stats;
+  io_before : float;
+  buf_before : Buffer_manager.stats;
+  swiz_before : int * int;
+  cpu_before : float;
+  words_before : float;
+}
+
+let swizzle_stats stores =
+  List.fold_left
+    (fun (h, m) store ->
+      let h', m' = Store.swizzle_stats store in
+      (h + h', m + m'))
+    (0, 0) stores
+
+let snapshot ~cold buffer stores =
+  let disk = Buffer_manager.disk buffer in
+  if cold then begin
+    Buffer_manager.reset buffer;
+    Disk.reset_clock disk
+  end;
+  let disk_before = Disk.stats disk in
+  let io_before = Disk.elapsed disk in
+  let buf_before = Buffer_manager.stats buffer in
+  let swiz_before = swizzle_stats stores in
+  let cpu_before = Sys.time () in
+  let words_before = Gc.minor_words () in
+  { buffer; stores; disk_before; io_before; buf_before; swiz_before; cpu_before; words_before }
+
+let measure ~who s c =
+  let disk = Buffer_manager.disk s.buffer in
+  c.cpu_time <- Sys.time () -. s.cpu_before;
+  c.io_time <- Disk.elapsed disk -. s.io_before;
+  c.total_time <- c.io_time +. c.cpu_time;
+  c.minor_words <- int_of_float (Gc.minor_words () -. s.words_before);
+  let d = Disk.stats disk and d0 = s.disk_before in
+  c.page_reads <- d.Disk.reads - d0.Disk.reads;
+  c.sequential_reads <- d.Disk.sequential_reads - d0.Disk.sequential_reads;
+  c.random_reads <- d.Disk.random_reads - d0.Disk.random_reads;
+  c.seek_distance <- d.Disk.seek_distance - d0.Disk.seek_distance;
+  c.batched_reads <- d.Disk.batched_reads - d0.Disk.batched_reads;
+  c.batch_pages <- d.Disk.batch_pages - d0.Disk.batch_pages;
+  c.coalesce_runs <- d.Disk.coalesce_runs - d0.Disk.coalesce_runs;
+  let b = Buffer_manager.stats s.buffer and b0 = s.buf_before in
+  c.buffer_lookups <- b.Buffer_manager.lookups - b0.Buffer_manager.lookups;
+  c.buffer_hits <- b.Buffer_manager.hits - b0.Buffer_manager.hits;
+  c.buffer_misses <- b.Buffer_manager.misses - b0.Buffer_manager.misses;
+  c.async_reads <- b.Buffer_manager.async_reads - b0.Buffer_manager.async_reads;
+  c.scan_resist_hits <- b.Buffer_manager.scan_resist_hits - b0.Buffer_manager.scan_resist_hits;
+  let hits, misses = swizzle_stats s.stores in
+  c.swizzle_hits <- hits - fst s.swiz_before;
+  c.swizzle_misses <- misses - snd s.swiz_before;
+  let pinned = Buffer_manager.pinned_count s.buffer in
+  if pinned <> 0 then failwith (Printf.sprintf "%s: %d pages left pinned" who pinned)
+
+let execute ~cold ?(config = Context.default_config) ?contexts ?trace ?(ordered = true) store path
+    plan =
   check_plan "Exec.run" path plan;
   let contexts = match contexts with Some c -> c | None -> [ Store.root store ] in
   let ctx = Context.create ~config store in
@@ -98,13 +159,7 @@ let run ?(config = Context.default_config) ?contexts ?trace ?(ordered = true) st
   (* The eviction-policy knob travels with the config: knob-off runs put
      the pool back on the historical exact LRU before the first fix. *)
   Buffer_manager.set_scan_resistant buffer config.Context.scan_resistant;
-  let disk = Buffer_manager.disk buffer in
-  let disk_before = Disk.stats disk in
-  let io_before = Disk.elapsed disk in
-  let buf_before = Buffer_manager.stats buffer in
-  let swiz_hits_before, swiz_misses_before = Store.swizzle_stats store in
-  let cpu_before = Sys.time () in
-  let words_before = Gc.minor_words () in
+  let snap = snapshot ~cold buffer [ store ] in
 
   (* The repeat-traffic front door: root-context statements are answered
      from the result cache before any planning or I/O happens. Only the
@@ -122,9 +177,7 @@ let run ?(config = Context.default_config) ?contexts ?trace ?(ordered = true) st
   | Some entry ->
     let m = ctx.Context.counters in
     m.cache_hits <- 1;
-    m.cpu_time <- Sys.time () -. cpu_before;
-    m.total_time <- m.cpu_time;
-    m.minor_words <- int_of_float (Gc.minor_words () -. words_before);
+    measure ~who:"Exec.run" snap m;
     { nodes = Result_cache.nodes entry; count = Result_cache.count entry; metrics = m }
   | None ->
 
@@ -169,30 +222,7 @@ let run ?(config = Context.default_config) ?contexts ?trace ?(ordered = true) st
   (match touched with Some _ -> ignore (Store.swap_touch_log store saved_log) | None -> ());
 
   let c = ctx.Context.counters in
-  c.cpu_time <- Sys.time () -. cpu_before;
-  c.io_time <- Disk.elapsed disk -. io_before;
-  c.total_time <- c.io_time +. c.cpu_time;
-  c.minor_words <- int_of_float (Gc.minor_words () -. words_before);
-  let d = Disk.stats disk in
-  c.page_reads <- d.Disk.reads - disk_before.Disk.reads;
-  c.sequential_reads <- d.Disk.sequential_reads - disk_before.Disk.sequential_reads;
-  c.random_reads <- d.Disk.random_reads - disk_before.Disk.random_reads;
-  c.seek_distance <- d.Disk.seek_distance - disk_before.Disk.seek_distance;
-  c.batched_reads <- d.Disk.batched_reads - disk_before.Disk.batched_reads;
-  c.batch_pages <- d.Disk.batch_pages - disk_before.Disk.batch_pages;
-  c.coalesce_runs <- d.Disk.coalesce_runs - disk_before.Disk.coalesce_runs;
-  let b = Buffer_manager.stats buffer in
-  c.buffer_lookups <- b.Buffer_manager.lookups - buf_before.Buffer_manager.lookups;
-  c.buffer_hits <- b.Buffer_manager.hits - buf_before.Buffer_manager.hits;
-  c.buffer_misses <- b.Buffer_manager.misses - buf_before.Buffer_manager.misses;
-  c.async_reads <- b.Buffer_manager.async_reads - buf_before.Buffer_manager.async_reads;
-  c.scan_resist_hits <-
-    b.Buffer_manager.scan_resist_hits - buf_before.Buffer_manager.scan_resist_hits;
-  let swiz_hits_after, swiz_misses_after = Store.swizzle_stats store in
-  c.swizzle_hits <- swiz_hits_after - swiz_hits_before;
-  c.swizzle_misses <- swiz_misses_after - swiz_misses_before;
-  let pinned = Buffer_manager.pinned_count buffer in
-  if pinned <> 0 then failwith (Printf.sprintf "Exec.run: %d pages left pinned" pinned);
+  measure ~who:"Exec.run" snap c;
 
   (* Final duplicate elimination (reordered plans are already
      duplicate-free through R, but the Simple method needs it, Sec. 5.1)
@@ -247,6 +277,9 @@ let run ?(config = Context.default_config) ?contexts ?trace ?(ordered = true) st
   end;
   { nodes; count; metrics = c }
 
+let run ?config ?contexts ?trace ?ordered store path plan =
+  execute ~cold:false ?config ?contexts ?trace ?ordered store path plan
+
 type stream = {
   next : unit -> Store.info option;
   stream_ctx : Context.t;
@@ -289,8 +322,5 @@ let stream_violations ?results stream =
     stream.stream_ctx
 
 let cold_run ?config ?contexts ?trace ?ordered store path plan =
-  let buffer = Store.buffer store in
-  Buffer_manager.reset buffer;
-  Disk.reset_clock (Buffer_manager.disk buffer);
-  run ?config ?contexts ?trace ?ordered store path plan
+  execute ~cold:true ?config ?contexts ?trace ?ordered store path plan
 

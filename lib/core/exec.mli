@@ -60,8 +60,9 @@ val run :
 
 type stream
 (** A prepared, lazily evaluated plan: results are pulled one at a time.
-    Streams make interleaved (concurrent) execution possible — see
-    {!Interleave}. *)
+    Streams make interleaved (concurrent) execution possible — the
+    workload engine ([Xnav_workload.Workload]) serves many of them over
+    one pool. *)
 
 val prepare :
   ?config:Context.config ->
@@ -125,3 +126,34 @@ val cold_run :
 (** {!run} preceded by a buffer reset and disk-clock reset — each
     measurement starts cold, as in the paper's setup (Sec. 6.1). *)
 
+
+(** {1 The measured-run boundary}
+
+    Every driver measures a run the same way: {!run} and {!cold_run},
+    {!Multi.run}, {!Query_exec.run}, and the workload engine once per
+    pool. A {!snapshot} of the pool is taken before the run and a
+    {!measure} fills a counters record after it, so the cold reset, the
+    disk/buffer/swizzle deltas, the times and the leftover-pin check are
+    written once. *)
+
+type snapshot
+(** A pool's disk, buffer, swizzle, CPU-clock and allocation readings at
+    the start of a run. *)
+
+val snapshot :
+  cold:bool -> Xnav_storage.Buffer_manager.t -> Xnav_store.Store.t list -> snapshot
+(** [snapshot ~cold buffer stores] reads the pool [buffer], its disk and
+    the swizzle counters of [stores] (the stores living on the pool).
+    With [cold] the pool and the disk clock are reset first — the
+    paper's cold-cache regime (Sec. 6.1).
+    @raise Invalid_argument with [cold] if a frame is still pinned. *)
+
+val measure : who:string -> snapshot -> metrics -> unit
+(** [measure ~who snap m] sets [m]'s rows of the Run, Disk, Buffer and
+    Store layers of {!Counters.table} to the deltas since [snap]:
+    [io_time] (simulated), [cpu_time] (process), [total_time] (their
+    sum), [minor_words], every disk and buffer counter and the swizzle
+    hits and misses. [fell_back] and the operator rows are left as they
+    are.
+    @raise Failure ["<who>: N pages left pinned"] if a frame of the pool
+    is still pinned. *)

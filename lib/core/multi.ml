@@ -2,7 +2,6 @@ module Store = Xnav_store.Store
 module Node_id = Xnav_store.Node_id
 module Node_record = Xnav_store.Node_record
 module Path = Xnav_xpath.Path
-module Disk = Xnav_storage.Disk
 module Buffer_manager = Xnav_storage.Buffer_manager
 module Ordpath = Xnav_xml.Ordpath
 open Path_instance
@@ -11,10 +10,7 @@ type result = {
   per_path : Store.info list array;
   counts : int array;
   fell_back : bool array;
-  io_time : float;
-  cpu_time : float;
-  total_time : float;
-  page_reads : int;
+  metrics : Exec.metrics;
 }
 
 (* One path's pipeline: a feed queue standing in for the scan, the XStep
@@ -63,22 +59,13 @@ let drain lane =
 
 let run ?config ?contexts ?(ordered = true) ~cold store paths =
   if paths = [] then invalid_arg "Multi.run: no paths";
-  let buffer = Store.buffer store in
-  let disk = Buffer_manager.disk buffer in
-  if cold then begin
-    Buffer_manager.reset buffer;
-    Disk.reset_clock disk
-  end;
   let contexts = match contexts with Some c -> c | None -> [ Store.root store ] in
   let contexts = List.sort Node_id.compare contexts in
   let context_is_root =
     match contexts with [ c ] -> Node_id.equal c (Store.root store) | _ -> false
   in
   let lanes = Array.of_list (List.map (make_lane ?config store ~context_is_root) paths) in
-
-  let disk_before = Disk.stats disk in
-  let io_before = Disk.elapsed disk in
-  let cpu_before = Sys.time () in
+  let snap = Exec.snapshot ~cold (Store.buffer store) [ store ] in
 
   let first = Store.first_page store in
   let last = first + Store.page_count store - 1 in
@@ -152,18 +139,20 @@ let run ?config ?contexts ?(ordered = true) ~cold store paths =
   (* A lane that fell back lost speculative state the shared scan cannot
      replay; recompute it with the Simple method (warm buffer). *)
   let fell_back = Array.map (fun lane -> Context.fallback lane.ctx) lanes in
-  Array.iteri
-    (fun i lane ->
-      if fell_back.(i) then begin
-        let r = Exec.run ?config ~contexts ~ordered:false store lane.path Plan.simple in
-        Vec.clear lane.nodes;
-        List.iter (Vec.push lane.nodes) r.Exec.nodes
-      end)
-    lanes;
-
-  let cpu_time = Sys.time () -. cpu_before in
-  let io_time = Disk.elapsed disk -. io_before in
-  let disk_after = Disk.stats disk in
+  let metrics =
+    Array.fold_left
+      (fun acc lane ->
+        let acc = Counters.add acc lane.ctx.Context.counters in
+        if not (Context.fallback lane.ctx) then acc
+        else begin
+          let r = Exec.run ?config ~contexts ~ordered:false store lane.path Plan.simple in
+          Vec.clear lane.nodes;
+          List.iter (Vec.push lane.nodes) r.Exec.nodes;
+          Counters.add acc r.Exec.metrics
+        end)
+      (Counters.create ()) lanes
+  in
+  Exec.measure ~who:"Multi.run" snap metrics;
   let finish lane =
     (* XAssembly already deduplicates; Simple-recomputed lanes were
        deduplicated by Exec. One in-place sort per lane. *)
@@ -176,8 +165,5 @@ let run ?config ?contexts ?(ordered = true) ~cold store paths =
     per_path;
     counts = Array.map List.length per_path;
     fell_back;
-    io_time;
-    cpu_time;
-    total_time = io_time +. cpu_time;
-    page_reads = disk_after.Disk.reads - disk_before.Disk.reads;
+    metrics;
   }

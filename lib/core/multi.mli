@@ -22,10 +22,10 @@ type result = {
           unless [ordered:false]). *)
   counts : int array;
   fell_back : bool array;
-  io_time : float;
-  cpu_time : float;
-  total_time : float;
-  page_reads : int;
+  metrics : Exec.metrics;
+      (** Every lane's operator counters and Simple recomputations
+          combined with {!Counters.add}; the times, disk, buffer and
+          swizzle rows cover the whole run ({!Exec.measure}). *)
 }
 
 val run :
@@ -41,4 +41,5 @@ val run :
     buffer pool and disk clock first.
 
     @raise Invalid_argument if [paths] is empty, any path is empty, or
-    any path uses a non-downward axis. *)
+    any path uses a non-downward axis.
+    @raise Failure if a frame is left pinned at the end. *)

@@ -2,16 +2,12 @@ module Store = Xnav_store.Store
 module Node_id = Xnav_store.Node_id
 module Path = Xnav_xpath.Path
 module Query = Xnav_xpath.Query
-module Disk = Xnav_storage.Disk
-module Buffer_manager = Xnav_storage.Buffer_manager
 module Ordpath = Xnav_xml.Ordpath
 
 type result = {
   nodes : Store.info list;
   count : int;
-  io_time : float;
-  cpu_time : float;
-  total_time : float;
+  metrics : Exec.metrics;
   segments : int;
   predicate_checks : int;
 }
@@ -56,66 +52,56 @@ let segments_of branch =
 
 let run ?(choice = Compile.Auto) ?config ?contexts ?(ordered = true) ~cold store query =
   if query = [] then invalid_arg "Query_exec.run: empty query";
-  let buffer = Store.buffer store in
-  let disk = Buffer_manager.disk buffer in
-  if cold then begin
-    Buffer_manager.reset buffer;
-    Disk.reset_clock disk
-  end;
-  let io_before = Disk.elapsed disk in
-  let cpu_before = Sys.time () in
+  let snap = Exec.snapshot ~cold (Store.buffer store) [ store ] in
   let root_contexts = match contexts with Some c -> c | None -> [ Store.root store ] in
   let segment_count = ref 0 in
   let predicate_checks = ref 0 in
+  let metrics = ref (Counters.create ()) in
 
-  let run_branch branch =
-    List.fold_left
-      (fun contexts (trunk, predicates) ->
-        if contexts = [] then []
-        else begin
-          incr segment_count;
-          let context_is_root =
-            match contexts with [ c ] -> Node_id.equal c (Store.root store) | _ -> false
-          in
-          let plan = Compile.compile ~choice ~context_is_root store trunk in
-          let seg = Exec.run ?config ~contexts ~ordered:false store trunk plan in
-          List.filter_map
+  (* Each segment's survivors are the next segment's contexts; the last
+     segment's survivors are the branch's answer, kept as the infos the
+     plan returned so the merge re-reads no page. *)
+  let rec run_branch contexts = function
+    | [] -> []
+    | _ when contexts = [] -> []
+    | (trunk, predicates) :: rest ->
+      incr segment_count;
+      let context_is_root =
+        match contexts with [ c ] -> Node_id.equal c (Store.root store) | _ -> false
+      in
+      let plan = Compile.compile ~choice ~context_is_root store trunk in
+      let seg = Exec.run ?config ~contexts ~ordered:false store trunk plan in
+      metrics := Counters.add !metrics seg.Exec.metrics;
+      let survivors =
+        if predicates = [] then seg.Exec.nodes
+        else
+          List.filter
             (fun (info : Store.info) ->
-              if predicates = [] then Some info.Store.id
-              else begin
-                incr predicate_checks;
-                if List.for_all (holds store info.Store.id) predicates then
-                  Some info.Store.id
-                else None
-              end)
+              incr predicate_checks;
+              List.for_all (holds store info.Store.id) predicates)
             seg.Exec.nodes
-        end)
-      root_contexts (segments_of branch)
+      in
+      if rest = [] then survivors
+      else run_branch (List.map (fun (info : Store.info) -> info.Store.id) survivors) rest
   in
 
-  let all = List.concat_map run_branch query in
+  let all = List.concat_map (fun branch -> run_branch root_contexts (segments_of branch)) query in
   (* Union merge: deduplicate into a flat buffer, one final sort. *)
-  let seen = Node_id.Tbl.create 256 in
+  let seen = Node_id.Seen.create () in
   let distinct = Vec.create () in
   List.iter
-    (fun id ->
-      if not (Node_id.Tbl.mem seen id) then begin
-        Node_id.Tbl.replace seen id ();
-        Vec.push distinct (Store.info store id)
-      end)
+    (fun (info : Store.info) -> if Node_id.Seen.add seen info.Store.id then Vec.push distinct info)
     all;
   if ordered then
     Vec.sort (fun (a : Store.info) b -> Ordpath.compare a.ordpath b.ordpath) distinct;
   let count = Vec.length distinct in
   let nodes = Vec.to_list distinct in
-  let cpu_time = Sys.time () -. cpu_before in
-  let io_time = Disk.elapsed disk -. io_before in
+  let metrics = !metrics in
+  Exec.measure ~who:"Query_exec.run" snap metrics;
   {
     nodes;
     count;
-    io_time;
-    cpu_time;
-    total_time = io_time +. cpu_time;
+    metrics;
     segments = !segment_count;
     predicate_checks = !predicate_checks;
   }

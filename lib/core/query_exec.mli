@@ -13,9 +13,10 @@
 type result = {
   nodes : Xnav_store.Store.info list;
   count : int;
-  io_time : float;
-  cpu_time : float;
-  total_time : float;
+  metrics : Exec.metrics;
+      (** Every segment's counters combined with {!Counters.add}; the
+          times, disk, buffer and swizzle rows cover the whole query,
+          predicate checks and union merge included ({!Exec.measure}). *)
   segments : int;  (** Trunk segments executed across all branches. *)
   predicate_checks : int;  (** Candidate nodes tested against predicates. *)
 }
@@ -29,7 +30,11 @@ val run :
   Xnav_store.Store.t ->
   Xnav_xpath.Query.t ->
   result
-(** @raise Invalid_argument on an empty query. *)
+(** [run ~cold store query] evaluates [query] from [contexts] (default:
+    the document root); [cold] resets the buffer pool and disk clock
+    first.
+    @raise Invalid_argument on an empty query.
+    @raise Failure if a frame is left pinned at the end. *)
 
 val holds : Xnav_store.Store.t -> Xnav_store.Node_id.t -> Xnav_xpath.Query.predicate -> bool
 (** Predicate evaluation at one node, via global navigation with early

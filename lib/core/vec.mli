@@ -1,7 +1,7 @@
 (** Reusable growable buffers for the executor hot paths.
 
-    The drain loops of {!Exec}, {!Multi}, {!Interleave} and
-    {!Query_exec} accumulated results as cons-then-reverse lists and
+    The drain loops of {!Exec}, {!Multi} and {!Query_exec}
+    accumulated results as cons-then-reverse lists and
     re-sorted them with [List.sort]; a [Vec] keeps one flat array per
     drain, appends in amortised O(1) without per-element allocation, and
     sorts in place exactly once at the end. [clear] keeps the storage so

@@ -8,6 +8,7 @@ module Path = Xnav_xpath.Path
 module Context = Xnav_core.Context
 module Plan = Xnav_core.Plan
 module Exec = Xnav_core.Exec
+module Counters = Xnav_core.Counters
 module Result_cache = Xnav_core.Result_cache
 module Vec = Xnav_core.Vec
 module Update = Xnav_store.Update
@@ -112,7 +113,7 @@ type lane = {
          result cache at admission, riding another client's identical
          in-flight scan as a follower, or a writer job. *)
   mutable followers : lane list;
-  seen : unit Node_id.Tbl.t;
+  mutable seen : Node_id.Seen.t;
   nodes : Store.info Vec.t;  (* arrival order *)
   mutable sorted : Store.info list option;
       (* the answer already in document order — set when it came from
@@ -184,16 +185,18 @@ let run_topology ~config ~quantum ~ordered ~cold ~pools ~sites clients =
   let k = Array.length pools in
   let disks = Array.map Buffer_manager.disk pools in
   let scheds = Array.map Buffer_manager.scheduler pools in
-  if cold then
-    Array.iteri
+  (* One measured-run boundary per pool: the cold reset, the deltas
+     behind [pool_stat] and the result's disk rows, and the leftover-pin
+     check. *)
+  let snaps =
+    Array.mapi
       (fun p buffer ->
-        Buffer_manager.reset buffer;
-        Disk.reset_clock disks.(p))
-      pools;
-  let disk_before = Array.map Disk.stats disks in
-  let io_before = Array.map Disk.elapsed disks in
-  let buf_before = Array.map Buffer_manager.stats pools in
-  let cpu_before = Sys.time () in
+        let stores =
+          Array.fold_right (fun (store, q) acc -> if q = p then store :: acc else acc) sites []
+        in
+        Exec.snapshot ~cold buffer stores)
+      pools
+  in
   let now p = Disk.elapsed disks.(p) in
   let cfg = match config with Some c -> c | None -> Context.default_config in
   (* The front door: both levels — result-cache consultation at admission
@@ -255,7 +258,7 @@ let run_topology ~config ~quantum ~ordered ~cold ~pools ~sites clients =
         | None -> Context.create ~config:cfg store);
       stream;
       followers = [];
-      seen = Node_id.Tbl.create 64;
+      seen = Node_id.Seen.create ();
       nodes = Vec.create ();
       sorted = None;
       yields = 0;
@@ -450,7 +453,7 @@ let run_topology ~config ~quantum ~ordered ~cold ~pools ~sites clients =
     let c = lane.ctx.Context.counters in
     lane.carry_served <- lane.carry_served + c.Context.served_ticks;
     lane.carry_starved <- lane.carry_starved + c.Context.starved_ticks;
-    Node_id.Tbl.reset lane.seen;
+    lane.seen <- Node_id.Seen.create ();
     Vec.clear lane.nodes;
     Hashtbl.reset lane.touched;
     lane.retries <- lane.retries + 1;
@@ -498,10 +501,7 @@ let run_topology ~config ~quantum ~ordered ~cold ~pools ~sites clients =
           running := false
         | Some info ->
           incr steps;
-          if not (Node_id.Tbl.mem lane.seen info.Store.id) then begin
-            Node_id.Tbl.replace lane.seen info.Store.id ();
-            Vec.push lane.nodes info
-          end;
+          if Node_id.Seen.add lane.seen info.Store.id then Vec.push lane.nodes info;
           if (Disk.stats disk).Disk.random_reads > rnd0 then begin
             lane.yields <- lane.yields + 1;
             running := false
@@ -730,12 +730,14 @@ let run_topology ~config ~quantum ~ordered ~cold ~pools ~sites clients =
       end)
     (List.rev !finished);
 
-  Array.iteri
-    (fun p buffer ->
-      let pinned = Buffer_manager.pinned_count buffer in
-      if pinned <> 0 then
-        failwith (Printf.sprintf "Workload: pool %d left %d pages pinned" p pinned))
-    pools;
+  let metrics =
+    Array.mapi
+      (fun p snap ->
+        let m = Counters.create () in
+        Exec.measure ~who:(Printf.sprintf "Workload: pool %d" p) snap m;
+        m)
+      snaps
+  in
   let validate = cfg.Context.validate in
   let violations =
     let v = ref [] in
@@ -767,7 +769,6 @@ let run_topology ~config ~quantum ~ordered ~cold ~pools ~sites clients =
   if violations <> [] && validate then
     failwith (Printf.sprintf "Workload invariant violation: %s" (String.concat "; " violations));
 
-  let cpu_time = Sys.time () -. cpu_before in
   let to_job lane =
     let nodes =
       if lane.status = Timed_out then []
@@ -806,36 +807,36 @@ let run_topology ~config ~quantum ~ordered ~cold ~pools ~sites clients =
   let site_jobs = List.rev_map to_job !finished in
   let jobs = List.map snd site_jobs in
   let pool_stats =
-    Array.init k (fun p ->
+    Array.mapi
+      (fun p (m : Counters.counters) ->
         {
-          pool_reads = (Disk.stats disks.(p)).Disk.reads - disk_before.(p).Disk.reads;
-          pool_io = now p -. io_before.(p);
+          pool_reads = m.page_reads;
+          pool_io = m.io_time;
           pool_turns = granted.(p);
-          pool_scan_resist_hits =
-            (Buffer_manager.stats pools.(p)).Buffer_manager.scan_resist_hits
-            - buf_before.(p).Buffer_manager.scan_resist_hits;
+          pool_scan_resist_hits = m.scan_resist_hits;
         })
+      metrics
   in
-  let disk_delta field =
-    let d = ref 0 in
-    Array.iteri (fun p disk -> d := !d + field (Disk.stats disk) - field disk_before.(p)) disks;
-    !d
+  (* Disk rows sum over the pools. The pools share the process clock, so
+     CPU time is the longest pool measurement, not their sum. *)
+  let total = Array.fold_left Counters.add (Counters.create ()) metrics in
+  let cpu_time =
+    Array.fold_left (fun a (m : Counters.counters) -> Float.max a m.cpu_time) 0.0 metrics
   in
   let sum_lanes field =
     List.fold_left (fun a lane -> a + field lane.ctx.Context.counters) 0 !finished
   in
-  let io_time = Array.fold_left (fun a s -> a +. s.pool_io) 0.0 pool_stats in
   let result =
     {
       jobs;
-      io_time;
+      io_time = total.io_time;
       cpu_time;
-      total_time = io_time +. cpu_time;
-      page_reads = disk_delta (fun s -> s.Disk.reads);
-      seek_distance = disk_delta (fun s -> s.Disk.seek_distance);
-      batched_reads = disk_delta (fun s -> s.Disk.batched_reads);
-      batch_pages = disk_delta (fun s -> s.Disk.batch_pages);
-      coalesce_runs = disk_delta (fun s -> s.Disk.coalesce_runs);
+      total_time = total.io_time +. cpu_time;
+      page_reads = total.page_reads;
+      seek_distance = total.seek_distance;
+      batched_reads = total.batched_reads;
+      batch_pages = total.batch_pages;
+      coalesce_runs = total.coalesce_runs;
       max_concurrent = !max_concurrent;
       turns = !turns;
       shared_jobs = List.length (List.filter (fun j -> j.shared) jobs);

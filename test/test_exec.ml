@@ -12,10 +12,60 @@ module Eval_ref = Xnav_xpath.Eval_ref
 module Plan = Xnav_core.Plan
 module Exec = Xnav_core.Exec
 module Compile = Xnav_core.Compile
+module Multi = Xnav_core.Multi
+module Query_exec = Xnav_core.Query_exec
+module Workload = Xnav_workload.Workload
 
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
+
+(* Every driver measures its run through the same boundary
+   ({!Exec.snapshot} and {!Exec.measure}), so one statement run cold by
+   the plain executor, as a one-job workload, through the hybrid
+   executor with the plan forced and (for the scan plan) through the
+   shared-scan driver must report the same deterministic rows. A cold
+   run starts from a zeroed disk, so the disk's own totals after it are
+   the reference: a row mis-wired in the shared fill shows up as a diff
+   here. *)
+let every_driver_same_counters () =
+  let store, _ = Gen.import_store ~payload:220 (Gen.wide_tree ~children:200 ()) in
+  let disk = Buffer_manager.disk (Store.buffer store) in
+  let row io reads seek batches pages runs =
+    Printf.sprintf "io=%h reads=%d seek=%d batches=%d batch_pages=%d runs=%d" io reads seek
+      batches pages runs
+  in
+  let of_metrics (m : Exec.metrics) =
+    row m.Exec.io_time m.Exec.page_reads m.Exec.seek_distance m.Exec.batched_reads
+      m.Exec.batch_pages m.Exec.coalesce_runs
+  in
+  List.iter
+    (fun text ->
+      let path = Xpath_parser.parse text in
+      List.iter
+        (fun choice ->
+          let plan = Compile.compile ~choice store path in
+          let name = text ^ " " ^ Plan.name plan in
+          let exec = of_metrics (Exec.cold_run ~ordered:false store path plan).Exec.metrics in
+          let d = Disk.stats disk in
+          check Alcotest.string (name ^ ": disk totals") exec
+            (row (Disk.elapsed disk) d.Disk.reads d.Disk.seek_distance d.Disk.batched_reads
+               d.Disk.batch_pages d.Disk.coalesce_runs);
+          let w =
+            Workload.run ~cold:true store
+              [ { Workload.label = name; path; plan; timeout = None; ops = [] } ]
+          in
+          check Alcotest.string (name ^ ": one-job workload") exec
+            (row w.Workload.io_time w.Workload.page_reads w.Workload.seek_distance
+               w.Workload.batched_reads w.Workload.batch_pages w.Workload.coalesce_runs);
+          let q = Query_exec.run ~choice ~cold:true store (Xpath_parser.parse_query text) in
+          check Alcotest.string (name ^ ": hybrid executor") exec
+            (of_metrics q.Query_exec.metrics);
+          if choice = Compile.Force_scan then
+            check Alcotest.string (name ^ ": shared scan") exec
+              (of_metrics (Multi.run ~cold:true store [ path ]).Multi.metrics))
+        Compile.[ Force_simple; Force_schedule; Force_scan; Force_index ])
+    [ "//b"; "//x"; "//b//c" ]
 
 let tests =
   [
@@ -103,6 +153,8 @@ let tests =
         match Exec.cold_run store [] Plan.simple with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
+    Alcotest.test_case "one statement, every driver, same counters" `Quick
+      every_driver_same_counters;
   ]
 
 let suite = [ ("exec", tests) ]

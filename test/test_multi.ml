@@ -52,7 +52,7 @@ let tests =
         let store, import = Gen.import_store ~payload:220 ~capacity:16 doc in
         let paths = List.map Xpath_parser.parse [ "//b"; "//x"; "//y" ] in
         let multi = Multi.run ~cold:true store paths in
-        check int "one scan" import.Import.page_count multi.Multi.page_reads;
+        check int "one scan" import.Import.page_count multi.Multi.metrics.Exec.page_reads;
         (* Three standalone scans would read three times as much. *)
         let separate =
           List.fold_left

@@ -651,6 +651,67 @@ let full_pool_at_admission_recovers () =
   check Alcotest.(list string) "sharded run equals serial" []
     (List.map (fun m -> m.D.plan ^ ": " ^ m.D.detail) (D.check_shards_case case))
 
+(* --- one result per turn ----------------------------------------------------- *)
+
+module Eval_ref = Xnav_xpath.Eval_ref
+
+(* Runs [queries] at once with [~quantum:0.0] — every turn serves one
+   result, the finest interleaving the engine has — and pairs each job's
+   count with the reference evaluator's. *)
+let quantum_zero ?strategy ?capacity ~payload tree queries =
+  let store, import = Gen.import_store ?strategy ?capacity ~payload tree in
+  let specs =
+    List.mapi
+      (fun i (path, plan) ->
+        { Workload.label = string_of_int i; path = Xpath_parser.parse path; plan; timeout = None;
+          ops = [] })
+      queries
+  in
+  let r = Workload.run ~quantum:0.0 ~cold:true store specs in
+  let counts =
+    List.map
+      (fun (s : Workload.spec) ->
+        (s.Workload.label, Eval_ref.count tree s.Workload.path,
+         (job_by_label r s.Workload.label).Workload.count))
+      specs
+  in
+  (r, import, counts)
+
+let check_counts counts =
+  List.iter (fun (label, want, got) -> check Alcotest.int ("query " ^ label) want got) counts
+
+(* Every lane served one result per turn matches the oracle. *)
+let oracle_case ?capacity ~payload tree queries () =
+  let _, _, counts = quantum_zero ?capacity ~payload tree queries in
+  check_counts counts
+
+(* Sec. 2's warning, observed: two sequential scans never seek, but
+   served one result per turn they drag the head between two scan
+   positions. *)
+let concurrent_scans_seek () =
+  let r, _, _ =
+    quantum_zero ~payload:220 (Gen.wide_tree ~children:200 ())
+      [ ("//b", Plan.xscan ()); ("//x", Plan.xscan ()) ]
+  in
+  check Alcotest.bool "scans fight for the head" true (r.Workload.seek_distance > 0)
+
+(* The same scan twice reads fewer pages than two scans: the second
+   lane finds the first one's pages resident. *)
+let repeated_scan_rides_the_buffer () =
+  let r, import, counts =
+    quantum_zero ~capacity:256 ~payload:220 (Gen.wide_tree ~children:80 ())
+      [ ("//b", Plan.xscan ()); ("//b", Plan.xscan ()) ]
+  in
+  check Alcotest.bool "reads less than two full scans" true
+    (r.Workload.page_reads < 2 * import.Import.page_count);
+  check_counts counts
+
+let empty_spec_list_rejected () =
+  let store = build ~capacity:16 (doc ()) in
+  match Workload.run ~cold:true store [] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument for an empty spec list"
+
 let percentiles_are_nearest_rank () =
   let xs = [ 4.0; 1.0; 3.0; 2.0; 5.0 ] in
   check (Alcotest.float 1e-9) "p50" 3.0 (Workload.percentile xs 50.0);
@@ -683,6 +744,26 @@ let suite =
           schedules_are_pinned;
         Alcotest.test_case "a bad spec is rejected before any pin is taken" `Quick
           bad_spec_leaves_no_pins;
+        Alcotest.test_case "an empty spec list is rejected" `Quick empty_spec_list_rejected;
+      ] );
+    ( "workload.turns",
+      [
+        Alcotest.test_case "two schedule plans agree with the oracle" `Quick
+          (oracle_case ~capacity:16 ~payload:220 (Gen.wide_tree ~children:80 ())
+             [ ("//b", Plan.xschedule ()); ("//x", Plan.xschedule ()) ]);
+        Alcotest.test_case "mixed plan kinds coexist" `Quick
+          (oracle_case ~capacity:16 ~payload:220 (Gen.wide_tree ~children:60 ())
+             [
+               ("//b", Plan.simple);
+               ("//x", Plan.xscan ());
+               ("//y", Plan.xschedule ~speculative:false ());
+             ]);
+        Alcotest.test_case "duplicate simple results are filtered per lane" `Quick
+          (oracle_case ~payload:200 (Gen.sample_doc ())
+             [ ("//A//B", Plan.Simple { dedup_intermediate = false }) ]);
+        Alcotest.test_case "concurrent scans fight for the head" `Quick concurrent_scans_seek;
+        Alcotest.test_case "same query twice: the second lane rides the buffer" `Quick
+          repeated_scan_rides_the_buffer;
       ] );
     ( "workload.shards",
       [
@@ -700,4 +781,18 @@ let suite =
         Alcotest.test_case "a full pool at admission recovers the job" `Quick
           full_pool_at_admission_recovers;
       ] );
+    Gen.qsuite "workload.props"
+      [
+        QCheck2.Test.make ~name:"one-result turns: all lanes match the oracle on random inputs"
+          ~count:40
+          QCheck2.Gen.(pair (Gen.tree_gen ~size:40 ()) (oneofl [ Import.Dfs; Import.Scattered 6 ]))
+          ~print:(fun (tree, strategy) ->
+            Printf.sprintf "%s / %s" (Gen.tree_print tree) (Import.strategy_to_string strategy))
+          (fun (tree, strategy) ->
+            let _, _, counts =
+              quantum_zero ~strategy ~capacity:16 ~payload:180 tree
+                [ ("//a", Plan.xschedule ()); ("//b//c", Plan.xscan ()); ("//d", Plan.simple) ]
+            in
+            List.for_all (fun (_, want, got) -> want = got) counts);
+      ];
   ]
