@@ -112,8 +112,20 @@ let plan_choice =
     & info [ "plan" ] ~docv:"PLAN"
         ~doc:"Plan: auto (cost-based), simple, xschedule, xscan, xindex.")
 
-let path_arg =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"PATH" ~doc:"XPath location path.")
+(* XPath text is parsed by cmdliner, so a malformed path is a usage
+   error (exit 124) with the parser's message. *)
+let xpath parse =
+  let parse s =
+    match parse s with
+    | v -> Ok (s, v)
+    | exception Xpath_parser.Parse_error { position; message } ->
+      Error (`Msg (Printf.sprintf "malformed XPath %S at offset %d: %s" s position message))
+  in
+  Arg.conv (parse, fun ppf (s, _) -> Fmt.string ppf s)
+
+let path_arg parse =
+  Arg.(
+    required & pos 0 (some (xpath parse)) None & info [] ~docv:"PATH" ~doc:"XPath location path.")
 
 let verbose =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print result NodeIDs, not only the count.")
@@ -235,8 +247,8 @@ let stats_cmd =
 (* --- explain ----------------------------------------------------------------- *)
 
 let explain_cmd =
-  let run path_str choice rewrite no_fused no_cache store =
-    let path = Path.from_root_element (Xpath_parser.parse path_str) in
+  let run (_, path) choice rewrite no_fused no_cache store =
+    let path = Path.from_root_element path in
     let path, plan = Compile.plan_for ~choice ~rewrite store path in
     Format.printf "path:     %s@." (Path.to_string path);
     Format.printf "estimate: %a@." Compile.pp_estimate
@@ -252,8 +264,8 @@ let explain_cmd =
   Cmd.v
     (Cmd.info "explain" ~doc:"Show the compiled plan and cost estimate for a path.")
     Term.(
-      const run $ path_arg $ plan_choice $ rewrite_flag $ no_fused_flag $ no_cache_flag
-      $ common_store_term)
+      const run $ path_arg Xpath_parser.parse $ plan_choice $ rewrite_flag $ no_fused_flag
+      $ no_cache_flag $ common_store_term)
 
 (* --- query ---------------------------------------------------------------------- *)
 
@@ -281,22 +293,9 @@ let query_cmd =
       & info [ "scan-threshold" ] ~docv:"F"
           ~doc:"Visited-region density above which XSchedule streams ahead (<= 0 disables).")
   in
-  let serve_policy =
-    let parse s =
-      match Context.serve_policy_of_string s with
-      | Some p -> Ok p
-      | None -> Error (`Msg (Printf.sprintf "unknown serve policy %S" s))
-    in
-    let print ppf p = Fmt.string ppf (Context.serve_policy_to_string p) in
-    Arg.(
-      value
-      & opt (conv (parse, print)) Context.default_config.Context.serve_policy
-      & info [ "serve-policy" ] ~docv:"POLICY"
-          ~doc:"How XSchedule picks the next queued cluster: min-pid or cost.")
-  in
-  let run path_str choice rewrite no_fused no_cache k budget coalesce_window serve_policy
-      scan_threshold verbose store =
-    let query = Query.from_root_element (Xpath_parser.parse_query path_str) in
+  let run (_, query) choice rewrite no_fused no_cache k budget coalesce_window scan_threshold
+      verbose store =
+    let query = Query.from_root_element query in
     let config =
       Context.set_result_cache (not no_cache)
         (Context.set_fused (not no_fused)
@@ -305,7 +304,6 @@ let query_cmd =
              Context.k;
              memory_budget = budget;
              coalesce_window;
-             serve_policy;
              scan_threshold;
            })
     in
@@ -338,8 +336,9 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query" ~doc:"Evaluate a location path or extended query with cost metrics.")
     Term.(
-      const run $ path_arg $ plan_choice $ rewrite_flag $ no_fused_flag $ no_cache_flag $ k_arg
-      $ budget $ coalesce_window $ serve_policy $ scan_threshold $ verbose $ common_store_term)
+      const run $ path_arg Xpath_parser.parse_query $ plan_choice $ rewrite_flag $ no_fused_flag
+      $ no_cache_flag $ k_arg
+      $ budget $ coalesce_window $ scan_threshold $ verbose $ common_store_term)
 
 (* --- check ------------------------------------------------------------------------ *)
 
@@ -399,68 +398,41 @@ let check_cmd =
   let path_opt =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (xpath Xpath_parser.parse)) None
       & info [ "path" ] ~docv:"PATH" ~doc:"Location path of the replayed case.")
   in
   let tier_arg =
+    let parse = function
+      | "all" -> Ok D.tiers
+      | name -> (
+        match D.find_tier name with
+        | Some t -> Ok [ t ]
+        | None -> Error (`Msg (Printf.sprintf "unknown tier %S" name)))
+    in
+    let print ppf = function
+      | [ t ] -> Fmt.string ppf t.D.name
+      | _ -> Fmt.string ppf "all"
+    in
     Arg.(
       value
-      & opt string "base"
+      & opt (conv (parse, print)) (Option.to_list (D.find_tier "base"))
       & info [ "tier" ] ~docv:"TIER"
           ~doc:
-            "Differential tier to sample: base, swizzle, batching, workload, writers, fused, \
-             shards, cache, index, or all. Only meaningful in sampling mode (without $(b,--path)).")
-  in
-  let tiers_of = function
-    | "base" -> Some [ ("base", D.run) ]
-    | "swizzle" -> Some [ ("swizzle", D.run_swizzle) ]
-    | "batching" -> Some [ ("batching", D.run_batching) ]
-    | "workload" -> Some [ ("workload", D.run_workload) ]
-    | "writers" -> Some [ ("writers", D.run_writers) ]
-    | "fused" -> Some [ ("fused", D.run_fused) ]
-    | "shards" -> Some [ ("shards", D.run_shards) ]
-    | "cache" -> Some [ ("cache", D.run_cache) ]
-    | "index" -> Some [ ("index", D.run_index) ]
-    | "all" ->
-      Some
-        [
-          ("base", D.run);
-          ("swizzle", D.run_swizzle);
-          ("batching", D.run_batching);
-          ("workload", D.run_workload);
-          ("writers", D.run_writers);
-          ("fused", D.run_fused);
-          ("shards", D.run_shards);
-          ("cache", D.run_cache);
-          ("index", D.run_index);
-        ]
-    | _ -> None
+            (Printf.sprintf
+               "Differential tier to check: %s, or all. Samples cases, or replays the one case \
+                given by $(b,--path)."
+               (String.concat ", " (List.map (fun t -> t.D.name) D.tiers))))
   in
   let run cases seed doc_seed fidelity strategy page_size payload capacity policy replacement k
-      budget no_speculation tier path_str =
-    match (path_str : string option) with
+      budget no_speculation tiers path =
+    let failed = ref false in
+    (match path with
     | None ->
       (* Sampling mode. *)
-      let tiers =
-        match tiers_of tier with
-        | Some ts -> ts
-        | None ->
-          Printf.eprintf "xnav check: unknown tier %S\n" tier;
-          exit 2
-      in
-      let failed = ref false in
       List.iter
-        (fun
-          ( name,
-            (runner :
-              ?seed:int ->
-              ?cases:int ->
-              ?paths_per_store:int ->
-              ?log:(string -> unit) ->
-              unit ->
-              D.report) )
-        ->
-          let report = runner ~seed ~cases ~log:print_endline () in
+        (fun (tier : D.tier) ->
+          let name = tier.D.name in
+          let report = tier.D.sample ~seed ~cases ~log:print_endline in
           Printf.printf "[%s] checked %d cases (%d plan executions)\n" name report.D.cases_run
             report.D.plan_runs;
           if report.D.failures = [] then
@@ -475,13 +447,12 @@ let check_cmd =
                 List.iter
                   (fun m -> Printf.printf "  [%s] %s\n" m.D.plan m.D.detail)
                   f.D.mismatches;
-                Printf.printf "  %s\n" (D.reproducer f.D.shrunk))
+                Printf.printf "  %s\n" (D.reproducer ~tier:name f.D.shrunk))
               report.D.failures
           end)
-        tiers;
-      if !failed then exit 1
-    | Some path_str ->
-      (* Reproducer mode: one fully specified case. *)
+        tiers
+    | Some (_, path) ->
+      (* Reproducer mode: one fully specified case, under each tier. *)
       let doc_seed = Option.value ~default:20050614 doc_seed in
       let case =
         {
@@ -492,15 +463,22 @@ let check_cmd =
           k;
           speculative = not no_speculation;
           memory_budget = budget;
-          path = Xpath_parser.parse path_str;
+          path;
         }
       in
       Format.printf "%a@." D.pp_case case;
-      (match D.check_case case with
-      | [] -> print_endline "case passes: all plans agree; all invariants hold"
-      | mismatches ->
-        List.iter (fun m -> Printf.printf "[%s] %s\n" m.D.plan m.D.detail) mismatches;
-        exit 1)
+      List.iter
+        (fun (tier : D.tier) ->
+          match tier.D.check case with
+          | [] ->
+            Printf.printf "[%s] case passes: all plans agree; all invariants hold\n" tier.D.name
+          | mismatches ->
+            failed := true;
+            List.iter
+              (fun m -> Printf.printf "[%s] [%s] %s\n" tier.D.name m.D.plan m.D.detail)
+              mismatches)
+        tiers);
+    if !failed then exit 1
   in
   Cmd.v
     (Cmd.info "check"
@@ -518,7 +496,7 @@ let workload_cmd =
   let paths_arg =
     Arg.(
       non_empty
-      & pos_all string []
+      & pos_all (xpath Xpath_parser.parse) []
       & info [] ~docv:"PATH" ~doc:"Location paths; each becomes one job per client per round.")
   in
   let clients_arg =
@@ -572,7 +550,6 @@ let workload_cmd =
       prerr_endline "xnav workload: --writers must be non-negative";
       exit 2
     end;
-    let parsed = List.map (fun p -> (p, Xpath_parser.parse p)) paths in
     let spec (label, path) = { Workload.label; path; plan; timeout; ops = [] } in
     (* Clients start out of phase (each rotates the path list by its
        index) so every path sees contention from the others. *)
@@ -587,7 +564,7 @@ let workload_cmd =
     in
     let queues =
       Array.init clients (fun i ->
-          List.concat (List.init rounds (fun _ -> List.map spec (rotate i parsed))))
+          List.concat (List.init rounds (fun _ -> List.map spec (rotate i paths))))
     in
     (* Writer clients: sampled in-place ops over the stored elements (a
        fixed LCG keeps the schedule reproducible for a given store). *)
@@ -627,7 +604,7 @@ let workload_cmd =
               [
                 {
                   Workload.label = Printf.sprintf "writer.%d" w;
-                  path = snd (List.hd parsed);
+                  path = snd (List.hd paths);
                   plan;
                   timeout = None;
                   ops;
@@ -685,7 +662,7 @@ let workload_cmd =
           (sumi (fun j -> j.Workload.starved_ticks))
           (sumi (fun j -> j.Workload.yields))
           (sumi (fun j -> j.Workload.boosts)))
-      parsed;
+      paths;
     if r.Workload.violations <> [] then begin
       prerr_endline "invariant violations:";
       List.iter (fun v -> Printf.eprintf "  %s\n" v) r.Workload.violations;

@@ -215,10 +215,14 @@ let check_built ~doc ~store ~import case =
       ids_of r.Multi.per_path.(0));
   List.rev !mismatches
 
-let check_case case =
+(* One case on its own: build the case's store, then run a tier's check
+   against it — what a reproducer replays and shrinking re-executes. *)
+let one_case check_built case =
   let doc = cached_document ~doc_seed:case.doc_seed ~fidelity:case.fidelity in
   let store, import = build_store ~doc case.physical in
   check_built ~doc ~store ~import case
+
+let check_case = one_case check_built
 
 (* --- swizzling tier ------------------------------------------------------- *)
 
@@ -267,11 +271,6 @@ let check_swizzle_built ~store case =
   Store.set_swizzling store saved;
   List.rev !mismatches
 
-let check_swizzle_case case =
-  let doc = cached_document ~doc_seed:case.doc_seed ~fidelity:case.fidelity in
-  let store, _import = build_store ~doc case.physical in
-  check_swizzle_built ~store case
-
 (* --- batching tier -------------------------------------------------------- *)
 
 (* Coalesced reads, cost-sensitive queue serving and adaptive scan
@@ -284,7 +283,6 @@ let knobs_off config =
   {
     config with
     Context.coalesce_window = 0;
-    serve_policy = Context.Serve_min_pid;
     scan_threshold = 0.0;
   }
 
@@ -292,7 +290,6 @@ let knobs_on config =
   {
     config with
     Context.coalesce_window = 16;
-    serve_policy = Context.Serve_cost;
     scan_threshold = 0.5;
   }
 
@@ -328,11 +325,6 @@ let check_batching_built ~store case =
       | exception e -> record name (Printf.sprintf "raised %s" (Printexc.to_string e)))
     (plans_for case);
   List.rev !mismatches
-
-let check_batching_case case =
-  let doc = cached_document ~doc_seed:case.doc_seed ~fidelity:case.fidelity in
-  let store, _import = build_store ~doc case.physical in
-  check_batching_built ~store case
 
 (* --- workload tier -------------------------------------------------------- *)
 
@@ -382,11 +374,6 @@ let check_workload_built ~store case =
     | Some msg -> record "workload" msg)
   | exception e -> record "workload" (Printf.sprintf "raised %s" (Printexc.to_string e)));
   List.rev !mismatches
-
-let check_workload_case case =
-  let doc = cached_document ~doc_seed:case.doc_seed ~fidelity:case.fidelity in
-  let store, _import = build_store ~doc case.physical in
-  check_workload_built ~store case
 
 (* --- writers tier --------------------------------------------------------- *)
 
@@ -517,11 +504,6 @@ let check_writers_built ~doc ~import case =
   | exception e -> record "writers" (Printf.sprintf "raised %s" (Printexc.to_string e)));
   List.rev !mismatches
 
-let check_writers_case case =
-  let doc = cached_document ~doc_seed:case.doc_seed ~fidelity:case.fidelity in
-  let _, import = build_store ~doc case.physical in
-  check_writers_built ~doc ~import case
-
 (* --- shards tier ----------------------------------------------------------- *)
 
 (* Sharded tenancy must be invisible in the answers: running every
@@ -532,7 +514,7 @@ let check_writers_case case =
    node set a serial cold run of the same plan on the same tenant store
    produces. Tenant documents and the shard count derive from the case
    seed, so every topology is reproducible from the reproducer line. *)
-let check_shards_case case =
+let check_shards case =
   let tenant_count = 2 + (case.doc_seed mod 3) in
   let shard_count = 1 + (case.doc_seed / 3 mod 3) in
   let tenants =
@@ -663,11 +645,6 @@ let check_index_built ~doc ~store ~import case =
     (List.sort_uniq compare [ 0; exact / 2; exact ]);
   List.rev !mismatches
 
-let check_index_case case =
-  let doc = cached_document ~doc_seed:case.doc_seed ~fidelity:case.fidelity in
-  let store, import = build_store ~doc case.physical in
-  check_index_built ~doc ~store ~import case
-
 (* --- fused tier ----------------------------------------------------------- *)
 
 (* The fused automaton compiles the XStep chain away, but below
@@ -746,11 +723,6 @@ let check_fused_built ~store case =
       | exception e -> record name (Printf.sprintf "raised %s" (Printexc.to_string e)))
     (fused_plans case);
   List.rev !mismatches
-
-let check_fused_case case =
-  let doc = cached_document ~doc_seed:case.doc_seed ~fidelity:case.fidelity in
-  let store, _import = build_store ~doc case.physical in
-  check_fused_built ~store case
 
 (* --- cache tier ----------------------------------------------------------- *)
 
@@ -872,11 +844,6 @@ let check_cache_built ~store case =
   Result_cache.clear ();
   List.rev !mismatches
 
-let check_cache_case case =
-  let doc = cached_document ~doc_seed:case.doc_seed ~fidelity:case.fidelity in
-  let store, _import = build_store ~doc case.physical in
-  check_cache_built ~store case
-
 (* --- shrinking ------------------------------------------------------------ *)
 
 (* Move one dimension of the case toward the default / a smaller input.
@@ -938,12 +905,12 @@ let shrink ?budget case = shrink_with ~check:check_case ?budget case
 
 (* --- reporting ------------------------------------------------------------ *)
 
-let reproducer case =
+let reproducer ~tier case =
   let p = case.physical in
   Printf.sprintf
-    "xnav check --doc-seed %d --fidelity %g --clustering %s --page-size %d --payload %d \
+    "xnav check --tier %s --doc-seed %d --fidelity %g --clustering %s --page-size %d --payload %d \
      --buffer %d --io-policy %s --replacement %s -k %d --memory-budget %d%s --path '%s'"
-    case.doc_seed case.fidelity
+    tier case.doc_seed case.fidelity
     (Import.strategy_to_string p.strategy)
     p.page_size p.payload p.capacity
     (Io_scheduler.policy_to_string p.policy)
@@ -975,10 +942,15 @@ type report = { cases_run : int; plan_runs : int; failures : failure list }
 
 let default_seed = 20050614
 
-(* Shared sampling loop: [check_one] evaluates a case against the store,
-   [runs_of] counts the plan executions it performs (for the report), and
-   [shrink_check] is the per-case predicate driving shrinking. *)
-let run_tier ~check_one ~runs_of ~shrink_check ~seed ~cases ~paths_per_store ~log =
+(* Documents and stores are shared across this many consecutive cases
+   to keep generation cost bounded; plans always run cold. *)
+let paths_per_store = 8
+
+(* The sampling loop of one tier: [check_built] evaluates a case against
+   the batch's store, [runs_of] counts the plan executions it performs
+   (for the report), and failing cases are shrunk under the tier's own
+   one-case check, so the printed reproducer replays the same tier. *)
+let sample ~name ~check_built ~runs_of ~seed ~cases ~log =
   let prng = Prng.create seed in
   let cases_run = ref 0 in
   let plan_runs = ref 0 in
@@ -995,14 +967,14 @@ let run_tier ~check_one ~runs_of ~shrink_check ~seed ~cases ~paths_per_store ~lo
       let case = sample_case prng ~doc_seed ~fidelity ~physical ~tags in
       incr cases_run;
       plan_runs := !plan_runs + runs_of case;
-      match check_one ~doc ~store ~import case with
+      match check_built ~doc ~store ~import case with
       | [] -> ()
       | mismatches ->
         log
           (Format.asprintf "MISMATCH (%s): %s" (List.hd mismatches).plan
-             (reproducer case));
-        let shrunk = shrink_with ~check:shrink_check case in
-        log (Printf.sprintf "shrunk reproducer: %s" (reproducer shrunk));
+             (reproducer ~tier:name case));
+        let shrunk = shrink_with ~check:(one_case check_built) case in
+        log (Printf.sprintf "shrunk reproducer: %s" (reproducer ~tier:name shrunk));
         failures := { case; shrunk; mismatches } :: !failures
     done;
     if !cases_run mod 40 = 0 then
@@ -1011,54 +983,48 @@ let run_tier ~check_one ~runs_of ~shrink_check ~seed ~cases ~paths_per_store ~lo
   done;
   { cases_run = !cases_run; plan_runs = !plan_runs; failures = List.rev !failures }
 
-let run ?(seed = default_seed) ?(cases = 200) ?(paths_per_store = 8) ?(log = ignore) () =
-  run_tier ~check_one:check_built
-    ~runs_of:(fun case -> List.length (plans_for case) + 2)
-    ~shrink_check:check_case ~seed ~cases ~paths_per_store ~log
+type tier = {
+  name : string;
+  sample : seed:int -> cases:int -> log:(string -> unit) -> report;
+  check : case -> mismatch list;
+}
 
-let run_swizzle ?(seed = default_seed) ?(cases = 200) ?(paths_per_store = 8) ?(log = ignore) () =
-  run_tier
-    ~check_one:(fun ~doc:_ ~store ~import:_ case -> check_swizzle_built ~store case)
-    ~runs_of:(fun case -> 2 * List.length (plans_for case))
-    ~shrink_check:check_swizzle_case ~seed ~cases ~paths_per_store ~log
+let tier name ~runs_of check_built =
+  {
+    name;
+    sample = sample ~name ~check_built ~runs_of;
+    check = one_case check_built;
+  }
 
-let run_batching ?(seed = default_seed) ?(cases = 200) ?(paths_per_store = 8) ?(log = ignore) () =
-  run_tier
-    ~check_one:(fun ~doc:_ ~store ~import:_ case -> check_batching_built ~store case)
-    ~runs_of:(fun case -> 2 * List.length (plans_for case))
-    ~shrink_check:check_batching_case ~seed ~cases ~paths_per_store ~log
+let tiers =
+  let plans case = List.length (plans_for case) in
+  [
+    tier "base" ~runs_of:(fun case -> plans case + 2) check_built;
+    tier "swizzle"
+      ~runs_of:(fun case -> 2 * plans case)
+      (fun ~doc:_ ~store ~import:_ case -> check_swizzle_built ~store case);
+    tier "batching"
+      ~runs_of:(fun case -> 2 * plans case)
+      (fun ~doc:_ ~store ~import:_ case -> check_batching_built ~store case);
+    tier "workload"
+      ~runs_of:(fun case -> 2 * plans case)
+      (fun ~doc:_ ~store ~import:_ case -> check_workload_built ~store case);
+    tier "writers"
+      ~runs_of:(fun case -> (2 * plans case) + 2)
+      (fun ~doc ~store:_ ~import case -> check_writers_built ~doc ~import case);
+    tier "fused"
+      ~runs_of:(fun case -> 2 * List.length (fused_plans case))
+      (fun ~doc:_ ~store ~import:_ case -> check_fused_built ~store case);
+    tier "shards"
+      ~runs_of:(fun case -> 2 * (2 + (case.doc_seed mod 3)) * plans case)
+      (fun ~doc:_ ~store:_ ~import:_ case -> check_shards case);
+    tier "cache"
+      ~runs_of:(fun case -> (4 * plans case) + 1)
+      (fun ~doc:_ ~store ~import:_ case -> check_cache_built ~store case);
+    tier "index"
+      ~runs_of:(fun case ->
+        3 + List.length (List.sort_uniq compare [ 0; Path.indexable_prefix case.path / 2 ]))
+      check_index_built;
+  ]
 
-let run_workload ?(seed = default_seed) ?(cases = 200) ?(paths_per_store = 8) ?(log = ignore) () =
-  run_tier
-    ~check_one:(fun ~doc:_ ~store ~import:_ case -> check_workload_built ~store case)
-    ~runs_of:(fun case -> 2 * List.length (plans_for case))
-    ~shrink_check:check_workload_case ~seed ~cases ~paths_per_store ~log
-
-let run_writers ?(seed = default_seed) ?(cases = 200) ?(paths_per_store = 8) ?(log = ignore) () =
-  run_tier
-    ~check_one:(fun ~doc ~store:_ ~import case -> check_writers_built ~doc ~import case)
-    ~runs_of:(fun case -> (2 * List.length (plans_for case)) + 2)
-    ~shrink_check:check_writers_case ~seed ~cases ~paths_per_store ~log
-
-let run_shards ?(seed = default_seed) ?(cases = 200) ?(paths_per_store = 8) ?(log = ignore) () =
-  run_tier
-    ~check_one:(fun ~doc:_ ~store:_ ~import:_ case -> check_shards_case case)
-    ~runs_of:(fun case -> 2 * (2 + (case.doc_seed mod 3)) * List.length (plans_for case))
-    ~shrink_check:check_shards_case ~seed ~cases ~paths_per_store ~log
-
-let run_fused ?(seed = default_seed) ?(cases = 200) ?(paths_per_store = 8) ?(log = ignore) () =
-  run_tier
-    ~check_one:(fun ~doc:_ ~store ~import:_ case -> check_fused_built ~store case)
-    ~runs_of:(fun case -> 2 * List.length (fused_plans case))
-    ~shrink_check:check_fused_case ~seed ~cases ~paths_per_store ~log
-
-let run_cache ?(seed = default_seed) ?(cases = 200) ?(paths_per_store = 8) ?(log = ignore) () =
-  run_tier
-    ~check_one:(fun ~doc:_ ~store ~import:_ case -> check_cache_built ~store case)
-    ~runs_of:(fun case -> 4 * List.length (plans_for case) + 1)
-    ~shrink_check:check_cache_case ~seed ~cases ~paths_per_store ~log
-
-let run_index ?(seed = default_seed) ?(cases = 200) ?(paths_per_store = 8) ?(log = ignore) () =
-  run_tier ~check_one:check_index_built
-    ~runs_of:(fun case -> 3 + List.length (List.sort_uniq compare [ 0; Path.indexable_prefix case.path / 2 ]))
-    ~shrink_check:check_index_case ~seed ~cases ~paths_per_store ~log
+let find_tier name = List.find_opt (fun t -> t.name = name) tiers

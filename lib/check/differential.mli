@@ -45,85 +45,15 @@ val check_case : case -> mismatch list
     reference evaluator. Returns one entry per disagreeing (or raising)
     plan; [[]] means the case passes. *)
 
-val check_swizzle_case : case -> mismatch list
-(** Differential check of the swizzling layer itself: build the case's
-    store and run every plan twice — decode cache forced on, then forced
-    off — asserting identical result node ids, identical
-    [q_enqueued]/[q_served] scheduling counters, and zero cache hits in
-    the unswizzled run. A non-empty result means the cache changed plan
-    semantics. *)
-
-val check_batching_case : case -> mismatch list
-(** Differential check of the cost-sensitive I/O machinery: build the
-    case's store and run every plan twice — coalescing, cost-sensitive
-    serving and scan windows fully off (the historical single-page
-    regime), then fully on — asserting identical result node ids under
-    the full invariant suite, and that the knobs-off run left every
-    batch/window counter at zero. *)
-
-val check_workload_case : case -> mismatch list
-(** Differential check of the concurrent workload engine: build the
-    case's store, run every plan serially cold, then run them all {e at
-    once} through {!Xnav_workload.Workload.run} — asserting each query's
-    concurrent node set equals its serial one, that the engine reported
-    one job per query with no invariant violations, and that the storage
-    layer ends clean. Capacities sampled down to 1 exercise the
-    serialising admission path. *)
-
-val check_shards_case : case -> mismatch list
-(** Differential check of the sharded tenancy engine: derive a small
-    multi-tenant topology from the case (2–4 XMark tenants over 1–3
-    shards, the case's physical configuration per shard), run every
-    (tenant, plan) pair at once through
-    {!Xnav_workload.Shard.run_clients} — per-shard admission, the
-    two-level cost-credit scheduler with its cross-tenant fairness gate,
-    scan-resistant (2Q) eviction and the result-cache front door each on
-    in half the cases — and assert each job's node set equals a serial
-    cold run of the same plan on the same tenant store, that placement
-    matches {!Xnav_workload.Shard.stable_shard}, and that every shard's
-    storage layer ends clean. *)
-
-val check_fused_case : case -> mismatch list
-(** Differential check of the fused chain automaton: build the case's
-    store and run every fused-capable plan (XSchedule, XScan and its
-    //-variant, XIndex at full and zero resolution) twice —
-    {!Xnav_core.Context.config.fused} on, then off — asserting
-    identical result node ids, the identical physical I/O trace
-    (page-by-page, in order), identical scheduling and speculation
-    counters, and that the knob-off run left both fused counters at
-    zero. Trace equality pins the knob-off run — and therefore the
-    automaton — to the historical XStep-chain I/O behaviour. *)
-
-val check_cache_case : case -> mismatch list
-(** Differential check of the result-cache front door: build the case's
-    store and run every plan three times cold — cache off (the
-    historical baseline), cache on against an empty cache (the miss run
-    must reproduce every execution counter of the baseline exactly),
-    and cache on again (the hit run must return the identical node set
-    with zero I/O and zero operator work) — then run all the case's
-    plans {e at once} through {!Xnav_workload.Workload.run} with the
-    front door on, asserting each deduped/shared job still reports the
-    serial cache-off answer and that identical concurrent statements
-    were in fact shared. The process-wide cache is cleared before and
-    after. *)
-
-val check_index_case : case -> mismatch list
-(** Differential check of the structural index: build the case's store
-    and compare the reference evaluator, the XSchedule plan, the default
-    index plan (covering whenever the path is a pure self/child chain)
-    and index plans at forced partial resolutions (down to [resolve 0])
-    — all under the full invariant suite. Partial resolutions exercise
-    the border-continuation path: seeds enter the XStep tail mid-chain
-    and residual crossings are served cluster by cluster. *)
-
 val shrink : ?budget:int -> case -> case
 (** Greedily simplify a failing case — drop path steps, lower fidelity,
     move the physical configuration and run parameters toward defaults —
     keeping each change only if the case still fails. [budget] bounds
     the number of candidate re-executions (default 120). *)
 
-val reproducer : case -> string
-(** The [xnav check ...] command line that replays exactly this case. *)
+val reproducer : tier:string -> case -> string
+(** The [xnav check --tier TIER ...] command line that replays exactly
+    this case under the named tier's check. *)
 
 val pp_case : Format.formatter -> case -> unit
 
@@ -134,106 +64,64 @@ type report = { cases_run : int; plan_runs : int; failures : failure list }
 val default_seed : int
 (** Seed used by [dune runtest] and [xnav check] when none is given. *)
 
-val run :
-  ?seed:int ->
-  ?cases:int ->
-  ?paths_per_store:int ->
-  ?log:(string -> unit) ->
-  unit ->
-  report
-(** [run ()] samples and checks [cases] cases (default 200). Documents
-    and stores are shared across [paths_per_store] consecutive cases
-    (default 8) to keep generation cost bounded; plans always run cold.
-    [log] receives progress lines and reproducers for any failures. *)
+type tier = {
+  name : string;
+  sample : seed:int -> cases:int -> log:(string -> unit) -> report;
+      (** Sample and check [cases] cases from [seed]. Documents and
+          stores are shared across 8 consecutive cases to keep
+          generation cost bounded; plans always run cold. [log]
+          receives progress lines and, for each failing case, the
+          reproducer of the case and of its shrunk form — both under
+          this tier. *)
+  check : case -> mismatch list;
+      (** Build the case's store and run this tier's check on it; [[]]
+          means the case passes. Shrinking and [xnav check --path]
+          replay through it. *)
+}
 
-val run_swizzle :
-  ?seed:int ->
-  ?cases:int ->
-  ?paths_per_store:int ->
-  ?log:(string -> unit) ->
-  unit ->
-  report
-(** Like {!run} but applying {!check_swizzle_case}'s swizzled/unswizzled
-    comparison to every sampled case (two executions per plan). *)
+val tiers : tier list
+(** Every differential tier, in the order [xnav check --tier all] runs
+    them:
+    - [base]: every physical plan plus the {!Xnav_core.Multi} shared
+      scan against the reference evaluator ({!check_case}).
+    - [swizzle]: every plan twice — decode cache forced on, then off —
+      with identical result node ids, identical [q_enqueued]/[q_served]
+      scheduling counters, and zero cache hits in the unswizzled run.
+    - [batching]: every plan twice — coalescing and scan windows fully
+      off (the historical single-page regime), then fully on —
+      identical result node ids under the full invariant suite, and
+      every batch/window counter zero in the knobs-off run.
+    - [workload]: every plan serially cold, then all at once through
+      {!Xnav_workload.Workload.run}: each concurrent node set equals its
+      serial one, one job per query, no invariant violations, a clean
+      storage layer. Capacities sampled down to 1 exercise the
+      serialising admission path.
+    - [writers]: every plan concurrently with one or two writer clients
+      applying sampled inserts and deletes through the engine's
+      latch/snapshot protocol. Each reader's answer equals a serial
+      replay of the committed-op schedule up to its finish point on an
+      identically-imported twin store, and the final documents match.
+      Stores are built fresh per case.
+    - [fused]: every fused-capable plan (XSchedule, XScan and its
+      //-variant, XIndex at full and zero resolution) with
+      [config.fused] on, then off: identical node ids, the identical
+      page-by-page I/O trace, identical scheduling and speculation
+      counters, and zero fused counters in the knob-off run.
+    - [shards]: a small multi-tenant topology derived from the case
+      (2–4 XMark tenants over 1–3 shards; 2Q eviction and the result
+      cache each on in half the cases), every (tenant, plan) pair at
+      once through {!Xnav_workload.Shard.run_clients}: each job's node
+      set equals a serial cold run, placement matches
+      {!Xnav_workload.Shard.stable_shard}, every shard ends clean.
+    - [cache]: every plan three times cold — cache off, a miss (every
+      execution counter equal to the cache-off run) and a hit (same
+      node set, zero I/O and operator work) — then all plans at once
+      through the workload engine with the front door on: each shared
+      job reports the serial answer. The process-wide cache is cleared
+      before and after.
+    - [index]: the reference evaluator, XSchedule, the default index
+      plan and index plans at forced partial resolutions (down to
+      [resolve 0]) under the full invariant suite. *)
 
-val run_batching :
-  ?seed:int ->
-  ?cases:int ->
-  ?paths_per_store:int ->
-  ?log:(string -> unit) ->
-  unit ->
-  report
-(** Like {!run} but applying {!check_batching_case}'s knobs-off/knobs-on
-    comparison to every sampled case (two executions per plan). *)
-
-val run_workload :
-  ?seed:int ->
-  ?cases:int ->
-  ?paths_per_store:int ->
-  ?log:(string -> unit) ->
-  unit ->
-  report
-(** Like {!run} but applying {!check_workload_case}'s serial/concurrent
-    comparison to every sampled case (two executions per plan: one
-    serial, one through the workload engine). *)
-
-val run_writers :
-  ?seed:int ->
-  ?cases:int ->
-  ?paths_per_store:int ->
-  ?log:(string -> unit) ->
-  unit ->
-  report
-(** Like {!run} but mixing writer jobs into the workload: every plan of
-    the case runs concurrently with one or two writer clients applying
-    sampled in-place inserts and deletes through the engine's
-    latch/snapshot protocol. Each reader's concurrent answer must equal
-    a serial replay of the committed-op schedule up to the reader's
-    finish point on an identically-imported twin store, the final
-    documents must match, and the run must report zero invariant
-    violations and leave the storage layer clean. Stores are built fresh
-    per case (writes would leak across the batch's shared store). *)
-
-val run_shards :
-  ?seed:int ->
-  ?cases:int ->
-  ?paths_per_store:int ->
-  ?log:(string -> unit) ->
-  unit ->
-  report
-(** Like {!run} but applying {!check_shards_case}'s sharded/serial
-    comparison to every sampled case (one sharded engine run plus one
-    serial execution per (tenant, plan) pair). *)
-
-val run_fused :
-  ?seed:int ->
-  ?cases:int ->
-  ?paths_per_store:int ->
-  ?log:(string -> unit) ->
-  unit ->
-  report
-(** Like {!run} but applying {!check_fused_case}'s fused/unfused
-    comparison to every sampled case (two executions per fused-capable
-    plan). *)
-
-val run_cache :
-  ?seed:int ->
-  ?cases:int ->
-  ?paths_per_store:int ->
-  ?log:(string -> unit) ->
-  unit ->
-  report
-(** Like {!run} but applying {!check_cache_case}'s off/miss/hit and
-    shared-workload comparison to every sampled case (four executions
-    per plan plus one workload run). *)
-
-val run_index :
-  ?seed:int ->
-  ?cases:int ->
-  ?paths_per_store:int ->
-  ?log:(string -> unit) ->
-  unit ->
-  report
-(** Like {!run} but applying {!check_index_case}'s three-way comparison
-    (reference evaluator / XSchedule / index plans at several
-    resolutions) to every sampled case. *)
+val find_tier : string -> tier option
+(** The tier of {!tiers} with this name. *)

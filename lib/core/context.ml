@@ -1,18 +1,8 @@
-type serve_policy = Serve_min_pid | Serve_cost
-
-let serve_policy_of_string = function
-  | "min-pid" -> Some Serve_min_pid
-  | "cost" -> Some Serve_cost
-  | _ -> None
-
-let serve_policy_to_string = function Serve_min_pid -> "min-pid" | Serve_cost -> "cost"
-
 type config = {
   k : int;
   memory_budget : int;
   validate : bool;
   coalesce_window : int;
-  serve_policy : serve_policy;
   scan_threshold : float;
   fused : bool;
   result_cache : bool;
@@ -25,7 +15,6 @@ let default_config =
     memory_budget = 1_000_000;
     validate = false;
     coalesce_window = 16;
-    serve_policy = Serve_cost;
     scan_threshold = 0.5;
     fused = true;
     result_cache = false;

@@ -10,16 +10,6 @@
     borders, XScan restarts as the identity, XAssembly degenerates to
     duplicate elimination. *)
 
-type serve_policy = Serve_min_pid | Serve_cost
-(** How XSchedule picks the next cluster to serve from [Q] when no agenda
-    is in progress: the historical deterministic minimum page id, or the
-    paper's cost-sensitive weighting — queued instance count divided by
-    the estimated access cost from the current head position (min-pid as
-    tie-break). *)
-
-val serve_policy_of_string : string -> serve_policy option
-val serve_policy_to_string : serve_policy -> string
-
 type config = {
   k : int;
       (** Desired minimum size of XSchedule's queue [Q] — "enough
@@ -39,7 +29,6 @@ type config = {
           vectored read (see {!Xnav_storage.Io_scheduler.complete_batch}).
           [0] disables batching — every request is serviced one page at
           a time, the historical behaviour. *)
-  serve_policy : serve_policy;
   scan_threshold : float;
       (** Visited-region density (clusters visited ÷ span of the visited
           page range) above which XSchedule opens a bounded sequential
@@ -71,8 +60,8 @@ type config = {
 }
 
 val default_config : config
-(** [k = 100], a 1M-instance budget; coalescing window 16, cost-sensitive serve,
-    scan threshold 0.5, fused chains on, result cache off, scan-resistant
+(** [k = 100], a 1M-instance budget; coalescing window 16, scan
+    threshold 0.5, fused chains on, result cache off, scan-resistant
     eviction off. *)
 
 val set_fused : bool -> config -> config

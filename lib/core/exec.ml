@@ -31,55 +31,57 @@ let plan_error path plan =
 let check_plan who path plan =
   Option.iter (fun msg -> invalid_arg (who ^ ": " ^ msg)) (plan_error path plan)
 
-(* Build the result iterator for [plan]; also hand back the I/O operator
-   (if the plan has one) so post-run invariants can inspect it and a
-   stuck post-fallback pipeline can be torn down. *)
+let root_only store contexts =
+  match contexts with [ c ] -> Node_id.equal c (Store.root store) | _ -> false
+
+let chain ctx path producer =
+  if ctx.Context.config.Context.fused then Fused.create ctx ~path producer
+  else
+    List.fold_left
+      (fun (producer, i) step -> (Xstep.create ctx ~i ~step producer, i + 1))
+      (producer, 1) path
+    |> fst
+
+(* A built pipeline: the result iterator plus the I/O operator (if the
+   plan has one), so post-run invariants can inspect it and a stuck
+   post-fallback pipeline can be torn down. *)
+type stream = {
+  next : unit -> Store.info option;
+  ctx : Context.t;
+  sched : Xschedule.t option;
+  scan : Xscan.t option;
+  index : Xindex.t option;
+}
+
 let pipeline ctx store path plan contexts =
   let path_len = Path.length path in
+  let stream ?sched ?scan ?index next = { next; ctx; sched; scan; index } in
   match (plan : Plan.t) with
   | Plan.Simple { dedup_intermediate } ->
     let infos = List.map (fun id -> Store.info store id) contexts in
-    let producer =
-      List.fold_left
-        (fun producer step -> Unnest_map.create ctx ~step ~dedup:dedup_intermediate producer)
-        (of_list infos) path
-    in
-    (producer, None, None, None)
+    stream
+      (List.fold_left
+         (fun producer step -> Unnest_map.create ctx ~step ~dedup:dedup_intermediate producer)
+         (of_list infos) path)
   | Plan.Reordered { io; dslash } ->
-    (* Off reproduces the per-step chain (and its counter stream)
-       exactly. *)
-    let chain base =
-      if ctx.Context.config.Context.fused then Fused.create ctx ~path base
-      else
-        List.fold_left
-          (fun (producer, i) step -> (Xstep.create ctx ~i ~step producer, i + 1))
-          (base, 1) path
-        |> fst
-    in
     let schedule_pipeline speculative =
       let sched = Xschedule.create ctx ~speculative ~path_len ~contexts:(of_list contexts) in
-      let top = chain (fun () -> Xschedule.next sched) in
-      (Xassembly.create ctx ~path_len ~xschedule:(Some sched) ~dslash:false top, Some sched, None, None)
+      let top = chain ctx path (fun () -> Xschedule.next sched) in
+      stream ~sched (Xassembly.create ctx ~path_len ~xschedule:(Some sched) ~dslash:false top)
     in
     (match io with
     | Plan.Io_schedule { speculative } -> schedule_pipeline speculative
     | Plan.Io_scan ->
       let sorted = List.sort Node_id.compare contexts in
       let scan = Xscan.create ctx ~path_len ~contexts:(fun () -> of_list sorted) in
-      let top = chain (fun () -> Xscan.next scan) in
-      (Xassembly.create ctx ~path_len ~xschedule:None ~dslash top, None, Some scan, None)
+      let top = chain ctx path (fun () -> Xscan.next scan) in
+      stream ~scan (Xassembly.create ctx ~path_len ~xschedule:None ~dslash top)
     | Plan.Io_index { resolve } ->
-      let can_index =
-        Xindex.usable store ~path ~resolve
-        && match contexts with [ c ] -> Node_id.equal c (Store.root store) | _ -> false
-      in
-      if can_index then begin
+      if Xindex.usable store ~path ~resolve && root_only store contexts then begin
         let index = Xindex.create ctx ~path ~resolve ~contexts:(fun () -> of_list contexts) in
-        let top = chain (fun () -> Xindex.next index) in
-        ( Xassembly.create ctx ~path_len ~xschedule:None ~xindex:index ~dslash:false top,
-          None,
-          None,
-          Some index )
+        let top = chain ctx path (fun () -> Xindex.next index) in
+        stream ~index
+          (Xassembly.create ctx ~path_len ~xschedule:None ~xindex:index ~dslash:false top)
       end
       else
         (* Missing or stale partition — the entry lists no longer
@@ -88,6 +90,34 @@ let pipeline ctx store path plan contexts =
            the speculative schedule shape: same results, no index
            counters. *)
         schedule_pipeline true)
+
+let abandon s =
+  Option.iter Xschedule.abandon s.sched;
+  Option.iter Xscan.abandon s.scan;
+  Option.iter Xindex.abandon s.index
+
+(* Opening a statement, shared by [execute] and [prepare]: reject a bad
+   (path, plan) pair, default the contexts to the root, create the run
+   context with its trace, and put the pool on the config's eviction
+   policy — knob-off runs go back to the historical exact LRU before the
+   first fix. The pipeline is built separately, because [execute] takes
+   its snapshot and consults the cache in between: Simple's pipeline
+   reads its contexts when it is built. *)
+let open_statement ~who ~config ?contexts ?trace store path plan =
+  check_plan who path plan;
+  let contexts = match contexts with Some c -> c | None -> [ Store.root store ] in
+  let ctx = Context.create ~config store in
+  ctx.Context.trace <- trace;
+  Buffer_manager.set_scan_resistant (Store.buffer store) config.Context.scan_resistant;
+  (ctx, contexts)
+
+let doc_order (a : Store.info) (b : Store.info) = Ordpath.compare a.ordpath b.ordpath
+
+let answer ~ordered out =
+  let seen = Node_id.Seen.create () in
+  let distinct = Vec.create () in
+  Vec.iter (fun (i : Store.info) -> if Node_id.Seen.add seen i.id then Vec.push distinct i) out;
+  if ordered then Vec.sorted_to_list doc_order distinct else Vec.to_list distinct
 
 (* --- the measured-run boundary ------------------------------------------- *)
 
@@ -151,15 +181,9 @@ let measure ~who s c =
 
 let execute ~cold ?(config = Context.default_config) ?contexts ?trace ?(ordered = true) store path
     plan =
-  check_plan "Exec.run" path plan;
-  let contexts = match contexts with Some c -> c | None -> [ Store.root store ] in
-  let ctx = Context.create ~config store in
-  ctx.Context.trace <- trace;
-  let buffer = Store.buffer store in
-  (* The eviction-policy knob travels with the config: knob-off runs put
-     the pool back on the historical exact LRU before the first fix. *)
-  Buffer_manager.set_scan_resistant buffer config.Context.scan_resistant;
-  let snap = snapshot ~cold buffer [ store ] in
+  let ctx, contexts = open_statement ~who:"Exec.run" ~config ?contexts ?trace store path plan in
+  let c = ctx.Context.counters in
+  let snap = snapshot ~cold (Store.buffer store) [ store ] in
 
   (* The repeat-traffic front door: root-context statements are answered
      from the result cache before any planning or I/O happens. Only the
@@ -167,29 +191,23 @@ let execute ~cold ?(config = Context.default_config) ?contexts ?trace ?(ordered 
      and the stamp check inside [Result_cache.find] guarantees an
      updated store never serves a stale answer. *)
   let cache_key =
-    if
-      config.Context.result_cache
-      && (match contexts with [ c ] -> Node_id.equal c (Store.root store) | _ -> false)
-    then Some (Path.to_string path)
+    if config.Context.result_cache && root_only store contexts then Some (Path.to_string path)
     else None
   in
-  match (match cache_key with Some key -> Result_cache.find store key | None -> None) with
+  match Option.bind cache_key (Result_cache.find store) with
   | Some entry ->
-    let m = ctx.Context.counters in
-    m.cache_hits <- 1;
-    measure ~who:"Exec.run" snap m;
-    { nodes = Result_cache.nodes entry; count = Result_cache.count entry; metrics = m }
+    c.cache_hits <- 1;
+    measure ~who:"Exec.run" snap c;
+    { nodes = Result_cache.nodes entry; count = Result_cache.count entry; metrics = c }
   | None ->
 
   (* While a cacheable run executes, record the clusters it reads: the
      footprint makes the installed entry survive writes to other
      clusters (see {!Result_cache}). The log nests — the previous one
      (a workload lane's, typically) is restored afterwards. *)
-  let touched =
-    match cache_key with Some _ -> Some (Hashtbl.create 32) | None -> None
-  in
-  let saved_log = match touched with Some _ -> Store.swap_touch_log store touched | None -> None in
-  let next, xschedule, xscan, xindex = pipeline ctx store path plan contexts in
+  let miss = Option.map (fun key -> (key, Hashtbl.create 32)) cache_key in
+  let saved_log = Option.map (fun (_, touched) -> Store.swap_touch_log store (Some touched)) miss in
+  let stream = pipeline ctx store path plan contexts in
   let out = Vec.create () in
   let drain next =
     let rec go () =
@@ -203,7 +221,7 @@ let execute ~cold ?(config = Context.default_config) ?contexts ?trace ?(ordered 
   in
   let restarted =
     try
-      drain next;
+      drain stream.next;
       false
     with Buffer_manager.Buffer_full when Context.fallback ctx ->
       (* After a fallback the XSteps re-navigate globally, which needs a
@@ -212,57 +230,27 @@ let execute ~cold ?(config = Context.default_config) ?contexts ?trace ?(ordered 
          down (releasing that pin and cancelling its I/O) and recompute
          the whole query with the simple method, as the paper's fallback
          prescribes. *)
-      Option.iter Xschedule.abandon xschedule;
-      Option.iter Xscan.abandon xscan;
-      Option.iter Xindex.abandon xindex;
+      abandon stream;
       Vec.clear out;
-      drain (let p, _, _, _ = pipeline ctx store path Plan.simple contexts in p);
+      drain (pipeline ctx store path Plan.simple contexts).next;
       true
   in
-  (match touched with Some _ -> ignore (Store.swap_touch_log store saved_log) | None -> ());
-
-  let c = ctx.Context.counters in
+  Option.iter (fun saved -> ignore (Store.swap_touch_log store saved)) saved_log;
   measure ~who:"Exec.run" snap c;
 
   (* Final duplicate elimination (reordered plans are already
      duplicate-free through R, but the Simple method needs it, Sec. 5.1)
-     and re-established document order (Sec. 5.5) — one dedup pass into
-     a flat array, one in-place sort. *)
-  let seen = Node_id.Seen.create () in
-  let distinct = Vec.create () in
-  Vec.iter (fun (i : Store.info) -> if Node_id.Seen.add seen i.id then Vec.push distinct i) out;
-  if ordered then
-    Vec.sort (fun (a : Store.info) b -> Ordpath.compare a.ordpath b.ordpath) distinct;
-  let count = Vec.length distinct in
-  let nodes = Vec.to_list distinct in
+     and re-established document order (Sec. 5.5). *)
+  let nodes = answer ~ordered out in
+  let count = List.length nodes in
 
   (* Cache fill after a miss. Entries always hold document order so a
      hit can serve ordered and unordered callers alike. *)
-  (match cache_key with
-  | None -> ()
-  | Some key ->
-    c.cache_misses <- 1;
-    let sorted =
-      if ordered then nodes
-      else
-        List.sort (fun (a : Store.info) b -> Ordpath.compare a.ordpath b.ordpath) nodes
-    in
-    (* Index-seeded runs derive their seeds from the partition, not from
-       page reads, so no touch-log footprint can cover a write that
-       would change them — install those entries footprint-less (staled
-       by any mutation, the conservative pre-footprint rule). *)
-    let clusters =
-      if c.index_entries > 0 then None
-      else
-        Option.map
-          (fun tbl ->
-            let pids = Hashtbl.fold (fun pid () acc -> pid :: acc) tbl [] in
-            let a = Array.of_list pids in
-            Array.sort compare a;
-            a)
-          touched
-    in
-    c.cache_evictions <- Result_cache.add ?clusters store key ~count sorted);
+  Option.iter
+    (fun (key, touched) ->
+      Result_cache.install c store key ~touched
+        (if ordered then nodes else List.sort doc_order nodes))
+    miss;
 
   if config.Context.validate then begin
     (* Result conservation only applies when XAssembly produced the
@@ -273,53 +261,29 @@ let execute ~cold ?(config = Context.default_config) ?contexts ?trace ?(ordered 
       | Plan.Reordered _, false -> Some count
       | _ -> None
     in
-    Invariant.enforce ?xschedule ?xindex ?results ctx
+    Invariant.enforce ?xschedule:stream.sched ?xindex:stream.index ?results ctx
   end;
   { nodes; count; metrics = c }
 
 let run ?config ?contexts ?trace ?ordered store path plan =
   execute ~cold:false ?config ?contexts ?trace ?ordered store path plan
 
-type stream = {
-  next : unit -> Store.info option;
-  stream_ctx : Context.t;
-  stream_sched : Xschedule.t option;
-  stream_index : Xindex.t option;
-  stream_abandon : unit -> unit;
-}
-
 let prepare ?(config = Context.default_config) ?contexts ?trace store path plan =
-  check_plan "Exec.prepare" path plan;
-  let contexts = match contexts with Some c -> c | None -> [ Store.root store ] in
-  let ctx = Context.create ~config store in
-  ctx.Context.trace <- trace;
-  Buffer_manager.set_scan_resistant (Store.buffer store) config.Context.scan_resistant;
-  let next, xschedule, xscan, xindex = pipeline ctx store path plan contexts in
-  {
-    next;
-    stream_ctx = ctx;
-    stream_sched = xschedule;
-    stream_index = xindex;
-    stream_abandon =
-      (fun () ->
-        Option.iter Xschedule.abandon xschedule;
-        Option.iter Xscan.abandon xscan;
-        Option.iter Xindex.abandon xindex);
-  }
+  let ctx, contexts = open_statement ~who:"Exec.prepare" ~config ?contexts ?trace store path plan in
+  pipeline ctx store path plan contexts
 
 let stream_next stream = stream.next ()
-let stream_fell_back stream = Context.fallback stream.stream_ctx
-let stream_abandon stream = stream.stream_abandon ()
-let stream_ctx stream = stream.stream_ctx
+let stream_fell_back stream = Context.fallback stream.ctx
+let stream_abandon = abandon
+let stream_ctx stream = stream.ctx
 
 let stream_demand stream =
-  match stream.stream_sched with Some x -> Xschedule.queued_clusters x | None -> []
+  match stream.sched with Some x -> Xschedule.queued_clusters x | None -> []
 
-let stream_scan_window stream = Option.bind stream.stream_sched Xschedule.scan_window
+let stream_scan_window stream = Option.bind stream.sched Xschedule.scan_window
 
 let stream_violations ?results stream =
-  Invariant.post_run ?xschedule:stream.stream_sched ?xindex:stream.stream_index ?results
-    stream.stream_ctx
+  Invariant.post_run ?xschedule:stream.sched ?xindex:stream.index ?results stream.ctx
 
 let cold_run ?config ?contexts ?trace ?ordered store path plan =
   execute ~cold:true ?config ?contexts ?trace ?ordered store path plan

@@ -31,6 +31,32 @@ val plan_error : Xnav_xpath.Path.t -> Plan.t -> string option
     (the workload engine, before any lane pins a frame) check it up
     front. *)
 
+val root_only : Xnav_store.Store.t -> Xnav_store.Node_id.t list -> bool
+(** [root_only store contexts]: the contexts are exactly the document
+    root — the statements the result cache and the path partition
+    serve, and the ones a shared scan may seed with [//]. *)
+
+val chain :
+  Context.t ->
+  Xnav_xpath.Path.t ->
+  (unit -> Path_instance.t option) ->
+  unit ->
+  Path_instance.t option
+(** [chain ctx path producer] is a reordered plan's step chain over the
+    I/O operator's [producer]: the fused automaton ({!Fused}) when
+    [ctx]'s [config.fused] is set, else the per-step {!Xstep} fold,
+    which reproduces the historical counter stream and I/O trace. Every
+    reordered plan and every {!Multi} lane is built on it. *)
+
+val answer : ordered:bool -> Xnav_store.Store.info Vec.t -> Xnav_store.Store.info list
+(** The final answer of a run from the nodes in arrival order:
+    duplicates dropped (first arrival kept; the Simple method needs this,
+    Sec. 5.1), then document order re-established by ordpath (Sec. 5.5)
+    when [ordered]. Every driver finishes through it. *)
+
+val doc_order : Xnav_store.Store.info -> Xnav_store.Store.info -> int
+(** Document order: comparison by ordpath. *)
+
 val run :
   ?config:Context.config ->
   ?contexts:Xnav_store.Node_id.t list ->
@@ -49,7 +75,9 @@ val run :
     {!Result_cache} (keyed on the path text, validated against the
     store's mutation stamp): a hit skips planning and I/O entirely and
     reports [cache_hits = 1] with every other counter zero; a miss
-    executes normally and installs its answer. {!Query_exec} inherits
+    executes normally and installs its answer ({!Result_cache.install}:
+    footprint from the run's touch log, none for an index-seeded run).
+    The answer is {!answer} of the drained nodes. {!Query_exec} inherits
     this per trunk segment. Non-root contexts always execute.
 
     @raise Invalid_argument if [path] is empty, or a reordered plan is
@@ -72,7 +100,10 @@ val prepare :
   Xnav_xpath.Path.t ->
   Plan.t ->
   stream
-(** Build the operator pipeline without draining it. The stream shares
+(** Build the operator pipeline without draining it: the statement is
+    opened exactly as {!run} opens it (plan check, root-context default,
+    trace, the pool's eviction policy) and the stream is the pipeline
+    {!run} drains. The stream shares
     the store's buffer pool and asynchronous I/O queue with any other
     live stream — concurrent streams' requests merge in the scheduler,
     which is exactly the multi-query benefit the paper's outlook
@@ -82,7 +113,7 @@ val prepare :
 val stream_next : stream -> Xnav_store.Store.info option
 (** The next result node (duplicate-free for reordered plans; the Simple
     plan may repeat nodes unless intermediate dedup is on — {!run}
-    deduplicates at the end). [None] is final. *)
+    finishes through {!answer}). [None] is final. *)
 
 val stream_fell_back : stream -> bool
 

@@ -4,10 +4,12 @@
     operator."
 
     [run] evaluates several location paths in {e one} sequential pass
-    over the document: each cluster is pinned once and fed to every
-    path's XStep chain + XAssembly (contexts located there, plus that
-    path's speculative instances for every Up border), exactly as a
-    per-path XScan would, but sharing the physical scan. For a workload
+    over the document. Each path is a lane: the step chain of
+    {!Exec.chain} over a feed queue, under an XAssembly. Each cluster is
+    pinned once and fed to every lane — the contexts located there
+    ({!Path_instance.context}) and the lane's speculative seeds
+    ({!Path_instance.speculate}) — so a lane sees exactly the instances
+    a per-path XScan creates, but the physical scan is shared. For a workload
     like XMark Q7 — three separate descendant paths — this cuts the scan
     I/O by the number of paths.
 

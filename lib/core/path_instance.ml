@@ -16,8 +16,30 @@ type t = {
   n_r : right_node;
 }
 
-let context view id core =
-  { s_l = 0; n_l = id; left_incomplete = false; s_r = 0; n_r = R_core { view; slot = id.Node_id.slot; core } }
+let context view id =
+  let slot = id.Node_id.slot in
+  match Store.get view slot with
+  | Node_record.Core core ->
+    { s_l = 0; n_l = id; left_incomplete = false; s_r = 0; n_r = R_core { view; slot; core } }
+  | Node_record.Down _ | Node_record.Up _ ->
+    invalid_arg "Path_instance.context: context is a border record"
+
+(* A top-level loop, so a cluster's seeding allocates only its
+   instances. *)
+let rec seed (c : Counters.counters) ~path_len view agenda = function
+  | [] -> ()
+  | slot :: rest ->
+    let id = Store.id_of view slot in
+    for step = 0 to path_len - 1 do
+      c.Counters.specs_created <- c.Counters.specs_created + 1;
+      Queue.add
+        { s_l = step; n_l = id; left_incomplete = true; s_r = step; n_r = R_entry { view; slot } }
+        agenda
+    done;
+    seed c ~path_len view agenda rest
+
+let speculate ctx ~path_len view agenda =
+  seed ctx.Context.counters ~path_len view agenda (Store.up_slots view)
 
 let right_incomplete p =
   match p.n_r with

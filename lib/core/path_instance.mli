@@ -40,10 +40,18 @@ type t = {
   n_r : right_node;  (** [N_R]: right-end node. *)
 }
 
-val context : Xnav_store.Store.view -> Xnav_store.Node_id.t -> Xnav_store.Node_record.core -> t
-(** The instance a context node [x] enters the pipeline as:
-    [S_L = S_R = 0], [N_L = N_R = x] (paper Sec. 5.1), with the right end
-    swizzled into [view]. *)
+val context : Xnav_store.Store.view -> Xnav_store.Node_id.t -> t
+(** The instance a context node [x] of the pinned cluster [view] enters
+    the pipeline as: [S_L = S_R = 0], [N_L = N_R = x] (paper Sec. 5.1),
+    with the right end swizzled into [view].
+    @raise Invalid_argument if [x] is a border record. *)
+
+val speculate : Context.t -> path_len:int -> Xnav_store.Store.view -> t Queue.t -> unit
+(** The speculative seeding of a loaded cluster (paper Sec. 5.4): for
+    every [Up] border [b] of [view] and every step [i < path_len], add
+    the left-incomplete instance with [S_L = S_R = i] and both ends [b]
+    to the queue, counting each in [specs_created]. XScan, XSchedule's
+    speculative mode and {!Multi}'s shared scan all seed through it. *)
 
 val right_incomplete : t -> bool
 (** True iff the right end is an untraversed border. *)

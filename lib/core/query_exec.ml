@@ -2,7 +2,6 @@ module Store = Xnav_store.Store
 module Node_id = Xnav_store.Node_id
 module Path = Xnav_xpath.Path
 module Query = Xnav_xpath.Query
-module Ordpath = Xnav_xml.Ordpath
 
 type result = {
   nodes : Store.info list;
@@ -66,10 +65,9 @@ let run ?(choice = Compile.Auto) ?config ?contexts ?(ordered = true) ~cold store
     | _ when contexts = [] -> []
     | (trunk, predicates) :: rest ->
       incr segment_count;
-      let context_is_root =
-        match contexts with [ c ] -> Node_id.equal c (Store.root store) | _ -> false
+      let plan =
+        Compile.compile ~choice ~context_is_root:(Exec.root_only store contexts) store trunk
       in
-      let plan = Compile.compile ~choice ~context_is_root store trunk in
       let seg = Exec.run ?config ~contexts ~ordered:false store trunk plan in
       metrics := Counters.add !metrics seg.Exec.metrics;
       let survivors =
@@ -85,22 +83,17 @@ let run ?(choice = Compile.Auto) ?config ?contexts ?(ordered = true) ~cold store
       else run_branch (List.map (fun (info : Store.info) -> info.Store.id) survivors) rest
   in
 
-  let all = List.concat_map (fun branch -> run_branch root_contexts (segments_of branch)) query in
-  (* Union merge: deduplicate into a flat buffer, one final sort. *)
-  let seen = Node_id.Seen.create () in
-  let distinct = Vec.create () in
+  (* Union merge: one final answer over every branch's survivors. *)
+  let all = Vec.create () in
   List.iter
-    (fun (info : Store.info) -> if Node_id.Seen.add seen info.Store.id then Vec.push distinct info)
-    all;
-  if ordered then
-    Vec.sort (fun (a : Store.info) b -> Ordpath.compare a.ordpath b.ordpath) distinct;
-  let count = Vec.length distinct in
-  let nodes = Vec.to_list distinct in
+    (fun branch -> List.iter (Vec.push all) (run_branch root_contexts (segments_of branch)))
+    query;
+  let nodes = Exec.answer ~ordered all in
   let metrics = !metrics in
   Exec.measure ~who:"Query_exec.run" snap metrics;
   {
     nodes;
-    count;
+    count = List.length nodes;
     metrics;
     segments = !segment_count;
     predicate_checks = !predicate_checks;

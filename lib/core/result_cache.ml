@@ -145,6 +145,22 @@ let add ?clusters store path ~count:n nodes =
       trim 0
   end
 
+let install (c : Counters.counters) store path ~touched nodes =
+  c.Counters.cache_misses <- 1;
+  (* Index-seeded runs derive their seeds from the partition, not from
+     page reads, so no touch-log footprint can cover a write that would
+     change them — install those entries footprint-less (staled by any
+     mutation, the conservative pre-footprint rule). *)
+  let clusters =
+    if c.Counters.index_entries > 0 then None
+    else begin
+      let pids = Array.of_seq (Hashtbl.to_seq_keys touched) in
+      Array.sort compare pids;
+      Some pids
+    end
+  in
+  c.Counters.cache_evictions <- add ?clusters store path ~count:(List.length nodes) nodes
+
 (* Proactive cluster-granular invalidation: drop this store's entries
    whose footprint intersects [touched] (entries without a footprint are
    staled by any write). Writer jobs call this at commit so the

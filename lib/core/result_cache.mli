@@ -66,6 +66,21 @@ val add :
     clusters. Omit it for answers not derived purely from page reads
     (index-seeded runs). *)
 
+val install :
+  Counters.counters ->
+  Xnav_store.Store.t ->
+  string ->
+  touched:(int, unit) Hashtbl.t ->
+  Xnav_store.Store.info list ->
+  unit
+(** [install c store path ~touched nodes] is the fill after a miss,
+    shared by {!Exec.run} and the workload engine: it sets
+    [c.cache_misses] to 1, {!add}s [nodes] (distinct, document order)
+    with the footprint [touched] — the touch log of the clusters the run
+    read — and records the evictions in [c.cache_evictions]. A run that
+    was seeded from the path partition ([c.index_entries > 0]) read no
+    pages for its seeds, so its entry is installed without a footprint. *)
+
 val stale_clusters : Xnav_store.Store.t -> int array -> int
 (** [stale_clusters store touched] proactively drops this store's
     entries whose footprint intersects the [touched] pids (plus its

@@ -1,6 +1,5 @@
 module Store = Xnav_store.Store
 module Node_id = Xnav_store.Node_id
-module Node_record = Xnav_store.Node_record
 open Path_instance
 
 type t = {
@@ -61,29 +60,12 @@ let load_agenda t pid view =
         invalid_arg "Xscan: context nodes must arrive sorted by cluster id"
       else if cluster > pid then t.peeked <- Some id
       else begin
-        let slot = id.Node_id.slot in
-        (match Store.get view slot with
-        | Node_record.Core core ->
-          Queue.add
-            { s_l = 0; n_l = id; left_incomplete = false; s_r = 0; n_r = R_core { view; slot; core } }
-            t.agenda
-        | Node_record.Down _ | Node_record.Up _ ->
-          invalid_arg "Xscan: context is a border record");
+        Queue.add (Path_instance.context view id) t.agenda;
         contexts_here ()
       end
   in
   contexts_here ();
-  List.iter
-    (fun slot ->
-      let id = Store.id_of view slot in
-      for step = 0 to t.path_len - 1 do
-        t.ctx.Context.counters.Context.specs_created <-
-          t.ctx.Context.counters.Context.specs_created + 1;
-        Queue.add
-          { s_l = step; n_l = id; left_incomplete = true; s_r = step; n_r = R_entry { view; slot } }
-          t.agenda
-      done)
-    (Store.up_slots view)
+  Path_instance.speculate t.ctx ~path_len:t.path_len view t.agenda
 
 (* Tear the operator down mid-run; see {!Xschedule.abandon}. The scan
    holds at most its current view and schedules no asynchronous I/O. *)

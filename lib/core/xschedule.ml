@@ -138,19 +138,6 @@ let instantiate view item =
   in
   { s_l = item.s_l; n_l = item.n_l; left_incomplete = false; s_r = item.s_r; n_r }
 
-let speculate t view =
-  List.iter
-    (fun slot ->
-      let id = Store.id_of view slot in
-      for step = 0 to t.path_len - 1 do
-        t.ctx.Context.counters.Context.specs_created <-
-          t.ctx.Context.counters.Context.specs_created + 1;
-        Queue.add
-          { s_l = step; n_l = id; left_incomplete = true; s_r = step; n_r = R_entry { view; slot } }
-          t.agenda
-      done)
-    (Store.up_slots view)
-
 (* Drain the queued items of cluster [pid] into the agenda (against
    [view]), speculating on first visit if configured. *)
 let load_agenda t pid view =
@@ -170,7 +157,8 @@ let load_agenda t pid view =
     t.ctx.Context.counters.Context.q_served <-
       t.ctx.Context.counters.Context.q_served + Queue.length q;
     Hashtbl.remove t.queue pid);
-  if first_visit && t.speculative && not (Context.fallback t.ctx) then speculate t view
+  if first_visit && t.speculative && not (Context.fallback t.ctx) then
+    Path_instance.speculate t.ctx ~path_len:t.path_len view t.agenda
 
 let release_current t =
   match t.current with
@@ -204,66 +192,51 @@ let abandon t =
   t.exhausted <- true;
   Buffer_manager.abort_async (buffer t)
 
-(* Pick the next ready (resident) cluster to serve. Min-pid keeps the
-   historical LIFO pop; the cost-sensitive policy weighs each candidate
-   by queued instance count — resident clusters all cost one transfer to
-   re-fix, so the cost divisor cancels — with min-pid as tie-break. *)
+(* Pick the next ready (resident) cluster to serve, weighing each
+   candidate by queued instance count — resident clusters all cost one
+   transfer to re-fix, so the cost divisor cancels — with min-pid as
+   tie-break. *)
 let take_ready t =
   match t.ready with
   | [] -> None
-  | pid :: rest -> begin
-    match t.ctx.Context.config.Context.serve_policy with
-    | Context.Serve_min_pid ->
-      t.ready <- rest;
-      Some pid
-    | Context.Serve_cost ->
-      let qlen p = match Hashtbl.find_opt t.queue p with Some q -> Queue.length q | None -> 0 in
-      let best =
-        List.fold_left
-          (fun best p ->
-            match best with
-            | Some b when qlen p > qlen b || (qlen p = qlen b && p < b) -> Some p
-            | None -> Some p
-            | some -> some)
-          None t.ready
-      in
-      (match best with
-      | Some p ->
-        t.ready <- List.filter (fun x -> x <> p) t.ready;
-        Some p
-      | None -> None)
-  end
-
-(* Pick a queued cluster to serve directly (no pending I/O for it). The
-   historical rule is the smallest pending page id — deterministic across
-   hash-table iteration orders. The cost-sensitive rule is the paper's:
-   weight = queued instance count ÷ estimated access cost from the
-   current head position (a resident cluster costs only a transfer),
-   min-pid breaking exact weight ties. *)
-let pick_direct t =
-  match t.ctx.Context.config.Context.serve_policy with
-  | Context.Serve_min_pid ->
-    Hashtbl.fold
-      (fun pid _ best -> match best with Some b when b < pid -> best | _ -> Some pid)
-      t.queue None
-  | Context.Serve_cost ->
-    let buf = buffer t in
-    let disk = Buffer_manager.disk buf in
-    let weight pid q =
-      let cost =
-        if Buffer_manager.resident buf pid then (Disk.config disk).Disk.transfer
-        else Disk.read_cost disk pid
-      in
-      float_of_int (Queue.length q) /. cost
+  | ready ->
+    let qlen p = match Hashtbl.find_opt t.queue p with Some q -> Queue.length q | None -> 0 in
+    let best =
+      List.fold_left
+        (fun best p ->
+          match best with
+          | Some b when qlen p > qlen b || (qlen p = qlen b && p < b) -> Some p
+          | None -> Some p
+          | some -> some)
+        None ready
     in
-    Hashtbl.fold
-      (fun pid q best ->
-        let w = weight pid q in
-        match best with
-        | Some (bw, bpid) when bw > w || (bw = w && bpid < pid) -> best
-        | _ -> Some (w, pid))
-      t.queue None
-    |> Option.map snd
+    (match best with Some p -> t.ready <- List.filter (fun x -> x <> p) ready | None -> ());
+    best
+
+(* Pick a queued cluster to serve directly (no pending I/O for it) by
+   the paper's cost-sensitive rule: weight = queued instance count ÷
+   estimated access cost from the current head position (a resident
+   cluster costs only a transfer), min-pid breaking exact weight ties,
+   so the pick — and the I/O trace — is deterministic across hash-table
+   iteration orders. *)
+let pick_direct t =
+  let buf = buffer t in
+  let disk = Buffer_manager.disk buf in
+  let weight pid q =
+    let cost =
+      if Buffer_manager.resident buf pid then (Disk.config disk).Disk.transfer
+      else Disk.read_cost disk pid
+    in
+    float_of_int (Queue.length q) /. cost
+  in
+  Hashtbl.fold
+    (fun pid q best ->
+      let w = weight pid q in
+      match best with
+      | Some (bw, bpid) when bw > w || (bw = w && bpid < pid) -> best
+      | _ -> Some (w, pid))
+    t.queue None
+  |> Option.map snd
 
 (* Adaptive hybrid (tentpole layer 3): when the demand stream has been
    visiting its page region densely — the visited-cluster count over the

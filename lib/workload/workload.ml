@@ -3,7 +3,6 @@ module Node_id = Xnav_store.Node_id
 module Disk = Xnav_storage.Disk
 module Buffer_manager = Xnav_storage.Buffer_manager
 module Io_scheduler = Xnav_storage.Io_scheduler
-module Ordpath = Xnav_xml.Ordpath
 module Path = Xnav_xpath.Path
 module Context = Xnav_core.Context
 module Plan = Xnav_core.Plan
@@ -113,8 +112,7 @@ type lane = {
          result cache at admission, riding another client's identical
          in-flight scan as a follower, or a writer job. *)
   mutable followers : lane list;
-  mutable seen : Node_id.Seen.t;
-  nodes : Store.info Vec.t;  (* arrival order *)
+  nodes : Store.info Vec.t;  (* arrival order, duplicates included *)
   mutable sorted : Store.info list option;
       (* the answer already in document order — set when it came from
          the result cache or a shared scan, so serving a repeat is a
@@ -167,8 +165,6 @@ let percentile xs p =
     let n = List.length sorted in
     let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
     List.nth sorted (min (n - 1) (max 0 (rank - 1)))
-
-let doc_order (a : Store.info) (b : Store.info) = Ordpath.compare a.ordpath b.ordpath
 
 let run_topology ~config ~quantum ~ordered ~cold ~pools ~sites clients =
   if Array.length clients = 0 then invalid_arg "Workload.run_clients: no clients";
@@ -258,7 +254,6 @@ let run_topology ~config ~quantum ~ordered ~cold ~pools ~sites clients =
         | None -> Context.create ~config:cfg store);
       stream;
       followers = [];
-      seen = Node_id.Seen.create ();
       nodes = Vec.create ();
       sorted = None;
       yields = 0;
@@ -282,25 +277,11 @@ let run_topology ~config ~quantum ~ordered ~cold ~pools ~sites clients =
      co-located sites never alias. *)
   let cache_fill lane =
     if front_door then begin
-      let nodes = Vec.sorted_to_list doc_order lane.nodes in
+      let nodes = Exec.answer ~ordered:true lane.nodes in
       lane.sorted <- Some nodes;
-      let c = lane.ctx.Context.counters in
-      c.Context.cache_misses <- 1;
-      (* Cluster footprint for cluster-granular invalidation: every pid
-         the final stream observed. A partition-seeded run reads no
-         pages for its seeds, so its footprint understates its
-         dependencies — install those entries footprint-free (staled by
-         any mutation). *)
-      let clusters =
-        if c.Context.index_entries > 0 then None
-        else begin
-          let pids = Hashtbl.fold (fun pid () acc -> pid :: acc) lane.touched [] in
-          Some (Array.of_list (List.sort_uniq compare pids))
-        end
-      in
-      c.Context.cache_evictions <-
-        Result_cache.add ?clusters lane.store (Path.to_string lane.spec.path)
-          ~count:(List.length nodes) nodes
+      (* The footprint is every pid the final stream observed. *)
+      Result_cache.install lane.ctx.Context.counters lane.store (Path.to_string lane.spec.path)
+        ~touched:lane.touched nodes
     end
   in
 
@@ -453,7 +434,6 @@ let run_topology ~config ~quantum ~ordered ~cold ~pools ~sites clients =
     let c = lane.ctx.Context.counters in
     lane.carry_served <- lane.carry_served + c.Context.served_ticks;
     lane.carry_starved <- lane.carry_starved + c.Context.starved_ticks;
-    lane.seen <- Node_id.Seen.create ();
     Vec.clear lane.nodes;
     Hashtbl.reset lane.touched;
     lane.retries <- lane.retries + 1;
@@ -501,7 +481,7 @@ let run_topology ~config ~quantum ~ordered ~cold ~pools ~sites clients =
           running := false
         | Some info ->
           incr steps;
-          if Node_id.Seen.add lane.seen info.Store.id then Vec.push lane.nodes info;
+          Vec.push lane.nodes info;
           if (Disk.stats disk).Disk.random_reads > rnd0 then begin
             lane.yields <- lane.yields + 1;
             running := false
@@ -776,7 +756,7 @@ let run_topology ~config ~quantum ~ordered ~cold ~pools ~sites clients =
         match lane.sorted with
         | Some ns -> ns
         | None ->
-          if ordered then Vec.sorted_to_list doc_order lane.nodes else Vec.to_list lane.nodes
+          Exec.answer ~ordered lane.nodes
     in
     let c = lane.ctx.Context.counters in
     ( lane.site,

@@ -26,13 +26,21 @@ let check = Alcotest.check
 
 (* --- the sampled differential run ---------------------------------------- *)
 
+(* Sample 200 cases of the named tier; the reproducers of the failing
+   ones, each naming the tier it failed under. *)
+let sample_tier name =
+  match Differential.find_tier name with
+  | None -> Alcotest.failf "no differential tier %S" name
+  | Some tier ->
+    let r = tier.Differential.sample ~seed:Gen.test_seed ~cases:200 ~log:ignore in
+    check Alcotest.int "cases run" 200 r.Differential.cases_run;
+    List.map
+      (fun f -> Differential.reproducer ~tier:name f.Differential.shrunk)
+      r.Differential.failures
+
 let differential_sample () =
-  let r = Differential.run ~seed:Gen.test_seed ~cases:200 () in
-  check Alcotest.int "cases run" 200 r.Differential.cases_run;
-  let reproducers =
-    List.map (fun f -> Differential.reproducer f.Differential.shrunk) r.Differential.failures
-  in
-  check Alcotest.(list string) "no plan disagrees with the reference evaluator" [] reproducers
+  check Alcotest.(list string) "no plan disagrees with the reference evaluator" []
+    (sample_tier "base")
 
 let shrink_is_stable () =
   (* Shrinking a passing case is the identity (nothing to chase). *)
@@ -52,14 +60,49 @@ let shrink_is_stable () =
   check Alcotest.bool "shrink keeps a passing case intact" true (Differential.shrink case = case)
 
 let reproducer_round_trips () =
-  (* Paths printed by the reproducer re-parse to the same path. *)
-  let paths = [ "/child::a"; "/descendant::b/child::*"; "/descendant-or-self::node()/self::c" ] in
+  (* A reproducer names the tier it replays, and its path re-parses to
+     the same path — under the base tier and under a non-base one. *)
+  let inputs =
+    [
+      ("base", "/child::a");
+      ("base", "/descendant::b/child::*");
+      ("base", "/descendant-or-self::node()/self::c");
+      ("swizzle", "/descendant::b/child::c");
+    ]
+  in
+  let value_of flag line =
+    let rec go = function
+      | f :: v :: _ when f = flag -> v
+      | _ :: rest -> go rest
+      | [] -> Alcotest.failf "no %s in %s" flag line
+    in
+    go (String.split_on_char ' ' line)
+  in
   List.iter
-    (fun s ->
+    (fun (tier, s) ->
       let path = Xpath_parser.parse s in
       check Alcotest.string "to_string round-trips through the parser" (Path.to_string path)
-        (Path.to_string (Xpath_parser.parse (Path.to_string path))))
-    paths
+        (Path.to_string (Xpath_parser.parse (Path.to_string path)));
+      let line =
+        Differential.reproducer ~tier
+          {
+            Differential.doc_seed = 7;
+            fidelity = 0.001;
+            physical = Differential.default_physical;
+            k = 100;
+            speculative = true;
+            memory_budget = 1_000_000;
+            path;
+          }
+      in
+      let named = value_of "--tier" line in
+      check Alcotest.string "the reproducer names its tier" tier named;
+      check Alcotest.(option string) "the named tier exists" (Some tier)
+        (Option.map (fun t -> t.Differential.name) (Differential.find_tier named));
+      let quoted = value_of "--path" line in
+      check Alcotest.string "the reproducer's path re-parses to the case's" (Path.to_string path)
+        (Path.to_string (Xpath_parser.parse (String.sub quoted 1 (String.length quoted - 2)))))
+    inputs
 
 (* --- Io_scheduler: removals must prune the order list --------------------- *)
 
@@ -246,12 +289,7 @@ let fallback_single_frame () =
 (* The swizzle differential tier: every plan, decode cache forced on and
    off, identical answers and identical queue counters. *)
 let swizzle_differential_sample () =
-  let r = Differential.run_swizzle ~seed:Gen.test_seed ~cases:200 () in
-  check Alcotest.int "cases run" 200 r.Differential.cases_run;
-  let reproducers =
-    List.map (fun f -> Differential.reproducer f.Differential.shrunk) r.Differential.failures
-  in
-  check Alcotest.(list string) "swizzled and unswizzled runs agree" [] reproducers
+  check Alcotest.(list string) "swizzled and unswizzled runs agree" [] (sample_tier "swizzle")
 
 (* No swizzled handle survives its pin: every view access after release
    must raise, whether the cache is on or off. *)
@@ -326,23 +364,13 @@ let xschedule_trace_is_stable () =
    scan windows fully off then fully on, identical answers under the
    full invariant suite. *)
 let batching_differential_sample () =
-  let r = Differential.run_batching ~seed:Gen.test_seed ~cases:200 () in
-  check Alcotest.int "cases run" 200 r.Differential.cases_run;
-  let reproducers =
-    List.map (fun f -> Differential.reproducer f.Differential.shrunk) r.Differential.failures
-  in
-  check Alcotest.(list string) "knobs-off and knobs-on runs agree" [] reproducers
+  check Alcotest.(list string) "knobs-off and knobs-on runs agree" [] (sample_tier "batching")
 
 (* The workload differential tier: every plan of each case run serially
    cold, then all at once through the concurrent engine — each query's
    answer must be identical either way. *)
 let workload_differential_sample () =
-  let r = Differential.run_workload ~seed:Gen.test_seed ~cases:200 () in
-  check Alcotest.int "cases run" 200 r.Differential.cases_run;
-  let reproducers =
-    List.map (fun f -> Differential.reproducer f.Differential.shrunk) r.Differential.failures
-  in
-  check Alcotest.(list string) "concurrent and serial runs agree" [] reproducers
+  check Alcotest.(list string) "concurrent and serial runs agree" [] (sample_tier "workload")
 
 (* The writers differential tier: every plan of each case runs
    concurrently with one or two writer clients committing sampled
@@ -350,12 +378,8 @@ let workload_differential_sample () =
    replay of the commit schedule up to the reader's finish point on an
    identically-imported twin, and the final documents must match. *)
 let writers_differential_sample () =
-  let r = Differential.run_writers ~seed:Gen.test_seed ~cases:200 () in
-  check Alcotest.int "cases run" 200 r.Differential.cases_run;
-  let reproducers =
-    List.map (fun f -> Differential.reproducer f.Differential.shrunk) r.Differential.failures
-  in
-  check Alcotest.(list string) "concurrent readers equal their serial replay" [] reproducers
+  check Alcotest.(list string) "concurrent readers equal their serial replay" []
+    (sample_tier "writers")
 
 (* The sharded tenancy tier: a small multi-tenant topology derived from
    each case (2-4 tenants over 1-3 shards), every (tenant, plan) pair
@@ -364,12 +388,7 @@ let writers_differential_sample () =
    the cases — and each job's answer compared against a serial cold run
    on the same tenant store. *)
 let shards_differential_sample () =
-  let r = Differential.run_shards ~seed:Gen.test_seed ~cases:200 () in
-  check Alcotest.int "cases run" 200 r.Differential.cases_run;
-  let reproducers =
-    List.map (fun f -> Differential.reproducer f.Differential.shrunk) r.Differential.failures
-  in
-  check Alcotest.(list string) "sharded and per-tenant serial runs agree" [] reproducers
+  check Alcotest.(list string) "sharded and per-tenant serial runs agree" [] (sample_tier "shards")
 
 (* --- the structural index ------------------------------------------------- *)
 
@@ -377,12 +396,8 @@ let shards_differential_sample () =
    plans (covering and forced partial resolutions) must agree on every
    sampled case. *)
 let index_differential_sample () =
-  let r = Differential.run_index ~seed:Gen.test_seed ~cases:200 () in
-  check Alcotest.int "cases run" 200 r.Differential.cases_run;
-  let reproducers =
-    List.map (fun f -> Differential.reproducer f.Differential.shrunk) r.Differential.failures
-  in
-  check Alcotest.(list string) "index plans agree with the reference evaluator" [] reproducers
+  check Alcotest.(list string) "index plans agree with the reference evaluator" []
+    (sample_tier "index")
 
 (* Border-seeded residual evaluation: on a store split into many tiny
    clusters, an index plan forced to stop resolution mid-path must seed
@@ -435,12 +450,7 @@ let index_covering_reads_no_pages () =
    front door — identical answers throughout, and the miss run must not
    perturb a single execution counter. *)
 let cache_differential_sample () =
-  let r = Differential.run_cache ~seed:Gen.test_seed ~cases:200 () in
-  check Alcotest.int "cases run" 200 r.Differential.cases_run;
-  let reproducers =
-    List.map (fun f -> Differential.reproducer f.Differential.shrunk) r.Differential.failures
-  in
-  check Alcotest.(list string) "cache-on and cache-off runs agree" [] reproducers
+  check Alcotest.(list string) "cache-on and cache-off runs agree" [] (sample_tier "cache")
 
 let caching = { validating with Context.result_cache = true }
 
@@ -583,12 +593,7 @@ let cache_misses_on_uid_reuse () =
    automaton on and off — identical answers, identical I/O traces,
    identical scheduling counters. *)
 let fused_differential_sample () =
-  let r = Differential.run_fused ~seed:Gen.test_seed ~cases:200 () in
-  check Alcotest.int "cases run" 200 r.Differential.cases_run;
-  let reproducers =
-    List.map (fun f -> Differential.reproducer f.Differential.shrunk) r.Differential.failures
-  in
-  check Alcotest.(list string) "fused and unfused runs agree" [] reproducers
+  check Alcotest.(list string) "fused and unfused runs agree" [] (sample_tier "fused")
 
 (* The fused knob must be invisible in physical behaviour: with it off
    the XStep chain replays its historical I/O trace (a pure function of
@@ -623,7 +628,6 @@ let knobs_off =
   {
     validating with
     Context.coalesce_window = 0;
-    Context.serve_policy = Context.Serve_min_pid;
     Context.scan_threshold = 0.0;
   }
 

@@ -15,6 +15,8 @@ module Compile = Xnav_core.Compile
 module Multi = Xnav_core.Multi
 module Query_exec = Xnav_core.Query_exec
 module Workload = Xnav_workload.Workload
+module Gen_x = Xnav_xmark.Gen
+module Queries = Xnav_xmark.Queries
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -65,7 +67,27 @@ let every_driver_same_counters () =
             check Alcotest.string (name ^ ": shared scan") exec
               (of_metrics (Multi.run ~cold:true store [ path ]).Multi.metrics))
         Compile.[ Force_simple; Force_schedule; Force_scan; Force_index ])
-    [ "//b"; "//x"; "//b//c" ]
+    [ "//b"; "//x"; "//b//c" ];
+  (* The shared scan seeds every loaded cluster through the same rule as
+     XScan, so a single-path [Multi.run] creates the same speculative
+     instances, reads the same pages and finds the same nodes — on XMark
+     paths, whose many-page layout gives every cluster Up borders. *)
+  let xmark =
+    let doc = Gen_x.generate ~config:{ Gen_x.default_config with Gen_x.scale = 0.1 } () in
+    let disk = Disk.create ~config:{ Disk.default_config with Disk.page_size = 4096 } () in
+    Store.attach (Buffer_manager.create ~capacity:64 disk) (Import.run disk doc)
+  in
+  let seeds specs reads count = Printf.sprintf "specs=%d reads=%d count=%d" specs reads count in
+  List.iter
+    (fun path ->
+      let x = Exec.cold_run ~ordered:false xmark path (Plan.xscan ()) in
+      let m = Multi.run ~cold:true xmark [ path ] in
+      check bool (Path.to_string path ^ ": seeds") true (x.Exec.metrics.Exec.specs_created > 0);
+      check Alcotest.string (Path.to_string path ^ ": shared scan seeds like XScan")
+        (seeds x.Exec.metrics.Exec.specs_created x.Exec.metrics.Exec.page_reads x.Exec.count)
+        (seeds m.Multi.metrics.Exec.specs_created m.Multi.metrics.Exec.page_reads
+           m.Multi.counts.(0)))
+    (Queries.q6'.Queries.paths @ Queries.q7.Queries.paths)
 
 let tests =
   [

@@ -84,7 +84,6 @@ let tests =
           {
             Context.default_config with
             Context.coalesce_window = 0;
-            Context.serve_policy = Context.Serve_min_pid;
             Context.scan_threshold = 0.0;
             Context.fused = false;
           }

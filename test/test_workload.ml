@@ -649,7 +649,9 @@ let full_pool_at_admission_recovers () =
     }
   in
   check Alcotest.(list string) "sharded run equals serial" []
-    (List.map (fun m -> m.D.plan ^ ": " ^ m.D.detail) (D.check_shards_case case))
+    (List.map
+       (fun m -> m.D.plan ^ ": " ^ m.D.detail)
+       ((Option.get (D.find_tier "shards")).D.check case))
 
 (* --- one result per turn ----------------------------------------------------- *)
 
