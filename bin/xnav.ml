@@ -337,8 +337,8 @@ let query_cmd =
     (Cmd.info "query" ~doc:"Evaluate a location path or extended query with cost metrics.")
     Term.(
       const run $ path_arg Xpath_parser.parse_query $ plan_choice $ rewrite_flag $ no_fused_flag
-      $ no_cache_flag $ k_arg
-      $ budget $ coalesce_window $ scan_threshold $ verbose $ common_store_term)
+      $ no_cache_flag $ k_arg $ budget $ coalesce_window $ scan_threshold $ verbose
+      $ common_store_term)
 
 (* --- check ------------------------------------------------------------------------ *)
 

@@ -949,8 +949,8 @@ let paths_per_store = 8
 (* The sampling loop of one tier: [check_built] evaluates a case against
    the batch's store, [runs_of] counts the plan executions it performs
    (for the report), and failing cases are shrunk under the tier's own
-   one-case check, so the printed reproducer replays the same tier. *)
-let sample ~name ~check_built ~runs_of ~seed ~cases ~log =
+   one-case [check], so the printed reproducer replays the same tier. *)
+let sample ~name ~check_built ~check ~runs_of ~seed ~cases ~log =
   let prng = Prng.create seed in
   let cases_run = ref 0 in
   let plan_runs = ref 0 in
@@ -973,7 +973,7 @@ let sample ~name ~check_built ~runs_of ~seed ~cases ~log =
         log
           (Format.asprintf "MISMATCH (%s): %s" (List.hd mismatches).plan
              (reproducer ~tier:name case));
-        let shrunk = shrink_with ~check:(one_case check_built) case in
+        let shrunk = shrink_with ~check case in
         log (Printf.sprintf "shrunk reproducer: %s" (reproducer ~tier:name shrunk));
         failures := { case; shrunk; mismatches } :: !failures
     done;
@@ -989,12 +989,11 @@ type tier = {
   check : case -> mismatch list;
 }
 
-let tier name ~runs_of check_built =
-  {
-    name;
-    sample = sample ~name ~check_built ~runs_of;
-    check = one_case check_built;
-  }
+(* A tier's one-case check builds the case's store, unless the tier
+   builds its own ([check] given). *)
+let tier ?check name ~runs_of check_built =
+  let check = Option.value check ~default:(one_case check_built) in
+  { name; sample = sample ~name ~check_built ~check ~runs_of; check }
 
 let tiers =
   let plans case = List.length (plans_for case) in
@@ -1015,7 +1014,7 @@ let tiers =
     tier "fused"
       ~runs_of:(fun case -> 2 * List.length (fused_plans case))
       (fun ~doc:_ ~store ~import:_ case -> check_fused_built ~store case);
-    tier "shards"
+    tier "shards" ~check:check_shards
       ~runs_of:(fun case -> 2 * (2 + (case.doc_seed mod 3)) * plans case)
       (fun ~doc:_ ~store:_ ~import:_ case -> check_shards case);
     tier "cache"

@@ -54,9 +54,6 @@ val answer : ordered:bool -> Xnav_store.Store.info Vec.t -> Xnav_store.Store.inf
     Sec. 5.1), then document order re-established by ordpath (Sec. 5.5)
     when [ordered]. Every driver finishes through it. *)
 
-val doc_order : Xnav_store.Store.info -> Xnav_store.Store.info -> int
-(** Document order: comparison by ordpath. *)
-
 val run :
   ?config:Context.config ->
   ?contexts:Xnav_store.Node_id.t list ->
