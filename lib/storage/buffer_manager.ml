@@ -311,6 +311,7 @@ let evict_one t =
   | Some frame ->
     if (not frame.hot) && t.a1_count > 0 then t.a1_count <- t.a1_count - 1;
     Hashtbl.remove t.table frame.pid;
+    Disk.recycle t.disk (Page.to_bytes frame.page);
     t.evictions <- t.evictions + 1;
     match t.evict_observer with None -> () | Some f -> f frame.pid
 
@@ -379,6 +380,7 @@ let adopt_or_install t pid bytes =
   match Hashtbl.find_opt t.table pid with
   | Some frame ->
     (* Arrived through another path meanwhile; keep the cached copy. *)
+    Disk.recycle t.disk bytes;
     frame.pins <- frame.pins + 1;
     touch t frame;
     frame
@@ -431,6 +433,25 @@ let stats t =
     scan_resist_hits = t.scan_resist_hits;
   }
 
+(* A frame owns its page buffer from install to eviction. A buffer that
+   is also spare, or shared by two frames, was recycled too early: the
+   next read would overwrite a page someone may still hold pinned. *)
+let shared_buffer t =
+  let frames = Hashtbl.fold (fun _ frame acc -> frame :: acc) t.table [] in
+  let bytes frame = Page.to_bytes frame.page in
+  let rec sweep = function
+    | [] -> None
+    | frame :: rest -> (
+      if Disk.is_spare t.disk (bytes frame) then
+        Some (Printf.sprintf "page %d: resident frame's buffer is on the spare list" frame.pid)
+      else
+        match List.find_opt (fun other -> bytes other == bytes frame) rest with
+        | Some other ->
+          Some (Printf.sprintf "pages %d and %d share one buffer" frame.pid other.pid)
+        | None -> sweep rest)
+  in
+  sweep frames
+
 let consistency_error t =
   let err = ref None in
   Queue.iter
@@ -461,7 +482,7 @@ let consistency_error t =
         Some
           (Printf.sprintf "2q: %d probationary frames resident but %d tracked" probation
              tracked)
-      else None)
+      else shared_buffer t)
 
 let reset t =
   abort_async t;
@@ -470,6 +491,7 @@ let reset t =
       if frame.pins > 0 then
         invalid_arg (Printf.sprintf "Buffer_manager.reset: page %d still pinned" pid))
     t.table;
+  Hashtbl.iter (fun _ frame -> Disk.recycle t.disk (Page.to_bytes frame.page)) t.table;
   Hashtbl.reset t.table;
   Queue.clear t.clock_ring;
   rows_clear t.am;

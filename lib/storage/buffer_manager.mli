@@ -12,7 +12,16 @@
     Every {!fix} and {!resident} check counts as a hash-table lookup in
     the statistics; the paper identifies these lookups (and the implied
     latch traffic) as the "swizzling" cost that passing direct pointers
-    between XStep operators avoids. *)
+    between XStep operators avoids.
+
+    {b Buffer ownership.} A frame owns the page buffer it was installed
+    with until the frame leaves the pool. Eviction, {!reset} and an
+    asynchronous arrival of an already resident page hand the buffer
+    back to the {!Disk} spare list ({!Disk.recycle}), and the next read
+    overwrites it. So a frame's bytes are valid only while the frame is
+    pinned: whoever keeps {!page} past its {!unfix} may later see
+    another page's contents. [Store] enforces this by killing a view on
+    release. *)
 
 type stats = {
   lookups : int;  (** Hash-table probes (the swizzling cost proxy). *)
@@ -89,7 +98,9 @@ val unfix : t -> frame -> unit
 (** Release one pin. @raise Invalid_argument if not pinned. *)
 
 val page : frame -> Page.t
-(** The page contents; valid only while the frame is pinned. *)
+(** The page contents; valid only while the frame is pinned. Once the
+    last pin is gone the frame may be evicted and its buffer refilled
+    with another page. *)
 
 val frame_pid : frame -> int
 
@@ -137,7 +148,10 @@ val consistency_error : t -> string option
 (** [None] iff the batch pipeline is coherent: every completion-queue
     entry is resident, pinned and not simultaneously pending in the
     scheduler — and the scheduler's own structures agree
-    ({!Io_scheduler.consistency_error}). *)
+    ({!Io_scheduler.consistency_error}). It also reports a buffer
+    recycled too early: a resident frame whose bytes are on the disk's
+    spare list, or two resident frames sharing one buffer (both by
+    physical equality). *)
 
 val pinned_count : t -> int
 (** Number of frames with a non-zero pin count (for leak tests). *)
@@ -151,7 +165,8 @@ val reset : t -> unit
 (** Drop every frame and pending request, zeroing statistics — a cold
     cache, as each measured run in the paper starts with. Undelivered
     completion-queue pages are released first (their pins belong to the
-    buffer, not the caller).
+    buffer, not the caller). Every frame's buffer goes back to the
+    disk's spare list.
     @raise Invalid_argument if any other frame is still pinned. *)
 
 val pp_stats : Format.formatter -> stats -> unit

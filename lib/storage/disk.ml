@@ -49,6 +49,9 @@ type t = {
   mutable coalesce_runs : int;
   mutable tracing : bool;
   mutable trace : int list;  (* newest first *)
+  mutable spares : Bytes.t list;
+      (* page-size buffers handed back by {!recycle}; reads fill one of
+         these before allocating *)
 }
 
 let create ?(config = default_config) () =
@@ -68,6 +71,7 @@ let create ?(config = default_config) () =
     coalesce_runs = 0;
     tracing = false;
     trace = [];
+    spares = [];
   }
 
 let config disk = disk.config
@@ -118,10 +122,30 @@ let account disk pid ~write =
   disk.head <- pid;
   if disk.tracing then disk.trace <- pid :: disk.trace
 
+(* A copy of page [pid] in a spare buffer if there is one. A fresh page
+   buffer is too large for the minor heap, so each allocation here goes
+   straight to the major heap; recycling keeps steady-state faults free
+   of them. *)
+let copy_out disk pid =
+  let src = disk.pages.(pid) in
+  match disk.spares with
+  | [] -> Bytes.copy src
+  | buf :: rest ->
+    disk.spares <- rest;
+    Bytes.blit src 0 buf 0 (Bytes.length src);
+    buf
+
+let recycle disk buf =
+  if Bytes.length buf <> disk.config.page_size then
+    invalid_arg "Disk.recycle: byte buffer has wrong page size";
+  disk.spares <- buf :: disk.spares
+
+let is_spare disk buf = List.memq buf disk.spares
+
 let read disk pid =
   check_pid disk pid;
   account disk pid ~write:false;
-  Bytes.copy disk.pages.(pid)
+  copy_out disk pid
 
 (* A vectored multi-page read: one head movement to the first page, then
    a pure stream to the last. Pages skipped inside a gap are transferred
@@ -153,14 +177,21 @@ let read_batch disk pids =
     disk.batched_reads <- disk.batched_reads + 1;
     disk.batch_pages <- disk.batch_pages + n;
     if n > 1 then disk.coalesce_runs <- disk.coalesce_runs + 1;
-    List.map (fun pid -> (pid, Bytes.copy disk.pages.(pid))) pids
+    List.map (fun pid -> (pid, copy_out disk pid)) pids
+
+(* The disk's own page buffers never escape (reads copy out), so a
+   write overwrites them in place. *)
+let write_string disk pid src off =
+  check_pid disk pid;
+  if off < 0 || off + disk.config.page_size > String.length src then
+    invalid_arg "Disk.write_string: source holds no page at this offset";
+  account disk pid ~write:true;
+  Bytes.blit_string src off disk.pages.(pid) 0 disk.config.page_size
 
 let write disk pid bytes =
-  check_pid disk pid;
   if Bytes.length bytes <> disk.config.page_size then
     invalid_arg "Disk.write: byte buffer has wrong page size";
-  account disk pid ~write:true;
-  disk.pages.(pid) <- Bytes.copy bytes
+  write_string disk pid (Bytes.unsafe_to_string bytes) 0
 
 let charge disk cost = disk.clock <- disk.clock +. cost
 

@@ -11,7 +11,17 @@
 
     The head position, clock and per-pattern counters are observable, so
     the motivation example (page access order, Sec. 1) and the I/O
-    scheduler ablations can be measured directly. *)
+    scheduler ablations can be measured directly.
+
+    {b Buffer ownership.} The disk's own page buffers never escape:
+    {!read} and {!read_batch} hand out copies, and {!write} copies in.
+    A returned copy belongs to the caller until it hands it back with
+    {!recycle}; the disk keeps such buffers on a spare list and fills
+    one on the next read instead of allocating. A page-size buffer is
+    too large for OCaml's minor heap, so without recycling every read
+    would put a fresh page into the major heap. After [recycle disk b]
+    the caller must neither read nor write [b] again: the next read
+    overwrites it. The cost model does not see the spare list. *)
 
 type config = {
   page_size : int;  (** Bytes per page. *)
@@ -63,7 +73,8 @@ val alloc : t -> int
 
 val read : t -> int -> Bytes.t
 (** [read disk pid] returns a copy of page [pid], advancing the clock by
-    the modeled cost and moving the head to [pid].
+    the modeled cost and moving the head to [pid]. The copy is a spare
+    buffer (see {!recycle}) when one is available.
     @raise Invalid_argument if [pid] is out of range. *)
 
 val read_batch : t -> int list -> (int * Bytes.t) list
@@ -79,8 +90,27 @@ val read_batch : t -> int list -> (int * Bytes.t) list
 
 val write : t -> int -> Bytes.t -> unit
 (** [write disk pid bytes] stores a copy of [bytes] as page [pid], with
-    the same cost model as {!read}.
+    the same cost model as {!read}. The copy goes into the page buffer
+    the disk already owns; [bytes] stays the caller's.
     @raise Invalid_argument on size or range mismatch. *)
+
+val write_string : t -> int -> string -> int -> unit
+(** [write_string disk pid src off] is {!write} of the page-size slice of
+    [src] starting at [off], copied once (image loading fills pages
+    this way).
+    @raise Invalid_argument if [pid] is out of range or [src] holds
+    fewer than a page of bytes from [off]. *)
+
+val recycle : t -> Bytes.t -> unit
+(** [recycle disk buf] hands a buffer returned by {!read} or
+    {!read_batch} back to the disk for reuse by a later read. The
+    caller gives up [buf]: nothing may keep a reference to it.
+    Recycling one buffer twice makes two later reads share it.
+    @raise Invalid_argument if [buf] is not page-size. *)
+
+val is_spare : t -> Bytes.t -> bool
+(** Whether [buf] (by physical equality) is on the spare list — for the
+    buffer manager's invariant sweep. Linear in the spare count. *)
 
 val charge : t -> float -> unit
 (** [charge disk seconds] advances the simulated clock by an explicit

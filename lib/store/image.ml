@@ -65,7 +65,9 @@ let save path stores =
   add_float buf config.Disk.async_overhead;
   add_u32 buf (Disk.page_count disk);
   for pid = 0 to Disk.page_count disk - 1 do
-    Buffer.add_bytes buf (Disk.read disk pid)
+    let page = Disk.read disk pid in
+    Buffer.add_bytes buf page;
+    Disk.recycle disk page
   done;
   Disk.reset_clock disk;
   add_u32 buf (List.length stores);
@@ -127,8 +129,7 @@ let load ?(capacity = 1000) ?policy path =
   let pages = read_u32 r in
   for _ = 1 to pages do
     need r page_size;
-    let pid = Disk.alloc disk in
-    Disk.write disk pid (Bytes.of_string (String.sub r.data r.pos page_size));
+    Disk.write_string disk (Disk.alloc disk) r.data r.pos;
     r.pos <- r.pos + page_size
   done;
   Disk.reset_clock disk;

@@ -296,15 +296,12 @@ let run_topology ~config ~quantum ~ordered ~cold ~pools ~sites clients =
     (match (status, lane.stream) with Completed, Some _ -> cache_fill lane | _ -> ());
     (* A completed shared scan answers every follower at the same
        instant; a recovered one sends them to the same serial recompute
-       (where the leader's recomputed answer is already cached). *)
+       (where the leader's recomputed answer is already cached). Only a
+       front-door stream job leads, so a completed leader has just run
+       [cache_fill] and its [sorted] answer is set. *)
     List.iter
       (fun f ->
-        (if status = Completed then
-           match lane.sorted with
-           | Some _ -> f.sorted <- lane.sorted
-           | None ->
-             Vec.clear f.nodes;
-             Vec.iter (Vec.push f.nodes) lane.nodes);
+        if status = Completed then f.sorted <- lane.sorted;
         f.status <- status;
         f.done_at <- now p;
         f.finish_commit <- !commit_count;

@@ -327,9 +327,11 @@ let view_dies_on_release () =
     [ true; false ]
 
 (* XSchedule's direct-serve pick (queued items whose cluster has no
-   pending I/O) is the smallest pending page id, so the physical read
-   order — the I/O trace — is a pure function of the inputs. Pre-fix the
-   pick came from hash-table iteration order. *)
+   pending I/O) is the cost-weighted rule: the cluster with the most
+   queued items per unit of access cost, the smallest page id only
+   breaking ties. So the physical read order — the I/O trace — is a pure
+   function of the inputs. Pre-fix the pick came from hash-table
+   iteration order. *)
 let xschedule_trace_is_stable () =
   let tree = doc () in
   let run_trace store path config =

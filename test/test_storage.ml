@@ -5,6 +5,7 @@ module Page = Xnav_storage.Page
 module Disk = Xnav_storage.Disk
 module Io_scheduler = Xnav_storage.Io_scheduler
 module Buffer_manager = Xnav_storage.Buffer_manager
+module Store = Xnav_store.Store
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -772,6 +773,143 @@ let scan_resist_tests =
             check int "no pins leaked" 0 (Buffer_manager.pinned_count b)));
   ]
 
+(* --- Buffer recycling ----------------------------------------------------- *)
+
+(* A disk whose page [i] carries its own byte pattern, so a frame that
+   ends up with another page's (recycled) buffer contents shows. *)
+let pattern_disk n =
+  let d = Disk.create () in
+  let size = (Disk.config d).Disk.page_size in
+  let pages =
+    Array.init n (fun i -> Bytes.init size (fun j -> Char.chr (((i * 37) + j) land 0xff)))
+  in
+  Array.iter (fun bytes -> Disk.write d (Disk.alloc d) bytes) pages;
+  Disk.reset_clock d;
+  (d, pages)
+
+let frame_bytes frame = Page.to_bytes (Buffer_manager.page frame)
+
+(* Words allocated straight into the major heap so far. OCaml 5 adds a
+   domain's major allocations to [major_words] only at a major slice, and
+   its promotions to [promoted_words] at a minor collection, so both are
+   forced first; otherwise earlier tests' allocations land late, inside
+   the measured span. *)
+let direct_major_words () =
+  Gc.minor ();
+  ignore (Gc.major_slice 0);
+  let s = Gc.quick_stat () in
+  s.Gc.major_words -. s.Gc.promoted_words
+
+let recycle_tests =
+  [
+    Alcotest.test_case "recycled buffers never show another page's bytes" `Quick (fun () ->
+        let d, pages = pattern_disk 50 in
+        let b = Buffer_manager.create ~capacity:2 d in
+        let same what pid frame =
+          check bool (Printf.sprintf "%s: page %d bytes" what pid) true
+            (Bytes.equal pages.(pid) (frame_bytes frame));
+          check Alcotest.(option string) (Printf.sprintf "%s: consistent at %d" what pid) None
+            (Buffer_manager.consistency_error b)
+        in
+        (* Synchronous faults, one frame held across each eviction. *)
+        let held = ref (Buffer_manager.fix b 0) in
+        for pid = 1 to 49 do
+          let f = Buffer_manager.fix b pid in
+          same "fix" pid f;
+          same "held" (Buffer_manager.frame_pid !held) !held;
+          Buffer_manager.unfix b !held;
+          held := f
+        done;
+        Buffer_manager.unfix b !held;
+        (* Coalesced batches through the completion queue. *)
+        for group = 0 to 12 do
+          let run = List.filter (fun pid -> pid < 50) (List.init 4 (fun i -> (4 * group) + i)) in
+          List.iter (fun pid -> ignore (Buffer_manager.prefetch b pid)) run;
+          let rec drain () =
+            match Buffer_manager.await_one ~window:4 b with
+            | None -> ()
+            | Some (pid, frame) ->
+              same "batch" pid frame;
+              Buffer_manager.unfix b frame;
+              drain ()
+          in
+          drain ()
+        done;
+        check bool "batches coalesced" true ((Disk.stats d).Disk.coalesce_runs > 0);
+        (* Duplicate arrivals: the page is faulted in synchronously while
+           its asynchronous read is still pending, so the arriving copy
+           is surplus and goes back to the spare list. *)
+        List.iter
+          (fun pid ->
+            check bool "scheduled" true (Buffer_manager.prefetch b pid = Buffer_manager.Scheduled);
+            let f = Buffer_manager.fix b pid in
+            (match Buffer_manager.await_one b with
+            | Some (pid', f') ->
+              check int "same page" pid pid';
+              check bool "kept the resident frame" true (f == f');
+              same "duplicate" pid f';
+              Buffer_manager.unfix b f'
+            | None -> Alcotest.fail "expected the duplicate arrival");
+            Buffer_manager.unfix b f;
+            let g = Buffer_manager.fix b ((pid + 25) mod 50) in
+            same "after duplicate" ((pid + 25) mod 50) g;
+            Buffer_manager.unfix b g)
+          [ 3; 17; 41 ];
+        check int "no pins left" 0 (Buffer_manager.pinned_count b);
+        Buffer_manager.reset b;
+        for pid = 0 to 49 do
+          let f = Buffer_manager.fix b pid in
+          same "after reset" pid f;
+          Buffer_manager.unfix b f
+        done;
+        (* A released view stays dead once its page is evicted and its
+           buffer refilled. *)
+        let store, _ =
+          Gen.import_store ~page_size:256 ~payload:96 ~capacity:2 (Gen.wide_tree ~children:40 ())
+        in
+        let first = Store.first_page store in
+        let v = Store.view store first in
+        Store.release store v;
+        for pid = first + 1 to first + Store.page_count store - 1 do
+          Store.release store (Store.view store pid)
+        done;
+        check bool "first page evicted" false (Buffer_manager.resident (Store.buffer store) first);
+        check bool "released view raises" true
+          (match Store.get v 0 with
+          | _ -> false
+          | exception Invalid_argument _ -> true));
+    Alcotest.test_case "faults on a full pool allocate no page memory" `Quick (fun () ->
+        let d, _ = pattern_disk 8 in
+        let b = Buffer_manager.create ~capacity:4 d in
+        let sweep n =
+          for i = 0 to n - 1 do
+            Buffer_manager.unfix b (Buffer_manager.fix b (i mod 8))
+          done
+        in
+        sweep 16;
+        let misses = (Buffer_manager.stats b).Buffer_manager.misses in
+        let before = direct_major_words () in
+        sweep 1000;
+        let words = direct_major_words () -. before in
+        check int "every access faults" 1000
+          ((Buffer_manager.stats b).Buffer_manager.misses - misses);
+        let page_words = (Disk.config d).Disk.page_size / (Sys.word_size / 8) in
+        if words >= float_of_int (2 * page_words) then
+          Alcotest.failf "1000 faults put %.0f words straight into the major heap" words);
+    Alcotest.test_case "the sweep reports a buffer recycled while pinned" `Quick (fun () ->
+        let d, pages = pattern_disk 4 in
+        let b = Buffer_manager.create ~capacity:4 d in
+        let f0 = Buffer_manager.fix b 0 in
+        Disk.recycle d (frame_bytes f0);
+        check bool "spare buffer reported" true (Buffer_manager.consistency_error b <> None);
+        let f1 = Buffer_manager.fix b 1 in
+        check bool "the next read reuses it" true (frame_bytes f0 == frame_bytes f1);
+        check bool "page 0 now shows page 1" true (Bytes.equal pages.(1) (frame_bytes f0));
+        check bool "shared buffer reported" true (Buffer_manager.consistency_error b <> None);
+        Buffer_manager.unfix b f0;
+        Buffer_manager.unfix b f1);
+  ]
+
 let suite =
   [
     ("storage.page", page_tests);
@@ -784,5 +922,6 @@ let suite =
     ("storage.buffer", buffer_tests);
     ("storage.replacement", replacement_tests);
     ("storage.2q", scan_resist_tests);
+    ("storage.recycle", recycle_tests);
     Gen.qsuite "storage.buffer.props" buffer_props;
   ]
