@@ -168,10 +168,20 @@ let plans_for case =
     ("simple-nodedup", Plan.Simple { dedup_intermediate = false });
     ("xschedule", Plan.xschedule ~speculative:case.speculative ());
     ("xscan", Plan.xscan ());
+    ("xschedule-summary", Plan.xschedule ~seeding:Plan.Summary ());
+    ("xscan-summary", Plan.xscan ~seeding:Plan.Summary ());
   ]
   @
-  if Path.starts_with_descendant_any case.path then [ ("xscan-dslash", Plan.xscan ~dslash:true ()) ]
+  if Path.starts_with_descendant_any case.path then
+    [ ("xscan-dslash", Plan.xscan ~seeding:Plan.Dslash ()) ]
   else []
+
+(* Each summary-seeded plan of [plans_for] and the [All] plan whose I/O
+   it must reproduce: the speculative XSchedule only runs with
+   [case.speculative]. *)
+let summary_pairs case =
+  ("xscan", "xscan-summary")
+  :: (if case.speculative then [ ("xschedule", "xschedule-summary") ] else [])
 
 (* Post-run storage sweep for the execution paths that do not go through
    [Exec.run]'s invariant hook (Multi). *)
@@ -206,10 +216,31 @@ let check_built ~doc ~store ~import case =
       | Some msg -> record plan msg)
     | exception e -> record plan (Printf.sprintf "raised %s" (Printexc.to_string e))
   in
+  let metrics = Hashtbl.create 8 in
   List.iter
     (fun (name, plan) ->
-      guarded name (fun () -> (Exec.cold_run ~config store case.path plan).Exec.nodes |> ids_of))
+      guarded name (fun () ->
+          let r = Exec.cold_run ~config store case.path plan in
+          Hashtbl.replace metrics name r.Exec.metrics;
+          ids_of r.Exec.nodes))
     (plans_for case);
+  (* Summary seeding drops only seeds that could never complete, so
+     unless a run fell back it reads the pages [All] reads and creates
+     no more speculations. *)
+  List.iter
+    (fun (all, summary) ->
+      match (Hashtbl.find_opt metrics all, Hashtbl.find_opt metrics summary) with
+      | Some (a : Exec.metrics), Some (m : Exec.metrics)
+        when (not a.Exec.fell_back) && not m.Exec.fell_back ->
+        if m.Exec.page_reads <> a.Exec.page_reads then
+          record summary
+            (Printf.sprintf "%d page reads, %s read %d" m.Exec.page_reads all a.Exec.page_reads);
+        if m.Exec.specs_created > a.Exec.specs_created then
+          record summary
+            (Printf.sprintf "%d speculations created, %s created %d" m.Exec.specs_created all
+               a.Exec.specs_created)
+      | _ -> ())
+    (summary_pairs case);
   guarded "multi" (fun () ->
       let r = Multi.run ~config ~cold:true store [ case.path ] in
       ids_of r.Multi.per_path.(0));
@@ -666,9 +697,12 @@ let fused_plans case =
     ("xscan", Plan.xscan ());
     ("xindex", Plan.xindex ());
     ("xindex[resolve=0]", Plan.xindex ~resolve:0 ());
+    ("xschedule-summary", Plan.xschedule ~seeding:Plan.Summary ());
+    ("xscan-summary", Plan.xscan ~seeding:Plan.Summary ());
   ]
   @
-  if Path.starts_with_descendant_any case.path then [ ("xscan-dslash", Plan.xscan ~dslash:true ()) ]
+  if Path.starts_with_descendant_any case.path then
+    [ ("xscan-dslash", Plan.xscan ~seeding:Plan.Dslash ()) ]
   else []
 
 let check_fused_built ~store case =

@@ -162,16 +162,21 @@ let estimate ?(fused = true) store path =
 
 let compile ?(choice = Auto) ?(context_is_root = true) store path =
   let downward = Path.is_downward path in
-  let dslash = context_is_root && Path.starts_with_descendant_any path in
+  (* Root-context plans seed only what the path summary proves feasible,
+     except where the // optimisation applies to a scan. *)
+  let seeding = if context_is_root then Plan.Summary else Plan.All in
+  let scan_seeding =
+    if context_is_root && Path.starts_with_descendant_any path then Plan.Dslash else seeding
+  in
   match choice with
   | Force_simple -> Plan.simple
   | Force_schedule ->
     if not downward then
       invalid_arg "Compile: XSchedule plans require downward axes only";
-    Plan.xschedule ()
+    Plan.xschedule ~seeding ()
   | Force_scan ->
     if not downward then invalid_arg "Compile: XScan plans require downward axes only";
-    Plan.xscan ~dslash ()
+    Plan.xscan ~seeding:scan_seeding ()
   | Force_index ->
     if not downward then invalid_arg "Compile: XIndex plans require downward axes only";
     Plan.xindex ()
@@ -183,8 +188,8 @@ let compile ?(choice = Auto) ?(context_is_root = true) store path =
          index plans only apply to root-context evaluation. *)
       if context_is_root && e.cost_index < e.cost_schedule && e.cost_index < e.cost_scan then
         Plan.xindex ()
-      else if e.cost_scan < e.cost_schedule then Plan.xscan ~dslash ()
-      else Plan.xschedule ()
+      else if e.cost_scan < e.cost_schedule then Plan.xscan ~seeding:scan_seeding ()
+      else Plan.xschedule ~seeding ()
     end
 
 let plan_for ?choice ?(rewrite = false) ?context_is_root store path =

@@ -63,9 +63,16 @@ let pipeline ctx store path plan contexts =
       (List.fold_left
          (fun producer step -> Unnest_map.create ctx ~step ~dedup:dedup_intermediate producer)
          (of_list infos) path)
-  | Plan.Reordered { io; dslash } ->
+  | Plan.Reordered { io; seeding } ->
+    (* Summary seeding needs the partition's root-anchored classes. *)
+    let summary =
+      if seeding = Plan.Summary && root_only store contexts then Path_instance.summary store path
+      else None
+    in
     let schedule_pipeline speculative =
-      let sched = Xschedule.create ctx ~speculative ~path_len ~contexts:(of_list contexts) in
+      let sched =
+        Xschedule.create ctx ~speculative ~path_len ~summary ~contexts:(of_list contexts)
+      in
       let top = chain ctx path (fun () -> Xschedule.next sched) in
       stream ~sched (Xassembly.create ctx ~path_len ~xschedule:(Some sched) ~dslash:false top)
     in
@@ -73,9 +80,10 @@ let pipeline ctx store path plan contexts =
     | Plan.Io_schedule { speculative } -> schedule_pipeline speculative
     | Plan.Io_scan ->
       let sorted = List.sort Node_id.compare contexts in
-      let scan = Xscan.create ctx ~path_len ~contexts:(fun () -> of_list sorted) in
+      let scan = Xscan.create ctx ~path_len ~summary ~contexts:(fun () -> of_list sorted) in
       let top = chain ctx path (fun () -> Xscan.next scan) in
-      stream ~scan (Xassembly.create ctx ~path_len ~xschedule:None ~dslash top)
+      stream ~scan
+        (Xassembly.create ctx ~path_len ~xschedule:None ~dslash:(seeding = Plan.Dslash) top)
     | Plan.Io_index { resolve } ->
       if Xindex.usable store ~path ~resolve && root_only store contexts then begin
         let index = Xindex.create ctx ~path ~resolve ~contexts:(fun () -> of_list contexts) in
@@ -273,7 +281,6 @@ let prepare ?(config = Context.default_config) ?contexts ?trace store path plan 
   pipeline ctx store path plan contexts
 
 let stream_next stream = stream.next ()
-let stream_fell_back stream = Context.fallback stream.ctx
 let stream_abandon = abandon
 let stream_ctx stream = stream.ctx
 

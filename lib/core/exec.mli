@@ -112,8 +112,6 @@ val stream_next : stream -> Xnav_store.Store.info option
     plan may repeat nodes unless intermediate dedup is on — {!run}
     finishes through {!answer}). [None] is final. *)
 
-val stream_fell_back : stream -> bool
-
 val stream_ctx : stream -> Context.t
 (** The stream's execution context — counters (including the
     workload-fairness [served_ticks]/[starved_ticks]) accumulate here as

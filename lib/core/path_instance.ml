@@ -1,6 +1,9 @@
 module Store = Xnav_store.Store
 module Node_id = Xnav_store.Node_id
 module Node_record = Xnav_store.Node_record
+module Path_partition = Xnav_store.Path_partition
+module Path = Xnav_xpath.Path
+module Axis = Xnav_xml.Axis
 
 type right_node =
   | R_core of { view : Store.view; slot : int; core : Node_record.core }
@@ -24,22 +27,95 @@ let context view id =
   | Node_record.Down _ | Node_record.Up _ ->
     invalid_arg "Path_instance.context: context is a border record"
 
-(* A top-level loop, so a cluster's seeding allocates only its
-   instances. *)
-let rec seed (c : Counters.counters) ~path_len view agenda = function
-  | [] -> ()
-  | slot :: rest ->
-    let id = Store.id_of view slot in
-    for step = 0 to path_len - 1 do
-      c.Counters.specs_created <- c.Counters.specs_created + 1;
-      Queue.add
-        { s_l = step; n_l = id; left_incomplete = true; s_r = step; n_r = R_entry { view; slot } }
-        agenda
-    done;
-    seed c ~path_len view agenda rest
+type summary = {
+  store : Store.t;
+  partition : Path_partition.t;
+  path : Path.t;
+  links : Node_record.links;  (* register set for the owner reads *)
+  masks : int array;  (* class -> feasible-step mask; -1 until computed *)
+}
 
-let speculate ctx ~path_len view agenda =
-  seed ctx.Context.counters ~path_len view agenda (Store.up_slots view)
+(* A mask is one non-negative int, bit [s] for the seeds at step [s];
+   longer paths seed [All]. *)
+let max_steps = Sys.int_size - 1
+
+let summary store path =
+  match Store.partition store with
+  | Some partition when Path.length path < max_steps ->
+    Some
+      {
+        store;
+        partition;
+        path;
+        links = Node_record.links ();
+        masks = Array.make (Path_partition.class_count partition) (-1);
+      }
+  | Some _ | None -> None
+
+(* The steps a seed at an [Up] owned by a node of class [c] can serve:
+   bit [s] is set iff some node matching the path's first [s] steps is
+   the owner (step [s + 1] on [child]) or an ancestor-or-self of it
+   ([descendant], [descendant-or-self]). A [self] step never crosses a
+   border. *)
+let class_mask sm c =
+  let seq = Path_partition.class_sequence sm.partition c in
+  let ancestors = List.init (Array.length seq) (fun j -> Array.sub seq 0 (j + 1)) in
+  let mask = ref 0 in
+  List.iteri
+    (fun s (step : Path.step) ->
+      let prefix = Path.prefix sm.path s in
+      let feasible =
+        match step.Path.axis with
+        | Axis.Child -> Path.matches_sequence prefix seq
+        | Axis.Descendant | Axis.Descendant_or_self ->
+          List.exists (Path.matches_sequence prefix) ancestors
+        | _ -> false
+      in
+      if feasible then mask := !mask lor (1 lsl s))
+    sm.path;
+  !mask
+
+(* The feasible-step mask of the [Up] in [slot], from its owner's class
+   ([-1], every step, when the owner is no partition entry). *)
+let slot_mask sm view slot =
+  Store.read_links view sm.links slot;
+  let c =
+    Path_partition.class_at sm.partition ~pid:sm.links.Node_record.owner_pid
+      ~slot:sm.links.Node_record.owner_slot
+  in
+  if c < 0 then -1
+  else begin
+    if sm.masks.(c) < 0 then sm.masks.(c) <- class_mask sm c;
+    sm.masks.(c)
+  end
+
+(* A top-level loop, so a cluster's seeding allocates only the instances
+   it keeps. *)
+let rec seed (c : Counters.counters) ~path_len summary view agenda from =
+  let slot = Store.next_up view from in
+  if slot >= 0 then begin
+    let mask = match summary with None -> -1 | Some sm -> slot_mask sm view slot in
+    if mask <> 0 then begin
+      let id = Store.id_of view slot in
+      for step = 0 to path_len - 1 do
+        if mask land (1 lsl step) <> 0 then begin
+          c.Counters.specs_created <- c.Counters.specs_created + 1;
+          Queue.add
+            { s_l = step; n_l = id; left_incomplete = true; s_r = step; n_r = R_entry { view; slot } }
+            agenda
+        end
+      done
+    end;
+    seed c ~path_len summary view agenda (slot + 1)
+  end
+
+let speculate ctx ~path_len ?summary view agenda =
+  (* Once a writer has committed, the partition no longer describes the
+     store: an insert may reuse a deleted node's slot. *)
+  let summary =
+    match summary with Some sm when Store.stats_fresh sm.store -> summary | _ -> None
+  in
+  seed ctx.Context.counters ~path_len summary view agenda 0
 
 let right_incomplete p =
   match p.n_r with

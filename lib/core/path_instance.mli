@@ -46,12 +46,33 @@ val context : Xnav_store.Store.view -> Xnav_store.Node_id.t -> t
     with the right end swizzled into [view].
     @raise Invalid_argument if [x] is a border record. *)
 
-val speculate : Context.t -> path_len:int -> Xnav_store.Store.view -> t Queue.t -> unit
+type summary
+(** A statement's seeding filter for {!Plan.Summary}. A seed at [Up]
+    border [u] for step [i] is discharged only when a crossing into [u]
+    at step [i] happens, and that needs a node matching the path's first
+    [i] steps exactly at [u]'s owner (step [i + 1] on [child]) or at an
+    ancestor-or-self of it ([descendant], [descendant-or-self]); a
+    [self] step never crosses. The owner's path class decides this
+    exactly, so the filter keeps every seed that could complete and
+    drops only dead ones: ids, page reads and the I/O trace are those of
+    [All] seeding. Masks are computed lazily, at most once per class. *)
+
+val summary : Xnav_store.Store.t -> Xnav_xpath.Path.t -> summary option
+(** [summary store path] is the filter for evaluating [path] from the
+    document root, or [None] when the store has no partition or the path
+    has 62 steps or more (a step mask is one int). *)
+
+val speculate :
+  Context.t -> path_len:int -> ?summary:summary -> Xnav_store.Store.view -> t Queue.t -> unit
 (** The speculative seeding of a loaded cluster (paper Sec. 5.4): for
     every [Up] border [b] of [view] and every step [i < path_len], add
     the left-incomplete instance with [S_L = S_R = i] and both ends [b]
-    to the queue, counting each in [specs_created]. XScan, XSchedule's
-    speculative mode and {!Multi}'s shared scan all seed through it. *)
+    to the queue, counting each in [specs_created]. With [summary], only
+    the steps its filter proves feasible for [b]'s owner are seeded —
+    the owner is read in place from the page — unless the store has
+    mutated since import ({!Xnav_store.Store.stats_fresh}), in which case
+    every step is. XScan, XSchedule's speculative mode and {!Multi}'s
+    shared scan all seed through it. *)
 
 val right_incomplete : t -> bool
 (** True iff the right end is an untraversed border. *)

@@ -5,24 +5,30 @@ type io_operator =
   | Io_scan
   | Io_index of { resolve : int option }
 
+type seeding = All | Dslash | Summary
+
 type t =
   | Simple of { dedup_intermediate : bool }
-  | Reordered of { io : io_operator; dslash : bool }
+  | Reordered of { io : io_operator; seeding : seeding }
 
 let simple = Simple { dedup_intermediate = true }
 
-let xschedule ?(speculative = true) () =
-  Reordered { io = Io_schedule { speculative }; dslash = false }
-let xscan ?(dslash = false) () = Reordered { io = Io_scan; dslash }
-let xindex ?resolve () = Reordered { io = Io_index { resolve }; dslash = false }
+let xschedule ?(speculative = true) ?(seeding = All) () =
+  Reordered { io = Io_schedule { speculative }; seeding }
+let xscan ?(seeding = All) () = Reordered { io = Io_scan; seeding }
+let xindex ?resolve () = Reordered { io = Io_index { resolve }; seeding = All }
+
+let seeding_suffix = function All -> "" | Dslash -> "+dslash" | Summary -> "+summary"
 
 let name = function
   | Simple _ -> "simple"
-  | Reordered { io = Io_schedule { speculative = false }; _ } -> "xschedule"
-  | Reordered { io = Io_schedule { speculative = true }; _ } -> "xschedule+spec"
-  | Reordered { io = Io_scan; dslash = false; _ } -> "xscan"
-  | Reordered { io = Io_scan; dslash = true; _ } -> "xscan+dslash"
-  | Reordered { io = Io_index _; _ } -> "xindex"
+  | Reordered { io; seeding } ->
+    (match io with
+    | Io_schedule { speculative = false } -> "xschedule"
+    | Io_schedule { speculative = true } -> "xschedule+spec"
+    | Io_scan -> "xscan"
+    | Io_index _ -> "xindex")
+    ^ seeding_suffix seeding
 
 let explain_with ~fused ppf (path, plan) =
   let steps = List.mapi (fun i s -> (i + 1, s)) path in
@@ -36,13 +42,13 @@ let explain_with ~fused ppf (path, plan) =
           (if dedup_intermediate then " dedup" else ""))
       (List.rev steps);
     Format.fprintf ppf "%s Contexts@]" (String.make (List.length steps + 1) ' ')
-  | Reordered { io; dslash } ->
+  | Reordered { io; seeding } ->
     Format.fprintf ppf "@[<v>XAssembly%s%s@,"
       (match io with
       | Io_schedule _ -> "(->XSchedule.Q)"
       | Io_scan -> ""
       | Io_index _ -> "(->XIndex.pending)")
-      (if dslash then " //-opt" else "");
+      (if seeding = Dslash then " //-opt" else "");
     let chain_depth =
       if fused then begin
         (* One fused operator stands in for the whole chain. *)
@@ -64,10 +70,14 @@ let explain_with ~fused ppf (path, plan) =
     let pad = String.make chain_depth ' ' in
     (match io with
     | Io_schedule { speculative } ->
-      Format.fprintf ppf "%s XSchedule[k, async I/O%s]@,%s  Contexts@]" pad
+      Format.fprintf ppf "%s XSchedule[k, async I/O%s%s]@,%s  Contexts@]" pad
         (if speculative then ", speculative" else "")
+        (if speculative && seeding = Summary then ", summary seeds" else "")
         pad
-    | Io_scan -> Format.fprintf ppf "%s XScan[sequential]@,%s  Contexts(sorted)@]" pad pad
+    | Io_scan ->
+      Format.fprintf ppf "%s XScan[sequential%s]@,%s  Contexts(sorted)@]" pad
+        (if seeding = Summary then ", summary seeds" else "")
+        pad
     | Io_index { resolve } ->
       Format.fprintf ppf "%s XIndex[partition entries%s]@,%s  PathClasses@]" pad
         (match resolve with None -> "" | Some k -> Format.sprintf ", resolve<=%d" k)

@@ -16,22 +16,40 @@ type io_operator =
           path); the XStep tail evaluates the residual suffix, with
           border crossings served back through the index operator. *)
 
+(** Which speculative instances a scan, or a speculative schedule, seeds
+    at the [Up] borders of a loaded cluster. *)
+type seeding =
+  | All
+      (** The paper's rule (Sec. 5.4): one left-incomplete instance per
+          [Up] border and step. *)
+  | Dslash
+      (** [All], plus XAssembly's [//]-prefix optimisation
+          (Sec. 5.4.5.4): steps 0 and 1 count as reachable everywhere.
+          Only sound on scan plans whose path starts with
+          [descendant-or-self::node()] and whose context is the document
+          root; an XSchedule seeds it as [All]. *)
+  | Summary
+      (** Only the seeds the store's path partition proves could ever be
+          discharged (see {!Path_instance.summary}). Applies to
+          root-context runs on a store with a partition; any other run,
+          and every seeding after a structural mutation, seeds [All]. *)
+
 type t =
   | Simple of { dedup_intermediate : bool }
-  | Reordered of { io : io_operator; dslash : bool }
-      (** [dslash]: apply the [//]-prefix optimisation (only ever set on
-          scan plans whose path starts with [descendant-or-self::node()]
-          and whose context is the document root). Whether the step chain
-          runs fused is not part of the plan: {!Context.config.fused}
-          decides. *)
+  | Reordered of { io : io_operator; seeding : seeding }
+      (** Whether the step chain runs fused is not part of the plan:
+          {!Context.config.fused} decides. [seeding] only matters to
+          plans that speculate: XScan and the speculative XSchedule. *)
 
 val simple : t
 
-val xschedule : ?speculative:bool -> unit -> t
+val xschedule : ?speculative:bool -> ?seeding:seeding -> unit -> t
 (** [speculative] (default [true]) is the only speculation switch
-    (Sec. 5.4.4); the run config does not override it. *)
+    (Sec. 5.4.4); the run config does not override it. [seeding]
+    defaults to [All], the paper's operator. *)
 
-val xscan : ?dslash:bool -> unit -> t
+val xscan : ?seeding:seeding -> unit -> t
+(** [seeding] defaults to [All], the paper's operator. *)
 
 val xindex : ?resolve:int -> unit -> t
 (** The structural-index plan (requires a fresh {!Xnav_store.Store}
@@ -42,7 +60,8 @@ val xindex : ?resolve:int -> unit -> t
 
 val name : t -> string
 (** Short name as used in the paper's figures: "simple", "xschedule",
-    "xscan" (speculative/dslash variants annotated). *)
+    "xscan", with the speculative variant and a non-[All] seeding
+    annotated: "xschedule+spec+summary", "xscan+dslash". *)
 
 val explain_with : fused:bool -> Format.formatter -> Xnav_xpath.Path.t * t -> unit
 (** Renders the operator tree, e.g. for the CLI's [explain] command;

@@ -5,6 +5,7 @@ open Path_instance
 type t = {
   ctx : Context.t;
   path_len : int;
+  summary : Path_instance.summary option;
   factory : unit -> unit -> Node_id.t option;
   mutable contexts : unit -> Node_id.t option;
   mutable peeked : Node_id.t option;
@@ -16,11 +17,12 @@ type t = {
   mutable scanned : int;
 }
 
-let create ctx ~path_len ~contexts =
+let create ctx ~path_len ~summary ~contexts =
   let store = ctx.Context.store in
   {
     ctx;
     path_len;
+    summary;
     factory = contexts;
     contexts = contexts ();
     peeked = None;
@@ -65,7 +67,7 @@ let load_agenda t pid view =
       end
   in
   contexts_here ();
-  Path_instance.speculate t.ctx ~path_len:t.path_len view t.agenda
+  Path_instance.speculate t.ctx ~path_len:t.path_len ?summary:t.summary view t.agenda
 
 (* Tear the operator down mid-run; see {!Xschedule.abandon}. The scan
    holds at most its current view and schedules no asynchronous I/O. *)

@@ -22,11 +22,14 @@ type t
 val create :
   Context.t ->
   path_len:int ->
+  summary:Path_instance.summary option ->
   contexts:(unit -> (unit -> Xnav_store.Node_id.t option)) ->
   t
 (** [contexts] is a replayable factory: invoked once at creation and once
     more if fallback forces a restart. Each producer must yield context
-    NodeIDs sorted by cluster id ({!Xnav_store.Node_id.compare} order). *)
+    NodeIDs sorted by cluster id ({!Xnav_store.Node_id.compare} order).
+    [summary] filters the seeds ({!Path_instance.speculate}); [None]
+    seeds every step. *)
 
 val next : t -> Path_instance.t option
 

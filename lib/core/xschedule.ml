@@ -12,6 +12,7 @@ type t = {
   ctx : Context.t;
   speculative : bool;
   path_len : int;
+  summary : Path_instance.summary option;
   contexts : unit -> Node_id.t option;
   queue : (int, item Queue.t) Hashtbl.t;  (* cluster -> pending items *)
   mutable qsize : int;
@@ -27,11 +28,12 @@ type t = {
   mutable visit_hi : int;  (* largest cluster visited so far; -1 before any *)
 }
 
-let create ctx ~speculative ~path_len ~contexts =
+let create ctx ~speculative ~path_len ~summary ~contexts =
   {
     ctx;
     speculative;
     path_len;
+    summary;
     contexts;
     queue = Hashtbl.create 64;
     qsize = 0;
@@ -158,7 +160,7 @@ let load_agenda t pid view =
       t.ctx.Context.counters.Context.q_served + Queue.length q;
     Hashtbl.remove t.queue pid);
   if first_visit && t.speculative && not (Context.fallback t.ctx) then
-    Path_instance.speculate t.ctx ~path_len:t.path_len view t.agenda
+    Path_instance.speculate t.ctx ~path_len:t.path_len ?summary:t.summary view t.agenda
 
 let release_current t =
   match t.current with

@@ -27,10 +27,15 @@ val create :
   Context.t ->
   speculative:bool ->
   path_len:int ->
+  summary:Path_instance.summary option ->
   contexts:(unit -> Xnav_store.Node_id.t option) ->
   t
 (** [speculative] is the plan's flag. [contexts] produces the context NodeIDs (the paper's non-full,
-    complete instances with [S_L = S_R = 0]). *)
+    complete instances with [S_L = S_R = 0]). [summary] filters the
+    speculative seeds ({!Path_instance.speculate}); [None] seeds every
+    step. Dropping a continuation into a visited cluster ({!push}) stays
+    sound under the filter: the crossing that produced the continuation
+    proves its seed feasible, so the seed was kept. *)
 
 val push :
   t ->

@@ -5,7 +5,39 @@ type t = {
   classes : Tag.t array array;  (* class id -> root-first tag sequence *)
   entries : Node_id.t array array;  (* class id -> ids sorted by (cluster, slot) *)
   labels : Ordpath.t array array;  (* aligned with [entries] *)
+  lookup : lookup Lazy.t;  (* NodeID -> class, built on first use *)
 }
+
+(* [pages.(pid - first).(slot)] is the class of the entry at (pid, slot),
+   -1 where no entry lies. *)
+and lookup = { first : int; pages : int array array }
+
+let build_lookup entries =
+  let lo = ref max_int and hi = ref (-1) in
+  Array.iter
+    (Array.iter (fun (id : Node_id.t) ->
+         lo := min !lo id.Node_id.pid;
+         hi := max !hi id.Node_id.pid))
+    entries;
+  if !hi < 0 then { first = 0; pages = [||] }
+  else begin
+    let first = !lo in
+    let width = Array.make (!hi - first + 1) 0 in
+    Array.iter
+      (Array.iter (fun (id : Node_id.t) ->
+           let p = id.Node_id.pid - first in
+           width.(p) <- max width.(p) (id.Node_id.slot + 1)))
+      entries;
+    let pages = Array.map (fun w -> Array.make w (-1)) width in
+    Array.iteri
+      (fun c ids ->
+        Array.iter (fun (id : Node_id.t) -> pages.(id.Node_id.pid - first).(id.Node_id.slot) <- c) ids)
+      entries;
+    { first; pages }
+  end
+
+let make ~classes ~entries ~labels =
+  { classes; entries; labels; lookup = lazy (build_lookup entries) }
 
 let build ~classes ~class_of ~node_ids ~ordpaths =
   if
@@ -27,11 +59,7 @@ let build ~classes ~class_of ~node_ids ~ordpaths =
         a)
       buckets
   in
-  {
-    classes;
-    entries = Array.map (Array.map fst) sorted;
-    labels = Array.map (Array.map snd) sorted;
-  }
+  make ~classes ~entries:(Array.map (Array.map fst) sorted) ~labels:(Array.map (Array.map snd) sorted)
 
 let class_count t = Array.length t.classes
 let class_sequence t c = t.classes.(c)
@@ -42,6 +70,14 @@ let class_tag t c =
 let class_entries t c = t.entries.(c)
 let class_labels t c = t.labels.(c)
 let node_count t = Array.fold_left (fun acc a -> acc + Array.length a) 0 t.entries
+
+let class_at t ~pid ~slot =
+  let { first; pages } = Lazy.force t.lookup in
+  let p = pid - first in
+  if p < 0 || p >= Array.length pages then -1
+  else
+    let page = pages.(p) in
+    if slot < 0 || slot >= Array.length page then -1 else page.(slot)
 
 let select t ~matches =
   let rec go c acc =
@@ -109,7 +145,7 @@ let decode s pos =
     entries.(c) <- Array.map fst pairs;
     labels.(c) <- Array.map snd pairs
   done;
-  ({ classes; entries; labels }, !pos)
+  (make ~classes ~entries ~labels, !pos)
 
 let equal a b =
   Array.length a.classes = Array.length b.classes

@@ -47,6 +47,12 @@ val class_labels : t -> int -> Xnav_xml.Ordpath.t array
 val node_count : t -> int
 (** Total entries across all classes (= document node count). *)
 
+val class_at : t -> pid:int -> slot:int -> int
+(** [class_at t ~pid ~slot] is the class whose entry list holds the
+    NodeID [(pid, slot)], or [-1] when no entry has that id. The lookup
+    (one int array per page) is built on the first call, not at import
+    or load, and answers without allocating. *)
+
 val select : t -> matches:(Xnav_xml.Tag.t array -> bool) -> int list
 (** Class ids whose sequence satisfies [matches], ascending. The
     matcher is typically {!Xnav_xpath.Path.matches_sequence} partially

@@ -383,22 +383,28 @@ let nav v slot =
 
 let id_of v slot = Node_id.make ~pid:v.pid ~slot
 
+let read_links v l slot =
+  check_live v;
+  Node_record.read_links l (Page.to_bytes v.page) (Page.record_offset v.page slot)
+
 let iter_records v f =
   check_live v;
   Page.iter (fun slot encoded -> f slot (Node_record.decode encoded)) v.page
 
-let up_slots v =
+(* Discriminator peek only — copying every record out of the page just
+   to look at byte 0 dominated the scan profile. A top-level loop, so the
+   search allocates nothing. *)
+let rec up_from page n slot =
+  if slot >= n then -1
+  else if
+    Page.mem page slot
+    && match Page.record_byte page slot with '\002' | '\003' -> true | _ -> false
+  then slot
+  else up_from page n (slot + 1)
+
+let next_up v slot =
   check_live v;
-  (* Discriminator peek only — copying every record out of the page just
-     to look at byte 0 dominated the scan profile. *)
-  let acc = ref [] in
-  for slot = Page.slot_count v.page - 1 downto 0 do
-    if Page.mem v.page slot then
-      match Page.record_byte v.page slot with
-      | '\002' | '\003' -> acc := slot :: !acc
-      | _ -> ()
-  done;
-  !acc
+  up_from v.page (Page.slot_count v.page) (max 0 slot)
 
 (* --- Intra-cluster cursors --------------------------------------------- *)
 

@@ -222,9 +222,15 @@ val nav : view -> int -> int
 
 val id_of : view -> int -> Node_id.t
 
-val up_slots : view -> int list
-(** Slots of all [Up] border records in the page — the entry points the
-    XScan operator speculates from. *)
+val read_links : view -> Node_record.links -> int -> unit
+(** [read_links view l slot] parses the record in [slot] into [l] where
+    it lies in the page ({!Node_record.read_links}): no decode, no
+    allocation, and the swizzle counters do not move. *)
+
+val next_up : view -> int -> int
+(** [next_up view slot] is the first slot at or after [slot] holding an
+    [Up] border record, or [-1] when there is none — the entry points
+    the speculative operators seed from. Allocates nothing. *)
 
 val iter_records : view -> (int -> Node_record.t -> unit) -> unit
 (** Decode and visit every live record of the page, in slot order (used

@@ -112,7 +112,7 @@ type lane = {
          result cache at admission, riding another client's identical
          in-flight scan as a follower, or a writer job. *)
   mutable followers : lane list;
-  nodes : Store.info Vec.t;  (* arrival order, duplicates included *)
+  mutable nodes : Store.info Vec.t;  (* arrival order, duplicates included *)
   mutable sorted : Store.info list option;
       (* the answer already in document order — set when it came from
          the result cache or a shared scan, so serving a repeat is a
@@ -309,6 +309,17 @@ let run_topology ~config ~quantum ~ordered ~cold ~pools ~sites clients =
         submit f.client)
       lane.followers;
     lane.followers <- [];
+    (* Without [validate], nothing reads a finished lane's execution
+       state again: release the pipeline, the touch log and, once the
+       answer is held in document order, the arrival buffer. The
+       end-of-run [validate] sweep needs every stream, and only once all
+       pools are quiescent: swept here, one lane would report another's
+       pins. *)
+    if not cfg.Context.validate then begin
+      lane.stream <- None;
+      Hashtbl.reset lane.touched;
+      if lane.sorted <> None then lane.nodes <- Vec.create ()
+    end;
     submit lane.client
   in
 
@@ -778,7 +789,7 @@ let run_topology ~config ~quantum ~ordered ~cold ~pools ~sites clients =
         latch_waits = c.Context.latch_waits;
         snapshot_retries = lane.retries;
         finish_commit = lane.finish_commit;
-        fell_back = (match lane.stream with Some s -> Exec.stream_fell_back s | None -> false);
+        fell_back = Context.fallback lane.ctx;
       } )
   in
   let site_jobs = List.rev_map to_job !finished in

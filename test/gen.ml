@@ -105,3 +105,18 @@ let reconstruct store =
     Xnav_xml.Tree.make inf.Store.tag (kids [])
   in
   build (Store.root store)
+
+(* Whether [sub] occurs in [s]. *)
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* The slots of every [Up] border record of a pinned page, ascending. *)
+let up_slots view =
+  let module Store = Xnav_store.Store in
+  let rec go slot acc =
+    let slot = Store.next_up view slot in
+    if slot < 0 then List.rev acc else go (slot + 1) (slot :: acc)
+  in
+  go 0 []

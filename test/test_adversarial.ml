@@ -58,7 +58,7 @@ let compile_tests =
         (match Compile.compile ~choice:Compile.Force_scan ~context_is_root:false store
                  (Xpath_parser.parse "//B")
          with
-        | Plan.Reordered { dslash = false; _ } -> ()
+        | Plan.Reordered { seeding = Plan.All; _ } -> ()
         | _ -> Alcotest.fail "expected a plain scan"));
   ]
 
@@ -150,7 +150,7 @@ let continues_flag_tests =
               match Store.get view slot with
               | Node_record.Up u -> check bool "terminal" false u.Node_record.continues
               | _ -> ())
-            (Store.up_slots view);
+            (Gen.up_slots view);
           Store.release store view
         done);
     Alcotest.test_case "stale continues flag after deletes stays correct" `Quick (fun () ->

@@ -317,9 +317,9 @@ let view_dies_on_release () =
         true
         (raises (fun () -> ignore (Store.get v 0)));
       check Alcotest.bool
-        (label "up_slots after release raises (swizzle %s)")
+        (label "next_up after release raises (swizzle %s)")
         true
-        (raises (fun () -> ignore (Store.up_slots v)));
+        (raises (fun () -> ignore (Store.next_up v 0)));
       check Alcotest.bool
         (label "double release raises (swizzle %s)")
         true

@@ -102,7 +102,7 @@ let tests =
         let n = drain 0 in
         check int "all results" (Eval_ref.count doc path) n;
         check bool "None is final" true (Exec.stream_next stream = None);
-        check bool "no fallback" false (Exec.stream_fell_back stream));
+        check bool "no fallback" false (Xnav_core.Context.fallback (Exec.stream_ctx stream)));
     Alcotest.test_case "abandoned stream leaves pins only until released" `Quick (fun () ->
         (* XSchedule holds its current cluster pinned between pulls — an
            abandoned stream may keep one pin (documented behaviour); a
@@ -154,7 +154,18 @@ let tests =
           (fun plan ->
             let rendered = Format.asprintf "%a" Plan.explain (path, plan) in
             check bool (Plan.name plan) true (String.length rendered > 10))
-          [ Plan.simple; Plan.xschedule (); Plan.xscan ~dslash:true (); Plan.xscan () ]);
+          [ Plan.simple; Plan.xschedule (); Plan.xscan ~seeding:Plan.Dslash (); Plan.xscan () ];
+        (* The seeding shows in the name and the operator tree. *)
+        List.iter
+          (fun (name, plan) ->
+            check Alcotest.string name name (Plan.name plan);
+            let rendered = Format.asprintf "%a" Plan.explain (path, plan) in
+            check bool (name ^ " renders its seeding") true
+              (Gen.contains rendered "summary seeds"))
+          [
+            ("xscan+summary", Plan.xscan ~seeding:Plan.Summary ());
+            ("xschedule+spec+summary", Plan.xschedule ~seeding:Plan.Summary ());
+          ]);
     Alcotest.test_case "plan_for rewrites when asked" `Quick (fun () ->
         let store, _ = Gen.import_store (Gen.sample_doc ()) in
         let raw = Xpath_parser.parse "/A//B" in

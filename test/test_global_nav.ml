@@ -79,7 +79,7 @@ let up_records store =
         | Node_record.Up { continues = true; _ } -> incr continuing
         | _ -> ());
         ups := Store.id_of view slot :: !ups)
-      (Store.up_slots view);
+      (Gen.up_slots view);
     Store.release store view
   done;
   (List.rev !ups, !continuing)
@@ -196,11 +196,6 @@ let allocation_tests =
 
 (* --- Malformed records ------------------------------------------------------- *)
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 (* The first record of the store satisfying [pick], with its NodeID. *)
 let find_record store pick =
   let found = ref None in
@@ -237,8 +232,8 @@ let error_tests =
         (match Store.global_count store Axis.Descendant (Store.root store) with
         | exception Invalid_argument msg ->
           check Alcotest.bool ("names the record: " ^ msg) true
-            (contains msg (Node_id.to_string bogus));
-          check Alcotest.bool ("names the expected kind: " ^ msg) true (contains msg "Up")
+            (Gen.contains msg (Node_id.to_string bogus));
+          check Alcotest.bool ("names the expected kind: " ^ msg) true (Gen.contains msg "Up")
         | _ -> Alcotest.fail "expected Invalid_argument");
         check Alcotest.int "no pins left" 0 (Buffer_manager.pinned_count buffer));
     Alcotest.test_case "every axis rejects a border context with one message" `Quick (fun () ->

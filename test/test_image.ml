@@ -87,6 +87,43 @@ let tests =
           (Xnav_store.Path_partition.equal partition decoded);
         check int "entries cover every node" (Tree.size doc)
           (Xnav_store.Path_partition.node_count decoded));
+    Alcotest.test_case "the partition maps every entry id back to its class" `Quick (fun () ->
+        let module Path_partition = Xnav_store.Path_partition in
+        let doc = Gen.wide_tree ~children:60 () in
+        let store, import = Gen.import_store ~payload:220 doc in
+        let buf = Buffer.create 1024 in
+        Path_partition.encode buf import.Import.partition;
+        let decoded, _ = Path_partition.decode (Buffer.contents buf) 0 in
+        List.iter
+          (fun p ->
+            let class_of (id : Xnav_store.Node_id.t) =
+              Path_partition.class_at p ~pid:id.Xnav_store.Node_id.pid
+                ~slot:id.Xnav_store.Node_id.slot
+            in
+            for c = 0 to Path_partition.class_count p - 1 do
+              Array.iter
+                (fun id -> check int "entry maps to its class" c (class_of id))
+                (Path_partition.class_entries p c)
+            done;
+            (* Border records are no entries, nor are ids off the pages
+               and slots the document uses. *)
+            let borders = ref 0 in
+            for pid = Store.first_page store to Store.first_page store + Store.page_count store - 1 do
+              let view = Store.view store pid in
+              List.iter
+                (fun slot ->
+                  incr borders;
+                  check int "an Up border maps to none" (-1) (class_of (Store.id_of view slot)))
+                (Gen.up_slots view);
+              Store.release store view
+            done;
+            check bool "the document has Up borders" true (!borders > 0);
+            let last = Store.first_page store + Store.page_count store in
+            List.iter
+              (fun (pid, slot) ->
+                check int "a foreign id maps to none" (-1) (Path_partition.class_at p ~pid ~slot))
+              [ (-1, 0); (last, 0); (Store.first_page store, 1_000_000); (Store.first_page store, -1) ])
+          [ import.Import.partition; decoded ]);
     Alcotest.test_case "a fresh partition survives persistence, a stale one does not" `Quick
       (fun () ->
         let doc = Gen.wide_tree ~children:60 () in

@@ -17,6 +17,11 @@ module Plan = Xnav_core.Plan
 module Compile = Xnav_core.Compile
 module Exec = Xnav_core.Exec
 module Context = Xnav_core.Context
+module Update = Xnav_store.Update
+module Disk = Xnav_storage.Disk
+module Workload = Xnav_workload.Workload
+module Gen_x = Xnav_xmark.Gen
+module Queries = Xnav_xmark.Queries
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -148,12 +153,138 @@ let dslash_tests =
             let path = Xpath_parser.parse path_str in
             check bool "starts with //" true (Path.starts_with_descendant_any path);
             let plain = run_one store (Plan.xscan ()) path in
-            let opt = run_one store (Plan.xscan ~dslash:true ()) path in
+            let opt = run_one store (Plan.xscan ~seeding:Plan.Dslash ()) path in
             check bool "same results"
               true
               (preorders_of import plain.Exec.nodes = preorders_of import opt.Exec.nodes);
             check int "oracle count" (Eval_ref.count doc path) opt.Exec.count)
           [ "//b"; "//x"; "//b/x"; "//node()" ]);
+  ]
+
+(* Summary seeding: the path partition drops the seeds no crossing can
+   ever discharge, so every id and page read is the [All] plan's and
+   only the speculation counters fall. *)
+let xmark_store () =
+  let doc = Gen_x.generate ~config:{ Gen_x.default_config with Gen_x.scale = 0.1 } () in
+  let disk = Disk.create ~config:{ Disk.default_config with Disk.page_size = 4096 } () in
+  Store.attach (Buffer_manager.create ~capacity:64 disk) (Import.run disk doc)
+
+let sorted_ids (r : Exec.result) =
+  List.map (fun (i : Store.info) -> i.Store.id) r.Exec.nodes |> List.sort Node_id.compare
+
+let id_list = Alcotest.testable (Fmt.Dump.list Node_id.pp) (List.equal Node_id.equal)
+
+let drain stream =
+  let rec go acc =
+    match Exec.stream_next stream with None -> acc | Some (i : Store.info) -> go (i.Store.id :: acc)
+  in
+  List.sort Node_id.compare (go [])
+
+let summary_tests =
+  [
+    Alcotest.test_case "summary seeding keeps ids and page reads on q6', q7 and q15" `Quick
+      (fun () ->
+        let store = xmark_store () in
+        List.iter
+          (fun (q : Queries.t) ->
+            List.iter
+              (fun path ->
+                List.iter
+                  (fun (seeding_of, all) ->
+                    let summary = seeding_of Plan.Summary in
+                    let name = q.Queries.name ^ " " ^ Plan.name summary in
+                    let a = Exec.cold_run ~ordered:false store path all in
+                    let m = Exec.cold_run ~ordered:false store path summary in
+                    check id_list (name ^ ": ids") (sorted_ids a) (sorted_ids m);
+                    check int (name ^ ": page reads") a.Exec.metrics.Exec.page_reads
+                      m.Exec.metrics.Exec.page_reads;
+                    check bool (name ^ ": no more speculations") true
+                      (m.Exec.metrics.Exec.specs_created <= a.Exec.metrics.Exec.specs_created);
+                    (* Dead seeds are what fills S on the selective
+                       queries' scans. *)
+                    if q.Queries.name <> "q7" && all = Plan.xscan () then begin
+                      check bool (name ^ ": fewer speculations") true
+                        (m.Exec.metrics.Exec.specs_created < a.Exec.metrics.Exec.specs_created);
+                      check bool (name ^ ": lower S peak") true
+                        (m.Exec.metrics.Exec.s_peak < a.Exec.metrics.Exec.s_peak)
+                    end)
+                  [
+                    ((fun seeding -> Plan.xscan ~seeding ()), Plan.xscan ());
+                    ((fun seeding -> Plan.xschedule ~seeding ()), Plan.xschedule ());
+                  ])
+              q.Queries.paths)
+          [ Queries.q6'; Queries.q7; Queries.q15 ]);
+    Alcotest.test_case "a budget that makes q15's paper scan fall back spares the compiled scan"
+      `Quick (fun () ->
+        let store = xmark_store () in
+        let path = List.hd Queries.q15.Queries.paths in
+        let config = { Context.default_config with Context.memory_budget = 100 } in
+        let paper = Exec.cold_run ~config ~ordered:false store path (Plan.xscan ()) in
+        check bool "the paper's XScan falls back" true paper.Exec.metrics.Exec.fell_back;
+        let plan = Compile.compile ~choice:Compile.Force_scan store path in
+        check Alcotest.string "the compiled scan seeds by summary" "xscan+summary" (Plan.name plan);
+        let compiled = Exec.cold_run ~config ~ordered:false store path plan in
+        check bool "the compiled scan does not fall back" false
+          compiled.Exec.metrics.Exec.fell_back;
+        check id_list "same ids" (sorted_ids paper) (sorted_ids compiled));
+    Alcotest.test_case "a commit between two seedings makes the later seedings seed every step"
+      `Quick (fun () ->
+        let path = List.hd Queries.q6'.Queries.paths in
+        let tag = Xnav_xml.Tag.of_string "item" in
+        (* One stream per seeding on identical stores: paused at the
+           first answer after ten clusters (both streams have scanned
+           the same clusters then: pruned seeds emit nothing), a commit
+           under the root (the last cluster, not yet scanned), then
+           drained. *)
+        let paused seeding =
+          let store = xmark_store () in
+          let stream = Exec.prepare store path (Plan.xscan ~seeding ()) in
+          let c = (Exec.stream_ctx stream).Context.counters in
+          let rec pull acc =
+            let id = (Option.get (Exec.stream_next stream)).Store.id in
+            if c.Context.clusters_visited < 10 then pull (id :: acc) else id :: acc
+          in
+          let head = pull [] in
+          let visited = c.Context.clusters_visited and before = c.Context.specs_created in
+          ignore (Update.insert_element store ~parent:(Store.root store) tag);
+          let ids = List.sort Node_id.compare (head @ drain stream) in
+          (store, ids, visited, before, c.Context.specs_created - before)
+        in
+        let _, all_ids, all_visited, all_before, all_after = paused Plan.All in
+        let store, ids, visited, before, after = paused Plan.Summary in
+        check bool "the commit lands mid-scan" true (visited < Store.page_count store);
+        check int "both streams paused after the same clusters" all_visited visited;
+        check bool "seedings before the commit are pruned" true (before < all_before);
+        check bool "clusters with Up borders remain after the commit" true (after > 0);
+        check int "seedings after the commit seed every step" all_after after;
+        let serial = sorted_ids (Exec.run ~ordered:false store path Plan.simple) in
+        check id_list "the answer is the post-commit answer" serial ids;
+        check id_list "and the All stream's" serial all_ids;
+        (* The same schedule through the workload engine: the writer
+           commits while the summary reader is mid-scan, and the reader's
+           answer is the serial replay at its finish point. *)
+        let store = xmark_store () in
+        let reader =
+          { Workload.label = "r"; path; plan = Plan.xscan ~seeding:Plan.Summary (); timeout = None; ops = [] }
+        in
+        let writer =
+          {
+            Workload.label = "w";
+            path;
+            plan = Plan.simple;
+            timeout = None;
+            ops = [ Workload.Insert_child { parent = Store.root store; tag } ];
+          }
+        in
+        let config = { Context.default_config with Context.validate = true } in
+        let r = Workload.run_clients ~config ~cold:true store [| [ reader ]; [ writer ] |] in
+        check Alcotest.(list string) "no invariant violations" [] r.Workload.violations;
+        let job = List.find (fun (j : Workload.job) -> j.Workload.job_label = "r") r.Workload.jobs in
+        check int "no snapshot restart" 0 job.Workload.snapshot_retries;
+        check int "the reader finished after the commit" 1 job.Workload.finish_commit;
+        check id_list "the reader's answer is the serial replay" serial
+          (List.map (fun (i : Store.info) -> i.Store.id) job.Workload.nodes
+          |> List.sort Node_id.compare));
   ]
 
 (* Multiple context nodes, including duplicates-producing overlaps. *)
@@ -308,7 +439,7 @@ let compile_tests =
         let store, _ = Gen.import_store (Gen.sample_doc ()) in
         let path = Xpath_parser.parse "//B" in
         (match Compile.compile ~choice:Compile.Force_scan store path with
-        | Plan.Reordered { io = Plan.Io_scan; dslash = true; _ } -> ()
+        | Plan.Reordered { io = Plan.Io_scan; seeding = Plan.Dslash } -> ()
         | plan -> Alcotest.failf "expected dslash scan, got %s" (Plan.name plan));
         match Compile.compile ~choice:Compile.Force_schedule store path with
         | Plan.Reordered { io = Plan.Io_schedule _; _ } -> ()
@@ -434,6 +565,7 @@ let suite =
     ("plans.strategies", strategy_tests);
     ("plans.stress", stress_tests);
     ("plans.dslash", dslash_tests);
+    ("plans.summary", summary_tests);
     ("plans.contexts", context_tests);
     ("plans.axis-guards", axis_guard_tests);
     ("plans.eval-store", eval_store_tests);

@@ -280,7 +280,7 @@ let cursor_tests =
         for pid = Store.first_page store to Store.first_page store + Store.page_count store - 1 do
           if not !found then begin
             let view = Store.view store pid in
-            (match Store.up_slots view with
+            (match Gen.up_slots view with
             | slot :: _ ->
               found := true;
               (match Store.start view Axis.Child slot with
@@ -346,7 +346,7 @@ let info_tests =
         for pid = Store.first_page store to Store.first_page store + Store.page_count store - 1 do
           if !border = None then begin
             let view = Store.view store pid in
-            (match Store.up_slots view with
+            (match Gen.up_slots view with
             | slot :: _ -> border := Some (Store.id_of view slot)
             | [] -> ());
             Store.release store view
