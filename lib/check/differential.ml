@@ -16,6 +16,7 @@ module Workload = Xnav_workload.Workload
 module Shard = Xnav_workload.Shard
 module Update = Xnav_store.Update
 module Context = Xnav_core.Context
+module Counters = Xnav_core.Counters
 module Result_cache = Xnav_core.Result_cache
 module Xmark_gen = Xnav_xmark.Gen
 
@@ -196,55 +197,60 @@ let storage_clean store =
     else Io_scheduler.consistency_error sched
   end
 
+(* Run one plan through [f]: it must return [expected] and leave the
+   storage layer clean. *)
+let against ~store ~expected plan f =
+  let mismatch detail = { plan; detail } in
+  match f () with
+  | got ->
+    (if got <> expected then
+       [
+         mismatch
+           (Format.asprintf "expected %d nodes %a, got %d nodes %a" (List.length expected) pp_ids
+              expected (List.length got) pp_ids got);
+       ]
+     else [])
+    @ Option.to_list (Option.map mismatch (storage_clean store))
+  | exception e -> [ mismatch (Printf.sprintf "raised %s" (Printexc.to_string e)) ]
+
 let check_built ~doc ~store ~import case =
   let config = context_config case in
   let expected = expected_ids doc import case.path in
-  let mismatches = ref [] in
-  let record plan detail = mismatches := { plan; detail } :: !mismatches in
-  let compare_ids plan got =
-    if got <> expected then
-      record plan
-        (Format.asprintf "expected %d nodes %a, got %d nodes %a" (List.length expected) pp_ids
-           expected (List.length got) pp_ids got)
-  in
-  let guarded plan f =
-    match f () with
-    | got ->
-      compare_ids plan got;
-      (match storage_clean store with
-      | None -> ()
-      | Some msg -> record plan msg)
-    | exception e -> record plan (Printf.sprintf "raised %s" (Printexc.to_string e))
-  in
   let metrics = Hashtbl.create 8 in
-  List.iter
-    (fun (name, plan) ->
-      guarded name (fun () ->
-          let r = Exec.cold_run ~config store case.path plan in
-          Hashtbl.replace metrics name r.Exec.metrics;
-          ids_of r.Exec.nodes))
-    (plans_for case);
+  let runs =
+    List.concat_map
+      (fun (name, plan) ->
+        against ~store ~expected name (fun () ->
+            let r = Exec.cold_run ~config store case.path plan in
+            Hashtbl.replace metrics name r.Exec.metrics;
+            ids_of r.Exec.nodes))
+      (plans_for case)
+  in
   (* Summary seeding drops only seeds that could never complete, so
      unless a run fell back it reads the pages [All] reads and creates
      no more speculations. *)
-  List.iter
-    (fun (all, summary) ->
-      match (Hashtbl.find_opt metrics all, Hashtbl.find_opt metrics summary) with
-      | Some (a : Exec.metrics), Some (m : Exec.metrics)
-        when (not a.Exec.fell_back) && not m.Exec.fell_back ->
-        if m.Exec.page_reads <> a.Exec.page_reads then
-          record summary
-            (Printf.sprintf "%d page reads, %s read %d" m.Exec.page_reads all a.Exec.page_reads);
+  let summary_checks (all, summary) =
+    match (Hashtbl.find_opt metrics all, Hashtbl.find_opt metrics summary) with
+    | Some (a : Exec.metrics), Some (m : Exec.metrics)
+      when (not a.Exec.fell_back) && not m.Exec.fell_back ->
+      List.map
+        (fun detail -> { plan = summary; detail })
+        ((if m.Exec.page_reads <> a.Exec.page_reads then
+            [ Printf.sprintf "%d page reads, %s read %d" m.Exec.page_reads all a.Exec.page_reads ]
+          else [])
+        @
         if m.Exec.specs_created > a.Exec.specs_created then
-          record summary
-            (Printf.sprintf "%d speculations created, %s created %d" m.Exec.specs_created all
-               a.Exec.specs_created)
-      | _ -> ())
-    (summary_pairs case);
-  guarded "multi" (fun () ->
-      let r = Multi.run ~config ~cold:true store [ case.path ] in
-      ids_of r.Multi.per_path.(0));
-  List.rev !mismatches
+          [
+            Printf.sprintf "%d speculations created, %s created %d" m.Exec.specs_created all
+              a.Exec.specs_created;
+          ]
+        else [])
+    | _ -> []
+  in
+  runs
+  @ List.concat_map summary_checks (summary_pairs case)
+  @ against ~store ~expected "multi" (fun () ->
+        ids_of (Multi.run ~config ~cold:true store [ case.path ]).Multi.per_path.(0))
 
 (* One case on its own: build the case's store, then run a tier's check
    against it — what a reproducer replays and shrinking re-executes. *)
@@ -255,156 +261,145 @@ let one_case check_built case =
 
 let check_case = one_case check_built
 
-(* --- swizzling tier ------------------------------------------------------- *)
+(* --- knob-flip tiers -------------------------------------------------------- *)
 
-(* Swizzling is a pure caching layer: with it forced off every view access
-   re-decodes from the page, i.e. the pre-swizzling regime. Running each
-   plan both ways must give identical results AND identical scheduling
-   behaviour (the queue counters) — a divergence means the cache leaked
-   into plan semantics. *)
-let check_swizzle_built ~store case =
-  let config = context_config case in
-  let mismatches = ref [] in
-  let record plan detail = mismatches := { plan; detail } :: !mismatches in
-  let saved = Store.swizzling store in
-  let run_plan plan on =
-    Store.set_swizzling store on;
-    Exec.cold_run ~config store case.path plan
+(* A knob is invisible when flipping it keeps its promise
+   ({!Context.promise}): each plan runs cold — empty pool, empty result
+   cache — with the tier's knobs off, then on, on the same store, and
+   the two runs must return the same node ids, the same disk trace if
+   every knob promises it, and equal values in the counter rows every
+   knob promises. That the off run keeps the guarded counters at 0 is
+   checked by the invariant sweep inside each validated run. [after]
+   adds a tier's own checks on the pair. *)
+let check_flip name ?(plans = plans_for) ?(after = fun _ _ ~off:_ ~on:_ -> []) ~store case =
+  let knobs = List.filter (fun (k : Context.knob) -> k.Context.tier = Some name) Context.knobs in
+  let promised f = List.for_all (fun (k : Context.knob) -> f k.Context.promise) knobs in
+  let same_trace = promised (fun p -> p.Context.same_trace) in
+  let rows =
+    List.filter
+      (fun (row : Counters.row) ->
+        promised (fun p -> List.mem row.Counters.name p.Context.same_rows))
+      Counters.table
   in
-  List.iter
-    (fun (name, plan) ->
-      match
-        let on = run_plan plan true in
-        let off = run_plan plan false in
-        (on, off)
-      with
-      | on, off ->
-        let on_ids = ids_of on.Exec.nodes and off_ids = ids_of off.Exec.nodes in
-        if on_ids <> off_ids then
-          record name
-            (Format.asprintf "swizzled: %d nodes %a, unswizzled: %d nodes %a"
-               (List.length on_ids) pp_ids on_ids (List.length off_ids) pp_ids off_ids);
-        let mon = on.Exec.metrics and moff = off.Exec.metrics in
-        if
-          mon.Exec.q_enqueued <> moff.Exec.q_enqueued
-          || mon.Exec.q_served <> moff.Exec.q_served
-        then
-          record name
-            (Printf.sprintf
-               "queue counters diverge: swizzled enqueued/served %d/%d, unswizzled %d/%d"
-               mon.Exec.q_enqueued mon.Exec.q_served moff.Exec.q_enqueued moff.Exec.q_served);
-        if moff.Exec.swizzle_hits <> 0 then
-          record name
-            (Printf.sprintf "%d decode-cache hits recorded with swizzling off"
-               moff.Exec.swizzle_hits)
-      | exception e -> record name (Printf.sprintf "raised %s" (Printexc.to_string e)))
-    (plans_for case);
-  Store.set_swizzling store saved;
-  List.rev !mismatches
-
-(* --- batching tier -------------------------------------------------------- *)
-
-(* Coalesced reads, cost-sensitive queue serving and adaptive scan
-   windows reorder and batch physical I/O, but must not change what a
-   plan computes: with the knobs fully off (the historical single-page
-   regime) and fully on (the defaults), every plan must produce the same
-   result set — under the full invariant suite — and the off run must not
-   touch any batch path. *)
-let knobs_off config =
-  {
-    config with
-    Context.coalesce_window = 0;
-    scan_threshold = 0.0;
-  }
-
-let knobs_on config =
-  {
-    config with
-    Context.coalesce_window = 16;
-    scan_threshold = 0.5;
-  }
-
-let check_batching_built ~store case =
   let config = context_config case in
-  let mismatches = ref [] in
-  let record plan detail = mismatches := { plan; detail } :: !mismatches in
-  List.iter
-    (fun (name, plan) ->
+  let disk = Buffer_manager.disk (Store.buffer store) in
+  let run plan on =
+    let config = List.fold_left (fun c (k : Context.knob) -> k.Context.set on c) config knobs in
+    Result_cache.clear ();
+    Disk.set_trace disk same_trace;
+    let r = Exec.cold_run ~config store case.path plan in
+    let trace = Disk.trace disk in
+    Disk.set_trace disk false;
+    (r, trace)
+  in
+  let show = function
+    | Counters.Int i -> string_of_int i
+    | Counters.Float f -> Printf.sprintf "%g" f
+    | Counters.Bool b -> string_of_bool b
+  in
+  List.concat_map
+    (fun (plan_name, plan) ->
+      let mismatch detail = { plan = plan_name; detail } in
       match
-        let off = Exec.cold_run ~config:(knobs_off config) store case.path plan in
-        let on = Exec.cold_run ~config:(knobs_on config) store case.path plan in
-        (off, on)
+        let off, off_trace = run plan false in
+        let on, on_trace = run plan true in
+        (off, off_trace, on, on_trace, after plan_name plan ~off ~on)
       with
-      | off, on ->
+      | off, off_trace, on, on_trace, extra ->
         let off_ids = ids_of off.Exec.nodes and on_ids = ids_of on.Exec.nodes in
-        if off_ids <> on_ids then
-          record name
-            (Format.asprintf "knobs off: %d nodes %a, knobs on: %d nodes %a"
-               (List.length off_ids) pp_ids off_ids (List.length on_ids) pp_ids on_ids);
-        let m = off.Exec.metrics in
-        if
-          m.Exec.batched_reads <> 0 || m.Exec.batch_pages <> 0 || m.Exec.coalesce_runs <> 0
-          || m.Exec.scan_windows <> 0
-          || m.Exec.scan_window_pages <> 0
-        then
-          record name
-            (Printf.sprintf
-               "knobs-off run touched the batch path: batches %d (%d pages, %d coalesced), \
-                windows %d (%d pages)"
-               m.Exec.batched_reads m.Exec.batch_pages m.Exec.coalesce_runs m.Exec.scan_windows
-               m.Exec.scan_window_pages)
-      | exception e -> record name (Printf.sprintf "raised %s" (Printexc.to_string e)))
-    (plans_for case);
-  List.rev !mismatches
+        (if off_ids <> on_ids then
+           [
+             mismatch
+               (Format.asprintf "%s off: %d nodes %a, on: %d nodes %a" name
+                  (List.length off_ids) pp_ids off_ids (List.length on_ids) pp_ids on_ids);
+           ]
+         else [])
+        @ (if off_trace <> on_trace then
+             [
+               mismatch
+                 (Printf.sprintf "I/O traces diverge: %s off read %d pages, on %d" name
+                    (List.length off_trace) (List.length on_trace));
+             ]
+           else [])
+        @ List.filter_map
+            (fun (row : Counters.row) ->
+              let a = Counters.value row off.Exec.metrics in
+              let b = Counters.value row on.Exec.metrics in
+              if a = b then None
+              else
+                Some
+                  (mismatch
+                     (Printf.sprintf "%s diverges: %s off %s, on %s" row.Counters.name name (show a)
+                        (show b))))
+            rows
+        @ extra
+      | exception e -> [ mismatch (Printf.sprintf "raised %s" (Printexc.to_string e)) ])
+    (plans case)
+
+(* The fused automaton replaces the step chain, which Simple plans do
+   not have; index plans at full and zero resolution do. *)
+let fused_plans case =
+  List.filter
+    (fun (_, plan) -> match plan with Plan.Simple _ -> false | Plan.Reordered _ -> true)
+    (plans_for case)
+  @ [ ("xindex", Plan.xindex ()); ("xindex[resolve=0]", Plan.xindex ~resolve:0 ()) ]
 
 (* --- workload tier -------------------------------------------------------- *)
 
 (* Concurrency must be invisible in the answers: running every plan of
    the case at once through the workload engine — admission control,
    interleaved streams, cross-query coalescing, Buffer_full recovery and
-   all — must give each query exactly the node set its serial cold run
-   produces. The sampled capacities go down to 1, which exercises the
-   degenerate serialising admission path. *)
-let check_workload_built ~store case =
-  let config = context_config case in
-  let mismatches = ref [] in
-  let record plan detail = mismatches := { plan; detail } :: !mismatches in
+   all — must give each query exactly the node set of its serial cold
+   run ([serial]), one job per plan, with no violations and a clean storage
+   layer. The sampled capacities go down to 1, which exercises the
+   degenerate serialising admission path. [extra] adds a caller's checks
+   on the engine's result. *)
+let check_concurrent ~config ?(extra = fun _ -> []) ~serial ~store case =
   let plans = plans_for case in
-  let serial =
-    List.map
-      (fun (name, plan) ->
-        (name, ids_of (Exec.cold_run ~config store case.path plan).Exec.nodes))
-      plans
-  in
   let specs =
     List.map
       (fun (name, plan) ->
         { Workload.label = name; path = case.path; plan; timeout = None; ops = [] })
       plans
   in
-  (match Workload.run ~config ~cold:true store specs with
+  let mismatch plan detail = { plan; detail } in
+  match Workload.run ~config ~cold:true store specs with
   | r ->
-    List.iter
+    List.filter_map
       (fun (job : Workload.job) ->
-        let expected = List.assoc job.Workload.job_label serial in
         let got = ids_of job.Workload.nodes in
-        if got <> expected then
-          record job.Workload.job_label
-            (Format.asprintf "serial: %d nodes %a, concurrent (%s): %d nodes %a"
-               (List.length expected) pp_ids expected
-               (Workload.status_to_string job.Workload.status)
-               (List.length got) pp_ids got))
-      r.Workload.jobs;
-    if List.length r.Workload.jobs <> List.length plans then
-      record "workload"
-        (Printf.sprintf "%d queries submitted but %d jobs reported" (List.length plans)
-           (List.length r.Workload.jobs));
-    List.iter (fun msg -> record "workload" msg) r.Workload.violations;
-    (match storage_clean store with
-    | None -> ()
-    | Some msg -> record "workload" msg)
-  | exception e -> record "workload" (Printf.sprintf "raised %s" (Printexc.to_string e)));
-  List.rev !mismatches
+        match List.assoc_opt job.Workload.job_label serial with
+        | Some expected when got <> expected ->
+          Some
+            (mismatch job.Workload.job_label
+               (Format.asprintf "serial: %d nodes %a, concurrent (%s%s): %d nodes %a"
+                  (List.length expected) pp_ids expected
+                  (Workload.status_to_string job.Workload.status)
+                  (if job.Workload.shared then ", follower" else "")
+                  (List.length got) pp_ids got))
+        | _ -> None)
+      r.Workload.jobs
+    @ (if List.length r.Workload.jobs <> List.length plans then
+         [
+           mismatch "workload"
+             (Printf.sprintf "%d queries submitted but %d jobs reported" (List.length plans)
+                (List.length r.Workload.jobs));
+         ]
+       else [])
+    @ List.map (mismatch "workload") r.Workload.violations
+    @ Option.to_list (Option.map (mismatch "workload") (storage_clean store))
+    @ extra r
+  | exception e -> [ mismatch "workload" (Printf.sprintf "raised %s" (Printexc.to_string e)) ]
+
+let check_workload_built ~store case =
+  let config = context_config case in
+  let serial =
+    List.map
+      (fun (name, plan) ->
+        (name, ids_of (Exec.cold_run ~config store case.path plan).Exec.nodes))
+      (plans_for case)
+  in
+  check_concurrent ~config ~serial ~store case
 
 (* --- writers tier --------------------------------------------------------- *)
 
@@ -643,240 +638,73 @@ let check_shards case =
 let check_index_built ~doc ~store ~import case =
   let config = context_config case in
   let expected = expected_ids doc import case.path in
-  let mismatches = ref [] in
-  let record plan detail = mismatches := { plan; detail } :: !mismatches in
-  let guarded plan f =
-    match f () with
-    | got ->
-      if got <> expected then
-        record plan
-          (Format.asprintf "expected %d nodes %a, got %d nodes %a" (List.length expected) pp_ids
-             expected (List.length got) pp_ids got)
-      else begin
-        match storage_clean store with
-        | None -> ()
-        | Some msg -> record plan msg
-      end
-    | exception e -> record plan (Printf.sprintf "raised %s" (Printexc.to_string e))
-  in
-  guarded "xschedule" (fun () ->
-      ids_of
-        (Exec.cold_run ~config store case.path (Plan.xschedule ~speculative:case.speculative ()))
-          .Exec.nodes);
-  guarded "xindex" (fun () ->
-      ids_of (Exec.cold_run ~config store case.path (Plan.xindex ())).Exec.nodes);
   let exact = Path.indexable_prefix case.path in
-  List.iter
-    (fun k ->
-      guarded
-        (Printf.sprintf "xindex[resolve<=%d]" k)
-        (fun () ->
-          ids_of
-            (Exec.cold_run ~config store case.path (Plan.xindex ~resolve:k ())).Exec.nodes))
-    (List.sort_uniq compare [ 0; exact / 2; exact ]);
-  List.rev !mismatches
-
-(* --- fused tier ----------------------------------------------------------- *)
-
-(* The fused automaton compiles the XStep chain away, but below
-   XAssembly it must be observationally equivalent: running each
-   fused-capable plan with the knob on and off — same store, cold —
-   must produce identical result node ids, the identical physical I/O
-   trace (page-by-page, in order), and identical scheduling and
-   speculation counters. The knob-off run must never touch the
-   automaton (zero fused counters); since the knob-on trace is checked
-   equal to it, knob-off also pins the automaton to the historical
-   chain regime. Swizzle counters are exempt: the automaton reads
-   packed navigation words where the chain decodes full records, so
-   the hit/miss split legitimately differs. [instances] is exempt for
-   the same reason — the chain materialises one instance per step
-   extension, the automaton only per crossing and per result. *)
-let fused_plans case =
-  [
-    ("xschedule", Plan.xschedule ~speculative:case.speculative ());
-    ("xscan", Plan.xscan ());
-    ("xindex", Plan.xindex ());
-    ("xindex[resolve=0]", Plan.xindex ~resolve:0 ());
-    ("xschedule-summary", Plan.xschedule ~seeding:Plan.Summary ());
-    ("xscan-summary", Plan.xscan ~seeding:Plan.Summary ());
-  ]
-  @
-  if Path.starts_with_descendant_any case.path then
-    [ ("xscan-dslash", Plan.xscan ~seeding:Plan.Dslash ()) ]
-  else []
-
-let check_fused_built ~store case =
-  let config = context_config case in
-  let disk = Buffer_manager.disk (Store.buffer store) in
-  let mismatches = ref [] in
-  let record plan detail = mismatches := { plan; detail } :: !mismatches in
-  let run_with plan fused =
-    Disk.set_trace disk true;
-    let r = Exec.cold_run ~config:{ config with Context.fused } store case.path plan in
-    let trace = Disk.trace disk in
-    Disk.set_trace disk false;
-    (r, trace)
-  in
-  List.iter
+  List.concat_map
     (fun (name, plan) ->
-      match
-        let on = run_with plan true in
-        let off = run_with plan false in
-        (on, off)
-      with
-      | (on, on_trace), (off, off_trace) ->
-        let on_ids = ids_of on.Exec.nodes and off_ids = ids_of off.Exec.nodes in
-        if on_ids <> off_ids then
-          record name
-            (Format.asprintf "fused: %d nodes %a, unfused: %d nodes %a" (List.length on_ids)
-               pp_ids on_ids (List.length off_ids) pp_ids off_ids);
-        if on_trace <> off_trace then
-          record name
-            (Printf.sprintf "I/O traces diverge: fused read %d pages, unfused %d"
-               (List.length on_trace) (List.length off_trace));
-        let mon = on.Exec.metrics and moff = off.Exec.metrics in
-        List.iter
-          (fun (label, proj) ->
-            let a = proj mon and b = proj moff in
-            if a <> b then
-              record name (Printf.sprintf "%s diverges: fused %d, unfused %d" label a b))
-          [
-            ("page_reads", fun m -> m.Exec.page_reads);
-            ("seek_distance", fun m -> m.Exec.seek_distance);
-            ("q_enqueued", fun m -> m.Exec.q_enqueued);
-            ("q_served", fun m -> m.Exec.q_served);
-            ("clusters_visited", fun m -> m.Exec.clusters_visited);
-            ("crossings", fun m -> m.Exec.crossings);
-            ("specs_created", fun m -> m.Exec.specs_created);
-            ("specs_resolved", fun m -> m.Exec.specs_resolved);
-          ];
-        if moff.Exec.fused_transitions <> 0 || moff.Exec.fused_states <> 0 then
-          record name
-            (Printf.sprintf "unfused run touched the automaton: %d transitions, %d states"
-               moff.Exec.fused_transitions moff.Exec.fused_states)
-      | exception e -> record name (Printf.sprintf "raised %s" (Printexc.to_string e)))
-    (fused_plans case);
-  List.rev !mismatches
+      against ~store ~expected name (fun () ->
+          ids_of (Exec.cold_run ~config store case.path plan).Exec.nodes))
+    ([ ("xschedule", Plan.xschedule ~speculative:case.speculative ()); ("xindex", Plan.xindex ()) ]
+    @ List.map
+        (fun k -> (Printf.sprintf "xindex[resolve<=%d]" k, Plan.xindex ~resolve:k ()))
+        (List.sort_uniq compare [ 0; exact / 2; exact ]))
 
 (* --- cache tier ----------------------------------------------------------- *)
 
-(* The result cache must be semantically invisible. Per plan, three cold
-   runs: cache off (the historical baseline), cache on against an empty
-   cache (a miss — the consult-and-install machinery must not perturb a
-   single execution counter), cache on again (a hit — the same answer
-   with zero I/O and zero operator work). Then level 2: every plan of
-   the case at once through the workload engine with the front door on,
-   which dedupes the identical statements into one shared scan — each
-   job must still report exactly the serial cache-off node set. *)
+(* The result cache must be semantically invisible. The flip runs each
+   plan cache off, then cache on against an empty cache: a miss, whose
+   consult-and-install machinery must not perturb a single execution
+   counter. A third run is a hit: the same answer with zero I/O and
+   zero operator work. Then level 2: every plan of the case at once
+   through the workload engine with the front door on, which dedupes
+   the identical statements into one shared scan — each job must still
+   report exactly the cache-off node set. *)
 let check_cache_built ~store case =
-  let config = context_config case in
-  let cache_on = { config with Context.result_cache = true } in
-  let mismatches = ref [] in
-  let record plan detail = mismatches := { plan; detail } :: !mismatches in
-  List.iter
-    (fun (name, plan) ->
-      Result_cache.clear ();
-      match
-        let off = Exec.cold_run ~config store case.path plan in
-        let miss = Exec.cold_run ~config:cache_on store case.path plan in
-        let hit = Exec.cold_run ~config:cache_on store case.path plan in
-        (off, miss, hit)
-      with
-      | off, miss, hit ->
-        let off_ids = ids_of off.Exec.nodes in
-        let miss_ids = ids_of miss.Exec.nodes in
-        let hit_ids = ids_of hit.Exec.nodes in
-        if miss_ids <> off_ids then
-          record name
-            (Format.asprintf "miss run: %d nodes %a, cache-off: %d nodes %a"
-               (List.length miss_ids) pp_ids miss_ids (List.length off_ids) pp_ids off_ids);
-        if hit_ids <> off_ids then
-          record name
-            (Format.asprintf "hit run: %d nodes %a, cache-off: %d nodes %a"
-               (List.length hit_ids) pp_ids hit_ids (List.length off_ids) pp_ids off_ids);
-        let moff = off.Exec.metrics and mmiss = miss.Exec.metrics and mhit = hit.Exec.metrics in
-        (* The miss is the cache machinery being invisible: every
-           execution counter equals the cache-off run. *)
-        List.iter
-          (fun (label, proj) ->
-            let a = proj moff and b = proj mmiss in
-            if a <> b then
-              record name (Printf.sprintf "%s diverges: cache-off %d, miss %d" label a b))
-          [
-            ("page_reads", fun m -> m.Exec.page_reads);
-            ("seek_distance", fun m -> m.Exec.seek_distance);
-            ("q_enqueued", fun m -> m.Exec.q_enqueued);
-            ("q_served", fun m -> m.Exec.q_served);
-            ("clusters_visited", fun m -> m.Exec.clusters_visited);
-            ("crossings", fun m -> m.Exec.crossings);
-            ("instances", fun m -> m.Exec.instances);
-            ("specs_created", fun m -> m.Exec.specs_created);
-            ("specs_stored", fun m -> m.Exec.specs_stored);
-            ("specs_resolved", fun m -> m.Exec.specs_resolved);
-            ("fused_transitions", fun m -> m.Exec.fused_transitions);
-            ("fused_states", fun m -> m.Exec.fused_states);
-          ];
-        if moff.Exec.cache_hits + moff.Exec.cache_misses + moff.Exec.cache_evictions > 0 then
-          record name
-            (Printf.sprintf "cache-off run touched the cache: hits %d misses %d evictions %d"
-               moff.Exec.cache_hits moff.Exec.cache_misses moff.Exec.cache_evictions);
-        if mmiss.Exec.cache_misses <> 1 || mmiss.Exec.cache_hits <> 0 then
-          record name
-            (Printf.sprintf "miss run counted hits %d / misses %d (want 0/1)"
-               mmiss.Exec.cache_hits mmiss.Exec.cache_misses);
-        if mhit.Exec.cache_hits <> 1 || mhit.Exec.cache_misses <> 0 then
-          record name
-            (Printf.sprintf "hit run counted hits %d / misses %d (want 1/0)" mhit.Exec.cache_hits
-               mhit.Exec.cache_misses);
-        if mhit.Exec.page_reads <> 0 || mhit.Exec.clusters_visited <> 0 || mhit.Exec.instances <> 0
-        then
-          record name
-            (Printf.sprintf "hit run executed: %d reads, %d clusters, %d instances"
-               mhit.Exec.page_reads mhit.Exec.clusters_visited mhit.Exec.instances)
-      | exception e -> record name (Printf.sprintf "raised %s" (Printexc.to_string e)))
-    (plans_for case);
+  let cache_on = { (context_config case) with Context.result_cache = true } in
+  let serial = ref [] in
+  let hit_run name plan ~off ~on =
+    let off_ids = ids_of off.Exec.nodes in
+    serial := (name, off_ids) :: !serial;
+    let miss = on.Exec.metrics in
+    let hit = Exec.cold_run ~config:cache_on store case.path plan in
+    let m = hit.Exec.metrics and hit_ids = ids_of hit.Exec.nodes in
+    let check ok detail = if ok then [] else [ { plan = name; detail = Lazy.force detail } ] in
+    check (miss.Exec.cache_misses = 1 && miss.Exec.cache_hits = 0)
+      (lazy
+        (Printf.sprintf "miss run counted hits %d / misses %d (want 0/1)" miss.Exec.cache_hits
+           miss.Exec.cache_misses))
+    @ check (hit_ids = off_ids)
+        (lazy
+          (Format.asprintf "hit run: %d nodes %a, cache-off: %d nodes %a" (List.length hit_ids)
+             pp_ids hit_ids (List.length off_ids) pp_ids off_ids))
+    @ check (m.Exec.cache_hits = 1 && m.Exec.cache_misses = 0)
+        (lazy
+          (Printf.sprintf "hit run counted hits %d / misses %d (want 1/0)" m.Exec.cache_hits
+             m.Exec.cache_misses))
+    @ check (m.Exec.page_reads + m.Exec.clusters_visited + m.Exec.instances = 0)
+        (lazy
+          (Printf.sprintf "hit run executed: %d reads, %d clusters, %d instances"
+             m.Exec.page_reads m.Exec.clusters_visited m.Exec.instances))
+  in
+  let flips = check_flip "cache" ~after:hit_run ~store case in
   (* Level 2: identical concurrent statements share one scan. *)
   Result_cache.clear ();
-  let plans = plans_for case in
-  let serial =
-    List.map
-      (fun (name, plan) ->
-        (name, ids_of (Exec.cold_run ~config store case.path plan).Exec.nodes))
-      plans
+  let shared (r : Workload.result) =
+    let n = List.length (plans_for case) in
+    if n >= 2 && r.Workload.shared_jobs + r.Workload.cache_hits = 0 then
+      [
+        {
+          plan = "workload";
+          detail =
+            Printf.sprintf
+              "%d identical statements ran concurrently but none was deduped or served from cache"
+              n;
+        };
+      ]
+    else []
   in
-  let specs =
-    List.map
-      (fun (name, plan) ->
-        { Workload.label = name; path = case.path; plan; timeout = None; ops = [] })
-      plans
-  in
+  let level2 = check_concurrent ~config:cache_on ~extra:shared ~serial:!serial ~store case in
   Result_cache.clear ();
-  (match Workload.run ~config:cache_on ~cold:true store specs with
-  | r ->
-    List.iter
-      (fun (job : Workload.job) ->
-        let expected = List.assoc job.Workload.job_label serial in
-        let got = ids_of job.Workload.nodes in
-        if got <> expected then
-          record job.Workload.job_label
-            (Format.asprintf "serial: %d nodes %a, shared (%s%s): %d nodes %a"
-               (List.length expected) pp_ids expected
-               (Workload.status_to_string job.Workload.status)
-               (if job.Workload.shared then ", follower" else "")
-               (List.length got) pp_ids got))
-      r.Workload.jobs;
-    if List.length plans >= 2 && r.Workload.shared_jobs + r.Workload.cache_hits = 0 then
-      record "workload"
-        (Printf.sprintf "%d identical statements ran concurrently but none was deduped or \
-                         served from cache"
-           (List.length plans));
-    List.iter (fun msg -> record "workload" msg) r.Workload.violations;
-    (match storage_clean store with
-    | None -> ()
-    | Some msg -> record "workload" msg)
-  | exception e -> record "workload" (Printf.sprintf "raised %s" (Printexc.to_string e)));
-  Result_cache.clear ();
-  List.rev !mismatches
+  flips @ level2
 
 (* --- shrinking ------------------------------------------------------------ *)
 
@@ -972,7 +800,7 @@ let pp_case ppf case =
 
 type failure = { case : case; shrunk : case; mismatches : mismatch list }
 
-type report = { cases_run : int; plan_runs : int; failures : failure list }
+type report = { cases_run : int; failures : failure list }
 
 let default_seed = 20050614
 
@@ -981,13 +809,11 @@ let default_seed = 20050614
 let paths_per_store = 8
 
 (* The sampling loop of one tier: [check_built] evaluates a case against
-   the batch's store, [runs_of] counts the plan executions it performs
-   (for the report), and failing cases are shrunk under the tier's own
+   the batch's store, and failing cases are shrunk under the tier's own
    one-case [check], so the printed reproducer replays the same tier. *)
-let sample ~name ~check_built ~check ~runs_of ~seed ~cases ~log =
+let sample ~name ~check_built ~check ~seed ~cases ~log =
   let prng = Prng.create seed in
   let cases_run = ref 0 in
-  let plan_runs = ref 0 in
   let failures = ref [] in
   while !cases_run < cases do
     let doc_seed = Prng.int prng 1_000_000 in
@@ -1000,7 +826,6 @@ let sample ~name ~check_built ~check ~runs_of ~seed ~cases ~log =
     for _ = 1 to batch do
       let case = sample_case prng ~doc_seed ~fidelity ~physical ~tags in
       incr cases_run;
-      plan_runs := !plan_runs + runs_of case;
       match check_built ~doc ~store ~import case with
       | [] -> ()
       | mismatches ->
@@ -1015,7 +840,7 @@ let sample ~name ~check_built ~check ~runs_of ~seed ~cases ~log =
       log (Printf.sprintf "%d/%d cases checked, %d failures" !cases_run cases
              (List.length !failures))
   done;
-  { cases_run = !cases_run; plan_runs = !plan_runs; failures = List.rev !failures }
+  { cases_run = !cases_run; failures = List.rev !failures }
 
 type tier = {
   name : string;
@@ -1025,39 +850,25 @@ type tier = {
 
 (* A tier's one-case check builds the case's store, unless the tier
    builds its own ([check] given). *)
-let tier ?check name ~runs_of check_built =
+let tier ?check name check_built =
   let check = Option.value check ~default:(one_case check_built) in
-  { name; sample = sample ~name ~check_built ~check ~runs_of; check }
+  { name; sample = sample ~name ~check_built ~check; check }
+
+(* A tier that only flips the knobs of {!Context.knobs} naming it. *)
+let flip_tier ?plans name =
+  tier name (fun ~doc:_ ~store ~import:_ case -> check_flip name ?plans ~store case)
 
 let tiers =
-  let plans case = List.length (plans_for case) in
   [
-    tier "base" ~runs_of:(fun case -> plans case + 2) check_built;
-    tier "swizzle"
-      ~runs_of:(fun case -> 2 * plans case)
-      (fun ~doc:_ ~store ~import:_ case -> check_swizzle_built ~store case);
-    tier "batching"
-      ~runs_of:(fun case -> 2 * plans case)
-      (fun ~doc:_ ~store ~import:_ case -> check_batching_built ~store case);
-    tier "workload"
-      ~runs_of:(fun case -> 2 * plans case)
-      (fun ~doc:_ ~store ~import:_ case -> check_workload_built ~store case);
-    tier "writers"
-      ~runs_of:(fun case -> (2 * plans case) + 2)
-      (fun ~doc ~store:_ ~import case -> check_writers_built ~doc ~import case);
-    tier "fused"
-      ~runs_of:(fun case -> 2 * List.length (fused_plans case))
-      (fun ~doc:_ ~store ~import:_ case -> check_fused_built ~store case);
-    tier "shards" ~check:check_shards
-      ~runs_of:(fun case -> 2 * (2 + (case.doc_seed mod 3)) * plans case)
-      (fun ~doc:_ ~store:_ ~import:_ case -> check_shards case);
-    tier "cache"
-      ~runs_of:(fun case -> (4 * plans case) + 1)
-      (fun ~doc:_ ~store ~import:_ case -> check_cache_built ~store case);
-    tier "index"
-      ~runs_of:(fun case ->
-        3 + List.length (List.sort_uniq compare [ 0; Path.indexable_prefix case.path / 2 ]))
-      check_index_built;
+    tier "base" check_built;
+    flip_tier "swizzle";
+    flip_tier "batching";
+    tier "workload" (fun ~doc:_ ~store ~import:_ case -> check_workload_built ~store case);
+    tier "writers" (fun ~doc ~store:_ ~import case -> check_writers_built ~doc ~import case);
+    flip_tier "fused" ~plans:fused_plans;
+    tier "shards" ~check:check_shards (fun ~doc:_ ~store:_ ~import:_ case -> check_shards case);
+    tier "cache" (fun ~doc:_ ~store ~import:_ case -> check_cache_built ~store case);
+    tier "index" check_index_built;
   ]
 
 let find_tier name = List.find_opt (fun t -> t.name = name) tiers

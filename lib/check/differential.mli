@@ -59,7 +59,7 @@ val pp_case : Format.formatter -> case -> unit
 
 type failure = { case : case; shrunk : case; mismatches : mismatch list }
 
-type report = { cases_run : int; plan_runs : int; failures : failure list }
+type report = { cases_run : int; failures : failure list }
 
 val default_seed : int
 (** Seed used by [dune runtest] and [xnav check] when none is given. *)
@@ -84,13 +84,17 @@ val tiers : tier list
     them:
     - [base]: every physical plan plus the {!Xnav_core.Multi} shared
       scan against the reference evaluator ({!check_case}).
-    - [swizzle]: every plan twice — decode cache forced on, then off —
-      with identical result node ids, identical [q_enqueued]/[q_served]
-      scheduling counters, and zero cache hits in the unswizzled run.
-    - [batching]: every plan twice — coalescing and scan windows fully
-      off (the historical single-page regime), then fully on —
-      identical result node ids under the full invariant suite, and
-      every batch/window counter zero in the knobs-off run.
+    - [swizzle], [batching], [fused] and [cache] are the knob-flip
+      tiers, generated from {!Xnav_core.Context.knobs}: each flips the
+      knobs whose row names it ([batching] flips coalescing and scan
+      windows together). Every plan runs cold with the knobs off — the
+      paper's operators — then on, and the pair must keep the rows'
+      {!Xnav_core.Context.promise}: the same node ids, the same disk
+      trace where promised, equal values in the promised
+      {!Xnav_core.Counters.table} rows. The off run's guarded counters
+      are held at 0 by the invariant sweep inside every run. [fused]
+      runs the plans with a step chain (every plan but Simple, plus
+      XIndex at full and zero resolution); the others run every plan.
     - [workload]: every plan serially cold, then all at once through
       {!Xnav_workload.Workload.run}: each concurrent node set equals its
       serial one, one job per query, no invariant violations, a clean
@@ -102,23 +106,18 @@ val tiers : tier list
       replay of the committed-op schedule up to its finish point on an
       identically-imported twin store, and the final documents match.
       Stores are built fresh per case.
-    - [fused]: every fused-capable plan (XSchedule, XScan and its
-      //-variant, XIndex at full and zero resolution) with
-      [config.fused] on, then off: identical node ids, the identical
-      page-by-page I/O trace, identical scheduling and speculation
-      counters, and zero fused counters in the knob-off run.
     - [shards]: a small multi-tenant topology derived from the case
       (2–4 XMark tenants over 1–3 shards; 2Q eviction and the result
       cache each on in half the cases), every (tenant, plan) pair at
       once through {!Xnav_workload.Shard.run_clients}: each job's node
       set equals a serial cold run, placement matches
       {!Xnav_workload.Shard.stable_shard}, every shard ends clean.
-    - [cache]: every plan three times cold — cache off, a miss (every
-      execution counter equal to the cache-off run) and a hit (same
-      node set, zero I/O and operator work) — then all plans at once
-      through the workload engine with the front door on: each shared
-      job reports the serial answer. The process-wide cache is cleared
-      before and after.
+    - [cache]: the knob flip (cache off, then a miss), plus a third
+      cold run per plan that must hit — the same node set, zero I/O and
+      operator work — then all plans at once through the workload
+      engine with the front door on: each shared job reports the
+      cache-off answer. The process-wide cache is cleared before and
+      after.
     - [index]: the reference evaluator, XSchedule, the default index
       plan and index plans at forced partial resolutions (down to
       [resolve 0]) under the full invariant suite. *)

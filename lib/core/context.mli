@@ -39,6 +39,12 @@ type config = {
           ({!Fused}) instead of the per-step XStep iterator chain. Off
           reproduces the historical per-step execution (and I/O trace)
           exactly. This is the only fused switch: plans do not carry one. *)
+  swizzling : bool;
+      (** Serve record accesses through the views' per-slot decode
+          caches ({!Xnav_store.Store.set_swizzling}, which {!Exec.run} /
+          {!Exec.prepare} apply to the store before the first fix). Off
+          re-decodes every access from the page bytes, the pre-swizzling
+          regime; answers and the disk trace are the same. *)
   result_cache : bool;
       (** Consult the process-wide {!Result_cache} before planning a
           root-context run, and install the answer after a miss. In the
@@ -61,8 +67,8 @@ type config = {
 
 val default_config : config
 (** [k = 100], a 1M-instance budget; coalescing window 16, scan
-    threshold 0.5, fused chains on, result cache off, scan-resistant
-    eviction off. *)
+    threshold 0.5, fused chains on, swizzling on, result cache off,
+    scan-resistant eviction off. *)
 
 val set_fused : bool -> config -> config
 (** [set_fused false config] disables the fused automaton — reordered
@@ -76,6 +82,43 @@ val set_result_cache : bool -> config -> config
 val set_scan_resistant : bool -> config -> config
 (** [set_scan_resistant true config] switches the buffer pool to the 2Q
     scan-resistant eviction policy for runs under this config. *)
+
+(** {1 The knob table}
+
+    Every layer added on top of the paper's operators sits behind a
+    knob whose off setting reproduces those operators. {!knobs}
+    declares each knob once; the invariant sweep's knob-off checks, its
+    violation messages and the knob-flip tiers of
+    [Xnav_check.Differential.tiers] are all derived from it. *)
+
+(** What flipping a knob from off to on must keep: always the answer
+    (the same node ids), plus these. *)
+type promise = {
+  same_rows : string list;
+      (** {!Counters.table} rows whose values must be equal in the two
+          runs. *)
+  same_trace : bool;  (** Whether the page-by-page disk trace must be equal. *)
+}
+
+type knob = {
+  name : string;  (** Prefixes the knob's invariant violations. *)
+  guard : Counters.knob;
+      (** The counters that must stay 0 while the knob is off: every
+          {!Counters.table} row whose [zero_unless] names it. *)
+  enabled : config -> bool;  (** Whether the config has the knob on. *)
+  set : bool -> config -> config;
+      (** [set false] puts the off value, the paper's regime; [set true]
+          puts the on value, the default. *)
+  off_text : string;  (** Ends a knob-off violation message. *)
+  tier : string option;  (** The differential tier that flips it, if any. *)
+  promise : promise;
+  witness : string;
+      (** The paper artefact or live ablation that needs both settings —
+          why the knob exists at all. *)
+}
+
+val knobs : knob list
+(** One row per {!Counters.knob} variant. *)
 
 include module type of struct include Counters.Record end
 (** The run's counters; see {!Counters.table} for each field. *)

@@ -128,18 +128,7 @@ let layer_name = function
   | Cache -> "cache"
   | Workload -> "workload"
 
-type knob = Swizzling | Scan_window | Fused_chain | Scan_resistant | Result_cache
-
-let knobs = [ Swizzling; Scan_window; Fused_chain; Scan_resistant; Result_cache ]
-
-(* The violation text for a knob: prefix before the guarded values,
-   suffix after them. *)
-let knob_message = function
-  | Swizzling -> ("swizzle", "recorded while swizzling is off")
-  | Scan_window -> ("scan-window", "while the hybrid is disabled")
-  | Fused_chain -> ("fused", "recorded while fused evaluation is off")
-  | Scan_resistant -> ("2q", "recorded while scan-resistant eviction is off")
-  | Result_cache -> ("cache", "recorded while the result cache is off")
+type knob = Swizzling | Scan_window | Coalescing | Fused_chain | Scan_resistant | Result_cache
 
 type field =
   | Count of (counters -> int) * (counters -> int -> unit)
@@ -185,10 +174,13 @@ let table =
     row "async_reads" Buffer "Asynchronous page requests submitted."
       (Count ((fun c -> c.async_reads), fun c v -> c.async_reads <- v));
     row "batched_reads" Disk "Vectored multi-page reads issued."
+      ~zero_unless:(Coalescing, "%d batches")
       (Count ((fun c -> c.batched_reads), fun c v -> c.batched_reads <- v));
     row "batch_pages" Disk "Pages delivered through vectored reads."
+      ~zero_unless:(Coalescing, "%d pages")
       (Count ((fun c -> c.batch_pages), fun c v -> c.batch_pages <- v));
     row "coalesce_runs" Disk "Vectored reads that carried at least 2 pages."
+      ~zero_unless:(Coalescing, "%d coalesced")
       (Count ((fun c -> c.coalesce_runs), fun c v -> c.coalesce_runs <- v));
     row "scan_windows" Io_operator "Adaptive scan windows XSchedule entered."
       ~zero_unless:(Scan_window, "%d windows opened")
@@ -301,14 +293,14 @@ let add a b =
 
 type value = Int of int | Float of float | Bool of bool
 
-let value c row =
+let value row c =
   match row.field with
   | Count (get, _) | Peak (get, _) -> Int (get c)
   | Seconds (get, _) | Ratio get -> Float (get c)
   | Flag (get, _) -> Bool (get c)
 
 let bench_fields c =
-  List.filter_map (fun row -> if row.bench then Some (row.name, value c row) else None) table
+  List.filter_map (fun row -> if row.bench then Some (row.name, value row c) else None) table
 
 let pp_value ppf = function
   | Int i -> Format.pp_print_int ppf i
@@ -320,7 +312,7 @@ let pp ppf c =
     Format.fprintf ppf "@[<hov 2>%s:" (layer_name layer);
     List.iter
       (fun row ->
-        if row.layer = layer then Format.fprintf ppf "@ %s %a" row.name pp_value (value c row))
+        if row.layer = layer then Format.fprintf ppf "@ %s %a" row.name pp_value (value row c))
       table;
     Format.fprintf ppf "@]"
   in
@@ -338,20 +330,12 @@ let negative c =
       if v < 0 then Some (Printf.sprintf "counter %s is negative (%d)" row.name v) else None)
     int_rows
 
-let knob_off ~on c =
-  List.filter_map
-    (fun knob ->
-      let guarded =
-        List.filter_map
-          (fun (row, get) ->
-            match row.zero_unless with
-            | Some (k, part) when k = knob -> Some (part, get c)
-            | _ -> None)
-          int_rows
-      in
-      if on knob || List.for_all (fun (_, v) -> v = 0) guarded then None
-      else
-        let prefix, suffix = knob_message knob in
-        let values = List.map (fun (part, v) -> Printf.sprintf part v) guarded in
-        Some (Printf.sprintf "%s: %s %s" prefix (String.concat " / " values) suffix))
-    knobs
+let knob_off knob c =
+  let guarded =
+    List.filter_map
+      (fun (row, get) ->
+        match row.zero_unless with Some (k, part) when k = knob -> Some (part, get c) | _ -> None)
+      int_rows
+  in
+  if List.for_all (fun (_, v) -> v = 0) guarded then None
+  else Some (String.concat " / " (List.map (fun (part, v) -> Printf.sprintf part v) guarded))

@@ -89,9 +89,13 @@ type layer =
   | Cache  (** The result-cache front door. *)
   | Workload  (** The closed-loop workload engine; 0 for stand-alone runs. *)
 
+(** The knobs that guard counters; {!Context.knobs} has one row per
+    variant, which says how the knob reads on a config and what its
+    violations say. *)
 type knob =
-  | Swizzling  (** {!Xnav_store.Store.swizzling}. *)
+  | Swizzling  (** [config.swizzling]. *)
   | Scan_window  (** [config.scan_threshold > 0]. *)
+  | Coalescing  (** [config.coalesce_window > 0]. *)
   | Fused_chain  (** [config.fused]. *)
   | Scan_resistant  (** [config.scan_resistant]. *)
   | Result_cache  (** [config.result_cache]. *)
@@ -128,6 +132,8 @@ val add : counters -> counters -> counters
 
 type value = Int of int | Float of float | Bool of bool
 
+val value : row -> counters -> value
+
 val bench_fields : counters -> (string * value) list
 (** The bench-row keys, in table order, with their values. *)
 
@@ -137,6 +143,7 @@ val pp : Format.formatter -> counters -> unit
 val negative : counters -> string list
 (** A violation message for every integer counter below 0. *)
 
-val knob_off : on:(knob -> bool) -> counters -> string list
-(** A violation message for every knob that is off while a counter it
-    guards is not 0; [on] tells which knobs are on. *)
+val knob_off : knob -> counters -> string option
+(** [None] when every counter [knob] guards is 0; otherwise the guarded
+    values through their rows' formats, joined by [" / "]. The invariant
+    sweep reports it for each knob that is off. *)

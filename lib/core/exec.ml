@@ -106,9 +106,10 @@ let abandon s =
 
 (* Opening a statement, shared by [execute] and [prepare]: reject a bad
    (path, plan) pair, default the contexts to the root, create the run
-   context with its trace, and put the pool on the config's eviction
-   policy — knob-off runs go back to the historical exact LRU before the
-   first fix. The pipeline is built separately, because [execute] takes
+   context with its trace, and put the store and its pool on the
+   config's decode caching and eviction policy — knob-off runs go back
+   to per-access decoding and the historical exact LRU before the first
+   fix. The pipeline is built separately, because [execute] takes
    its snapshot and consults the cache in between: Simple's pipeline
    reads its contexts when it is built. *)
 let open_statement ~who ~config ?contexts ?trace store path plan =
@@ -116,6 +117,7 @@ let open_statement ~who ~config ?contexts ?trace store path plan =
   let contexts = match contexts with Some c -> c | None -> [ Store.root store ] in
   let ctx = Context.create ~config store in
   ctx.Context.trace <- trace;
+  Store.set_swizzling store config.Context.swizzling;
   Buffer_manager.set_scan_resistant (Store.buffer store) config.Context.scan_resistant;
   (ctx, contexts)
 

@@ -43,19 +43,18 @@ let post_run ?xschedule ?xindex ?results ctx =
     if p <> 0 then fail "xindex: %d continuations still pending after the run" p);
 
   (* Counter conservation: the per-counter checks come from
-     {!Counters.table} — no counter is negative, and none is non-zero
-     while the knob that guards it is off (that is what makes each
-     knob-off run the historical regime). The relational checks
-     follow. *)
-  let config = ctx.Context.config in
-  let on = function
-    | Counters.Swizzling -> Store.swizzling ctx.Context.store
-    | Scan_window -> config.Context.scan_threshold > 0.0
-    | Fused_chain -> config.Context.fused
-    | Scan_resistant -> config.Context.scan_resistant
-    | Result_cache -> config.Context.result_cache
-  in
-  List.iter (fail "%s") (Counters.negative c @ Counters.knob_off ~on c);
+     {!Counters.table} and {!Context.knobs} — no counter is negative,
+     and none is non-zero while the knob that guards it is off (that is
+     what makes each knob-off run the historical regime). The relational
+     checks follow. *)
+  List.iter (fail "%s") (Counters.negative c);
+  List.iter
+    (fun (k : Context.knob) ->
+      if not (k.Context.enabled ctx.Context.config) then
+        Option.iter
+          (fun values -> fail "%s: %s %s" k.Context.name values k.Context.off_text)
+          (Counters.knob_off k.Context.guard c))
+    Context.knobs;
   (* Scan-window accounting: pages are only swept inside a window. *)
   if c.Context.scan_windows = 0 && c.Context.scan_window_pages > 0 then
     fail "scan-window: %d pages swept without any window opening" c.Context.scan_window_pages;

@@ -103,6 +103,12 @@ let find_free_slot page =
   in
   go 0
 
+let next_slot page = match find_free_slot page with Some slot -> slot | None -> slot_count page
+
+let fits page length =
+  let dir_cost = if find_free_slot page = None then slot_entry_size else 0 in
+  page_size page - used_bytes page >= length + dir_cost
+
 let insert page record =
   let length = String.length record in
   let reused = find_free_slot page in

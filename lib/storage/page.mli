@@ -40,6 +40,14 @@ val free_space : t -> int
 (** Bytes available for one more record, already accounting for the slot
     directory entry the insert would need. *)
 
+val next_slot : t -> int
+(** The slot the next successful {!insert} will use. *)
+
+val fits : t -> int -> bool
+(** [fits page length]: whether {!insert} of a [length]-byte record
+    would succeed (counting the space compaction would reclaim), without
+    changing the page. *)
+
 val insert : t -> string -> int option
 (** [insert page record] stores [record] and returns its slot number, or
     [None] if the page lacks space. Freed slots are reused. *)

@@ -250,7 +250,6 @@ let note_inserted t ~tags =
   end
 
 let set_swizzling t on = t.swizzle <- on
-let swizzling t = t.swizzle
 let swizzle_stats t = (t.swizzle_hits, t.swizzle_misses)
 
 let tag_count t tag =

@@ -177,9 +177,9 @@ val swap_write_log : t -> access_log option -> access_log option
 val set_swizzling : t -> bool -> unit
 (** Toggle the swizzled fast path (default on). When off, every record
     access through a view decodes from the page bytes — the pre-swizzle
-    regime, kept for differential testing and microbenches. *)
-
-val swizzling : t -> bool
+    regime. Plan runs get it from their config
+    ([Xnav_core.Context.config.swizzling], applied by [Xnav_core.Exec]);
+    the bench's cursor microbenches call it directly. *)
 
 val swizzle_stats : t -> int * int
 (** Cumulative [(hits, misses)] of the per-view decode caches. *)

@@ -6,6 +6,8 @@ module Buffer_manager = Xnav_storage.Buffer_manager
 
 type position = First | Last | After of Node_id.t
 
+exception No_room_for_border of int
+
 (* --- page surgery helpers ------------------------------------------------ *)
 
 (* Write-through page mutation: the buffered copy is changed and flushed
@@ -84,34 +86,36 @@ let set_last_child store id last =
 
 (* --- page selection -------------------------------------------------------- *)
 
+(* Read-only probe of a page: one that merely gets {e looked at} must
+   not count as mutated (that would stale its cluster's caches for
+   nothing). *)
+let peek store pid f =
+  let buffer = Store.buffer store in
+  let frame = Buffer_manager.fix buffer pid in
+  let result = f (Buffer_manager.page frame) in
+  Buffer_manager.unfix buffer frame;
+  result
+
 (* A page able to host [need] more bytes: the preferred page, else the
-   store's last page, else a freshly appended one. *)
+   store's last page, else [None] — a fresh page, appended by
+   [append_page] once the insert is known to succeed. *)
 let host_page store ~preferred ~need =
-  (* Read-only probe: a candidate page that merely gets {e looked at} for
-     free space must not count as mutated (that would stale its cluster's
-     caches for nothing). *)
-  let free pid =
-    let buffer = Store.buffer store in
-    let frame = Buffer_manager.fix buffer pid in
-    let space = Page.free_space (Buffer_manager.page frame) in
-    Buffer_manager.unfix buffer frame;
-    space
-  in
-  if free preferred >= need then preferred
+  let free pid = peek store pid Page.free_space in
+  if free preferred >= need then Some preferred
   else begin
     let last = Store.first_page store + Store.page_count store - 1 in
-    if last <> preferred && free last >= need then last
-    else begin
-      let disk = Buffer_manager.disk (Store.buffer store) in
-      let pid = Disk.alloc disk in
-      if pid <> Store.first_page store + Store.page_count store then
-        failwith "Update: cannot grow a store that does not end the disk";
-      let page = Page.create ~page_size:(Disk.config disk).Disk.page_size in
-      Disk.write disk pid (Page.to_bytes page);
-      Store.note_new_page store;
-      pid
-    end
+    if last <> preferred && free last >= need then Some last else None
   end
+
+let append_page store =
+  let disk = Buffer_manager.disk (Store.buffer store) in
+  let pid = Disk.alloc disk in
+  if pid <> Store.first_page store + Store.page_count store then
+    failwith "Update: cannot grow a store that does not end the disk";
+  let page = Page.create ~page_size:(Disk.config disk).Disk.page_size in
+  Disk.write disk pid (Page.to_bytes page);
+  Store.note_new_page store;
+  pid
 
 (* --- insertion -------------------------------------------------------------- *)
 
@@ -307,7 +311,29 @@ let insert_element store ~parent ?(position = Last) tag =
         + Node_record.encoded_size (core ~parent_slot:0 ~prev:None ~next:None)
         + down_reserve + (3 * Page.slot_entry_size)
       in
-      let overflow = host_page store ~preferred:home ~need in
+      let host = host_page store ~preferred:home ~need in
+      (* The Down must fit where the chain lives. Border records are tiny
+         and pages keep slack, but a full page is still possible: check
+         before writing anything, with the Up's slot-to-be as its
+         target. *)
+      let down target =
+        Node_record.Down
+          {
+            parent = Some loc.anchor.Node_id.slot;
+            next_sibling = loc.after;
+            prev_sibling = loc.before;
+            target;
+          }
+      in
+      let up_to_be =
+        match host with
+        | Some pid -> Node_id.make ~pid ~slot:(peek store pid Page.next_slot)
+        | None -> Node_id.make ~pid:(Store.first_page store + Store.page_count store) ~slot:0
+      in
+      let down_size = Node_record.encoded_size (down up_to_be) in
+      if not (peek store home (fun page -> Page.fits page down_size)) then
+        raise (No_room_for_border home);
+      let overflow = match host with Some pid -> pid | None -> append_page store in
       let up_slot =
         match insert_into store overflow up_probe with
         | Some slot -> slot
@@ -322,14 +348,8 @@ let insert_element store ~parent ?(position = Last) tag =
         | None -> failwith "Update: overflow page rejected the node record"
       in
       let n_id = Node_id.make ~pid:overflow ~slot:n_slot in
-      (* The Down must fit where the chain lives; border records are tiny
-         and pages keep slack, but a full page is still possible. *)
-      let down =
-        Node_record.Down
-          { parent = Some loc.anchor.Node_id.slot; next_sibling = loc.after; prev_sibling = loc.before; target = up_id }
-      in
       let down_slot =
-        match insert_into store home down with
+        match insert_into store home (down up_id) with
         | Some slot -> slot
         | None -> failwith "Update: no room for a border record in the sibling page"
       in

@@ -34,6 +34,13 @@ type position =
   | Last  (** As the last child. *)
   | After of Node_id.t  (** Right after this existing child. *)
 
+exception No_room_for_border of int
+(** [No_room_for_border pid]: an insert that overflows to another page
+    must link the new node through a Down border record in page [pid],
+    where the node's sibling chain lives, and [pid] has no room for it.
+    Raised before anything is written: every page, {!Store.node_count}
+    and {!Store.page_count} are as they were. *)
+
 val insert_element :
   Store.t -> parent:Node_id.t -> ?position:position -> Xnav_xml.Tag.t -> Node_id.t
 (** [insert_element store ~parent tag] adds a fresh leaf element under
@@ -41,6 +48,8 @@ val insert_element :
 
     @raise Invalid_argument if [parent] is a border record, or the
     [After] sibling is not a child of [parent].
+    @raise No_room_for_border if the new node must go to an overflow
+    page and its siblings' page cannot take the linking Down record.
     @raise Failure if no page can host the new record (the store can
     only grow while it occupies the end of the disk). *)
 

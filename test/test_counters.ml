@@ -16,7 +16,7 @@ let store () = fst (Gen.import_store ~payload:220 (Gen.sample_doc ()))
    message the sweep must print when it is 1 with the knob off. *)
 type guarded = {
   counter : string;
-  knob : bool -> Store.t -> Context.config;
+  knob : bool -> Context.config;
   bump : Context.counters -> unit;
   message : string;
 }
@@ -24,16 +24,12 @@ type guarded = {
 let default = Context.default_config
 
 let guarded =
-  let swizzle on store =
-    Store.set_swizzling store on;
-    default
-  in
-  let scan_window on _ =
-    { default with Context.scan_threshold = (if on then 0.5 else 0.0) }
-  in
-  let fused on _ = Context.set_fused on default in
-  let scan_resistant on _ = Context.set_scan_resistant on default in
-  let cache on _ = Context.set_result_cache on default in
+  let swizzle swizzling = { default with Context.swizzling } in
+  let scan_window on = { default with Context.scan_threshold = (if on then 0.5 else 0.0) } in
+  let coalescing on = { default with Context.coalesce_window = (if on then 16 else 0) } in
+  let fused on = Context.set_fused on default in
+  let scan_resistant on = Context.set_scan_resistant on default in
+  let cache on = Context.set_result_cache on default in
   let cache_message h m e s =
     Printf.sprintf
       "cache: hits %d / misses %d / evictions %d / shared %d recorded while the result cache is off"
@@ -51,6 +47,24 @@ let guarded =
       knob = scan_window;
       bump = (fun c -> c.Context.scan_windows <- 1);
       message = "scan-window: 1 windows opened while the hybrid is disabled";
+    };
+    {
+      counter = "batched_reads";
+      knob = coalescing;
+      bump = (fun c -> c.Context.batched_reads <- 1);
+      message = "coalesce: 1 batches / 0 pages / 0 coalesced recorded while coalescing is off";
+    };
+    {
+      counter = "batch_pages";
+      knob = coalescing;
+      bump = (fun c -> c.Context.batch_pages <- 1);
+      message = "coalesce: 0 batches / 1 pages / 0 coalesced recorded while coalescing is off";
+    };
+    {
+      counter = "coalesce_runs";
+      knob = coalescing;
+      bump = (fun c -> c.Context.coalesce_runs <- 1);
+      message = "coalesce: 0 batches / 0 pages / 1 coalesced recorded while coalescing is off";
     };
     {
       counter = "fused_transitions";
@@ -98,7 +112,7 @@ let guarded =
 
 let violations_with g ~on =
   let store = store () in
-  let ctx = Context.create ~config:(g.knob on store) store in
+  let ctx = Context.create ~config:(g.knob on) store in
   g.bump ctx.Context.counters;
   Invariant.post_run ctx
 
@@ -128,6 +142,63 @@ let negative_is_reported () =
   ctx.Context.counters.Context.instances <- -1;
   check Alcotest.(list string) "negative counter" [ "counter instances is negative (-1)" ]
     (Invariant.post_run ctx)
+
+(* Each knob is declared once: every [Counters.knob] variant has exactly
+   one [Context.knobs] row, which guards at least one counter, reads
+   back what it sets, names a tier of [Differential.tiers] if it names
+   one, and promises only rows of [Counters.table]. *)
+let knob_table_is_complete () =
+  let module Counters = Xnav_core.Counters in
+  let variants =
+    Counters.[ Swizzling; Scan_window; Coalescing; Fused_chain; Scan_resistant; Result_cache ]
+  in
+  (* A new variant breaks this exhaustive match: list it above too. *)
+  let (_ : Counters.knob -> unit) = function
+    | Swizzling | Scan_window | Coalescing | Fused_chain | Scan_resistant | Result_cache -> ()
+  in
+  check Alcotest.int "one row per variant" (List.length variants) (List.length Context.knobs);
+  List.iter
+    (fun (k : Context.knob) ->
+      let name = k.Context.name in
+      check Alcotest.int
+        (Printf.sprintf "%s: the only row of its variant" name)
+        1
+        (List.length
+           (List.filter (fun (j : Context.knob) -> j.Context.guard = k.Context.guard) Context.knobs));
+      check Alcotest.bool
+        (Printf.sprintf "%s: guards a counter" name)
+        true
+        (List.exists
+           (fun (row : Counters.row) ->
+             match row.Counters.zero_unless with Some (g, _) -> g = k.Context.guard | None -> false)
+           Counters.table);
+      List.iter
+        (fun on ->
+          check Alcotest.bool
+            (Printf.sprintf "%s: set %b reads back" name on)
+            on
+            (k.Context.enabled (k.Context.set on default)))
+        [ false; true ];
+      Option.iter
+        (fun tier ->
+          check Alcotest.bool
+            (Printf.sprintf "%s: tier %s exists" name tier)
+            true
+            (Xnav_check.Differential.find_tier tier <> None))
+        k.Context.tier;
+      List.iter
+        (fun row ->
+          check Alcotest.bool
+            (Printf.sprintf "%s: promised row %s is in the table" name row)
+            true
+            (List.exists (fun (r : Counters.row) -> r.Counters.name = row) Counters.table))
+        k.Context.promise.Context.same_rows)
+    Context.knobs;
+  List.iter
+    (fun v ->
+      check Alcotest.bool "every variant has a row" true
+        (List.exists (fun (k : Context.knob) -> k.Context.guard = v) Context.knobs))
+    variants
 
 (* The plan's speculative flag decides what runs, with or without an
    explicit config: on XMark sf 0.1 (fidelity 0.05, BFS layout, 512-byte
@@ -188,6 +259,8 @@ let suite =
         Alcotest.test_case "knob on: a guarded counter at 1 is no knob-off violation" `Quick
           knob_on_is_clean;
         Alcotest.test_case "a negative counter is reported" `Quick negative_is_reported;
+        Alcotest.test_case "every knob has exactly one row in the knob table" `Quick
+          knob_table_is_complete;
         Alcotest.test_case "speculation follows the plan under any config" `Quick
           speculation_follows_the_plan;
         Alcotest.test_case "baseline rows carry exactly the table's bench keys" `Quick

@@ -61,13 +61,16 @@ let shrink_is_stable () =
 
 let reproducer_round_trips () =
   (* A reproducer names the tier it replays, and its path re-parses to
-     the same path — under the base tier and under a non-base one. *)
+     the same path — under the base tier and under each knob-flip tier. *)
   let inputs =
     [
       ("base", "/child::a");
       ("base", "/descendant::b/child::*");
       ("base", "/descendant-or-self::node()/self::c");
       ("swizzle", "/descendant::b/child::c");
+      ("batching", "/descendant::b/child::c");
+      ("fused", "/child::a/descendant::c");
+      ("cache", "/descendant-or-self::node()/child::x");
     ]
   in
   let value_of flag line =

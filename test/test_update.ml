@@ -73,6 +73,75 @@ let fresh_setup ?(payload = 200) () =
   let store, import = Gen.import_store ~payload doc in
   (doc, store, import)
 
+(* Repeated overflow inserts fill a parent's page with Down records: on
+   XMark seed 1 (fidelity 0.001, DFS, 512-byte pages, payload 220, 16
+   frames), rounds that give each of the first six imported nodes a new
+   first child with one child of its own reach an insert whose siblings'
+   page cannot take the Down. It must raise [No_room_for_border] before
+   writing anything: every page byte-identical, the counts unchanged, and
+   the store still answers queries cleanly. *)
+let overflow_insert_is_atomic () =
+  let module Page = Xnav_storage.Page in
+  let doc =
+    Xnav_xmark.Gen.generate ~config:{ Xnav_xmark.Gen.scale = 1.0; fidelity = 0.001; seed = 1 } ()
+  in
+  let store, import =
+    Gen.import_store ~strategy:Import.Dfs ~payload:220 ~page_size:512 ~capacity:16 doc
+  in
+  let pages () =
+    List.init (Store.page_count store) (fun i ->
+        let pid = Store.first_page store + i in
+        let buffer = Store.buffer store in
+        let frame = Buffer_manager.fix buffer pid in
+        let page = Buffer_manager.page frame in
+        let snapshot = (pid, Page.free_space page, Bytes.to_string (Page.to_bytes page)) in
+        Buffer_manager.unfix buffer frame;
+        snapshot)
+  in
+  let tag = Tag.of_string "new" in
+  let inserted = ref 0 in
+  let failed = ref None in
+  let insert ?position parent =
+    let before = (pages (), Store.node_count store, Store.page_count store) in
+    match Update.insert_element store ~parent ?position tag with
+    | id ->
+      incr inserted;
+      Some id
+    | exception Update.No_room_for_border pid ->
+      failed := Some (pid, before);
+      None
+  in
+  let round = ref 0 in
+  while !failed = None && !round < 20 do
+    incr round;
+    for i = 0 to 5 do
+      if !failed = None then
+        Option.iter
+          (fun child -> ignore (insert child))
+          (insert ~position:Update.First import.Import.node_ids.(i))
+    done
+  done;
+  match !failed with
+  | None -> Alcotest.fail "no insert ran out of room for its Down"
+  | Some (pid, (pages_before, nodes_before, count_before)) ->
+    check int "inserts before the failing one" 64 !inserted;
+    check bool "the full page belongs to the store" true
+      (List.exists (fun (p, _, _) -> p = pid) pages_before);
+    List.iter2
+      (fun (p, free_before, bytes_before) (_, free_after, bytes_after) ->
+        check int (Printf.sprintf "page %d free space" p) free_before free_after;
+        check bool (Printf.sprintf "page %d bytes" p) true (bytes_before = bytes_after))
+      pages_before (pages ());
+    check int "node count" nodes_before (Store.node_count store);
+    check int "page count" count_before (Store.page_count store);
+    let path = Xpath_parser.parse "/descendant::new" in
+    let config = { Xnav_core.Context.default_config with Xnav_core.Context.validate = true } in
+    List.iter
+      (fun plan ->
+        let r = Exec.cold_run ~config ~ordered:false store path plan in
+        check int (Plan.name plan ^ " finds every inserted node") !inserted r.Exec.count)
+      [ Plan.simple; Plan.xschedule (); Plan.xscan () ]
+
 let unit_tests =
   [
     Alcotest.test_case "append a last child" `Quick (fun () ->
@@ -297,6 +366,8 @@ let unit_tests =
         check int "forced index sees the insert" (Eval_ref.count doc path) forced.Exec.count;
         check int "index counters untouched in degraded mode" 0
           forced.Exec.metrics.Exec.index_entries);
+    Alcotest.test_case "an overflow insert without room for its Down changes nothing" `Quick
+      overflow_insert_is_atomic;
   ]
 
 (* --- randomised mirror workout -------------------------------------------------- *)
