@@ -6,6 +6,7 @@ module Buffer_manager = Xnav_storage.Buffer_manager
 module Io_scheduler = Xnav_storage.Io_scheduler
 module Import = Xnav_store.Import
 module Store = Xnav_store.Store
+module Path_partition = Xnav_store.Path_partition
 module Node_id = Xnav_store.Node_id
 module Path = Xnav_xpath.Path
 module Eval_ref = Xnav_xpath.Eval_ref
@@ -521,11 +522,25 @@ let check_writers_built ~doc ~import case =
       (List.sort
          (fun (a : Workload.job) b -> compare a.Workload.finish_commit b.Workload.finish_commit)
          reader_jobs);
-    (* Drain the rest of the log and compare the final documents. *)
+    (* Drain the rest of the log and compare the final documents, then
+       the summary's live counts against navigation on the replay. *)
     (match advance_to r.Workload.writer_commits with
-    | () ->
+    | () -> (
       if not (fingerprint_equal (fingerprint ~config store) (fingerprint ~config twin)) then
-        record "writers" "final documents diverge between the concurrent store and the replay"
+        record "writers" "final documents diverge between the concurrent store and the replay";
+      match Store.partition store with
+      | Some partition
+        when Path.is_downward case.path && Path.length case.path <= Path_partition.max_steps ->
+        Array.iteri
+          (fun i counted ->
+            let prefix = Path.prefix case.path (i + 1) in
+            let navigated = (Exec.run ~config ~ordered:false twin prefix Plan.simple).Exec.count in
+            if counted <> navigated then
+              record "writers"
+                (Printf.sprintf "summary counts %d nodes for %s, the replay's Simple plan %d"
+                   counted (Path.to_string prefix) navigated))
+          (Path_partition.step_counts partition case.path)
+      | Some _ | None -> ())
     | exception e -> record "writers" (Printf.sprintf "final replay raised %s" (Printexc.to_string e)))
   | exception e -> record "writers" (Printf.sprintf "raised %s" (Printexc.to_string e)));
   List.rev !mismatches

@@ -43,27 +43,26 @@ let estimate ?(fused = true) store path =
     (* An average random fetch: half-stroke seek + rotation + transfer. *)
     (config.Disk.seek_max /. 2.) +. config.Disk.rotational +. config.Disk.transfer
   in
-  let touched_nodes =
-    match Store.doc_stats store with
-    | Some stats ->
-      (* Frontier propagation over the parent/child synopsis — far
-         tighter than the per-tag upper bound. *)
-      let per_step = Xnav_store.Doc_stats.estimate_path stats path in
-      int_of_float (ceil (List.fold_left ( +. ) 0.0 per_step))
-      |> min (node_count * Path.length path)
-      |> max 1
-    | None ->
-      let step_cardinality (s : Path.step) =
-        match s.Path.test with
-        | Path.Name tag -> Store.tag_count store tag
-        | Path.Wildcard | Path.Any_node -> node_count
+  (* Exact per-step result sizes from the summary's live class counts;
+     without a partition (or for a path the walk does not cover) a
+     per-tag upper bound stands in. *)
+  let resolved = Path.indexable_prefix path in
+  let per_step, prefix_classes =
+    match Store.partition store with
+    | Some partition when Path.is_downward path && Path.length path <= Path_partition.max_steps ->
+      let counts, classes = Path_partition.walk partition path ~select:resolved in
+      (counts, Some classes)
+    | Some _ | None ->
+      let bound (s : Path.step) =
+        match s.Path.test with Path.Name tag -> Store.tag_count store tag | _ -> node_count
       in
-      (* The clamp matters: an empty or all-upward path folds to 0,
-         which would collapse every cost to ~0 and let the tie-break
-         silently pick XScan. At least the context node is touched. *)
-      List.fold_left (fun acc s -> acc + step_cardinality s) 0 path
-      |> min (node_count * Path.length path)
-      |> max 1
+      (Array.of_list (List.map bound path), None)
+  in
+  let touched_nodes =
+    (* The clamp matters: an empty path or an empty result sums to 0,
+       which would collapse every cost to ~0 and let the tie-break
+       silently pick XScan. At least the context node is touched. *)
+    Array.fold_left ( + ) 0 per_step |> min (node_count * Path.length path) |> max 1
   in
   (* Assume touched nodes occupy their proportional share of the pages. *)
   let est_pages =
@@ -94,22 +93,19 @@ let estimate ?(fused = true) store path =
        pure per-entry CPU. A path with a residual suffix (a descendant
        step ends exact resolution) pays an exact seed-cluster walk
        (consecutive clusters at transfer cost, gaps at random cost) plus
-       navigation of the tail. When the synopsis shows the tail confined
+       navigation of the tail. When the summary shows the tail confined
        to a minority of the document (the seed prefix prunes — q6'-style
        queries), that navigation is priced honestly: the residual
        operator serves pending clusters smallest-pid-first and the
        seeds' subtrees are contiguous under the depth-first cluster
        layout, so the tail's page share is fetched at near-sequential
        transfer cost. When the tail still spans (almost) the whole
-       document (frontier > [residual_selectivity] of the nodes — //x,
+       document (a tail step selects > [residual_selectivity] of the nodes — //x,
        q7), seeding buys nothing and the term keeps the conservative
        >=-schedule price, so Auto never prefers it there. Infinite when
        no fresh partition exists or the path cannot be index-seeded. *)
-    match Store.partition store with
-    | Some partition when Store.stats_fresh store && Path.is_downward path && path <> [] ->
-      let resolved = Path.indexable_prefix path in
-      let prefix = Path.prefix path resolved in
-      let classes = Path_partition.select partition ~matches:(Path.matches_sequence prefix) in
+    match (Store.partition store, prefix_classes) with
+    | Some partition, Some classes when Store.stats_fresh store && path <> [] ->
       let entries =
         List.fold_left
           (fun acc c -> acc + Array.length (Path_partition.class_entries partition c))
@@ -136,15 +132,9 @@ let estimate ?(fused = true) store path =
               (acc +. cost, Some pid))
             (0.0, None) pids
         in
-        let tail_frontier, tail_work =
-          match Store.doc_stats store with
-          | Some stats ->
-            let per_step = Xnav_store.Doc_stats.estimate_path stats path in
-            let tail = List.filteri (fun i _ -> i >= resolved) per_step in
-            (List.fold_left max 0.0 tail, List.fold_left ( +. ) 0.0 tail)
-          | None -> (float_of_int node_count, touched)
-        in
-        let frac = tail_frontier /. float_of_int node_count in
+        let tail = Array.sub per_step resolved (Array.length per_step - resolved) in
+        let tail_work = float_of_int (Array.fold_left ( + ) 0 tail) in
+        let frac = float_of_int (Array.fold_left max 0 tail) /. float_of_int node_count in
         if frac <= residual_selectivity then
           io +. random_cost
           +. (max 1.0 (ceil (frac *. float_of_int page_count)) *. config.Disk.transfer)
@@ -156,7 +146,7 @@ let estimate ?(fused = true) store path =
           +. (float_of_int entries *. cpu_per_node)
           +. (touched *. chain_cpu)
       end
-    | Some _ | None -> infinity
+    | _ -> infinity
   in
   { touched_nodes; est_pages; fused; cost_simple; cost_schedule; cost_scan; cost_index }
 

@@ -2,8 +2,8 @@
     future work ("a cost model to support the choice of the
     I/O-performing operator", Sec. 7).
 
-    The model estimates, from the document statistics collected at
-    import time (tag counts, node count, page count) and the disk's cost
+    The model estimates, from the store's statistics (node count, page
+    count, the path summary's class counts) and the disk's cost
     parameters:
 
     - [cost_scan]: one sequential pass over all pages plus the CPU spent
@@ -15,10 +15,11 @@
     - [cost_simple]: the same page share fetched at full random cost,
       once per step that reaches it (no batching, no reordering).
 
-    When the store carries the import-time path synopsis
-    ({!Xnav_store.Doc_stats}), touched-node counts come from frontier
-    propagation over parent/child tag-pair statistics; otherwise a crude
-    per-tag upper bound is used. Either way the model separates the
+    When the store carries a path partition, touched-node counts are the
+    exact per-step result sizes of {!Xnav_store.Path_partition.step_counts},
+    read from live class counts that updates keep current; a store
+    without one falls back to a crude per-tag upper bound. Either way
+    the model separates the
     regimes the paper's evaluation exhibits: low-selectivity paths (Q7)
     go to XScan, selective paths (Q15) to the structural index (or, with
     no fresh partition, to XSchedule) — [cost_index] being the fourth
@@ -27,7 +28,9 @@
 type choice = Auto | Force_simple | Force_schedule | Force_scan | Force_index
 
 type estimate = {
-  touched_nodes : int;  (** Upper bound on nodes enumerated by the steps. *)
+  touched_nodes : int;
+      (** Nodes enumerated by the steps (at least 1): exact from the
+          summary, an upper bound without a partition. *)
   est_pages : int;  (** Estimated distinct clusters a schedule plan loads. *)
   fused : bool;
       (** Whether the reordered-shape CPU terms assume the fused
@@ -42,7 +45,7 @@ type estimate = {
           tag and ordpath, so no page is read. Paths with a residual
           suffix pay an exact seed-cluster walk (consecutive clusters at
           transfer cost, gaps at random cost) plus tail navigation: when
-          the synopsis shows the seed prefix prunes the tail to a
+          the summary shows the seed prefix prunes the tail to a
           minority of the document, the tail's page share is priced at
           near-sequential transfer cost (the residual operator serves
           pending clusters smallest-pid-first over contiguous seed

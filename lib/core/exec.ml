@@ -112,13 +112,17 @@ let abandon s =
    fix. The pipeline is built separately, because [execute] takes
    its snapshot and consults the cache in between: Simple's pipeline
    reads its contexts when it is built. *)
+let context ~config store =
+  let ctx = Context.create ~config store in
+  Store.set_swizzling store config.Context.swizzling;
+  Buffer_manager.set_scan_resistant (Store.buffer store) config.Context.scan_resistant;
+  ctx
+
 let open_statement ~who ~config ?contexts ?trace store path plan =
   check_plan who path plan;
   let contexts = match contexts with Some c -> c | None -> [ Store.root store ] in
-  let ctx = Context.create ~config store in
+  let ctx = context ~config store in
   ctx.Context.trace <- trace;
-  Store.set_swizzling store config.Context.swizzling;
-  Buffer_manager.set_scan_resistant (Store.buffer store) config.Context.scan_resistant;
   (ctx, contexts)
 
 let doc_order (a : Store.info) (b : Store.info) = Ordpath.compare a.ordpath b.ordpath

@@ -31,6 +31,12 @@ val plan_error : Xnav_xpath.Path.t -> Plan.t -> string option
     (the workload engine, before any lane pins a frame) check it up
     front. *)
 
+val context : config:Context.config -> Xnav_store.Store.t -> Context.t
+(** A statement's context over [store], with the store-wide knobs of
+    [config] applied: [swizzling] to the store and [scan_resistant] to
+    its buffer pool. Exec runs and Multi lanes open their statements
+    through it, so a run never inherits the previous run's settings. *)
+
 val root_only : Xnav_store.Store.t -> Xnav_store.Node_id.t list -> bool
 (** [root_only store contexts]: the contexts are exactly the document
     root — the statements the result cache and the path partition

@@ -21,11 +21,11 @@ type lane = {
   nodes : Store.info Vec.t;  (* arrival order *)
 }
 
-let make_lane ?config store ~context_is_root path =
+let make_lane ~config store ~context_is_root path =
   if path = [] then invalid_arg "Multi.run: empty path";
   if not (Path.is_downward path) then
     invalid_arg "Multi.run: shared-scan evaluation requires downward axes only";
-  let ctx = Context.create ?config store in
+  let ctx = Exec.context ~config store in
   let path_len = Path.length path in
   let dslash = context_is_root && Path.starts_with_descendant_any path in
   let feed = Queue.create () in
@@ -45,13 +45,13 @@ let drain lane =
   in
   go ()
 
-let run ?config ?contexts ?(ordered = true) ~cold store paths =
+let run ?(config = Context.default_config) ?contexts ?(ordered = true) ~cold store paths =
   if paths = [] then invalid_arg "Multi.run: no paths";
   let contexts = match contexts with Some c -> c | None -> [ Store.root store ] in
   let contexts = List.sort Node_id.compare contexts in
   let lanes =
     Array.of_list
-      (List.map (make_lane ?config store ~context_is_root:(Exec.root_only store contexts)) paths)
+      (List.map (make_lane ~config store ~context_is_root:(Exec.root_only store contexts)) paths)
   in
   let snap = Exec.snapshot ~cold (Store.buffer store) [ store ] in
 
@@ -97,7 +97,7 @@ let run ?config ?contexts ?(ordered = true) ~cold store paths =
         let acc = Counters.add acc lane.ctx.Context.counters in
         if not (Context.fallback lane.ctx) then acc
         else begin
-          let r = Exec.run ?config ~contexts ~ordered:false store lane.path Plan.simple in
+          let r = Exec.run ~config ~contexts ~ordered:false store lane.path Plan.simple in
           Vec.clear lane.nodes;
           List.iter (Vec.push lane.nodes) r.Exec.nodes;
           Counters.add acc r.Exec.metrics

@@ -40,7 +40,9 @@ val run :
   result
 (** [run ~cold store paths] evaluates all [paths] from [contexts]
     (default: the document root) in one shared scan. [cold] resets the
-    buffer pool and disk clock first.
+    buffer pool and disk clock first. [config] (default
+    {!Context.default_config}) applies its swizzling and scan-resistance
+    knobs through {!Exec.context}, as every Exec run does.
 
     @raise Invalid_argument if [paths] is empty, any path is empty, or
     any path uses a non-downward axis.

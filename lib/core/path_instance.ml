@@ -3,7 +3,6 @@ module Node_id = Xnav_store.Node_id
 module Node_record = Xnav_store.Node_record
 module Path_partition = Xnav_store.Path_partition
 module Path = Xnav_xpath.Path
-module Axis = Xnav_xml.Axis
 
 type right_node =
   | R_core of { view : Store.view; slot : int; core : Node_record.core }
@@ -30,64 +29,34 @@ let context view id =
 type summary = {
   store : Store.t;
   partition : Path_partition.t;
-  path : Path.t;
   links : Node_record.links;  (* register set for the owner reads *)
-  masks : int array;  (* class -> feasible-step mask; -1 until computed *)
+  masks : int array Lazy.t;  (* class -> feasible-step mask *)
 }
 
 (* A mask is one non-negative int, bit [s] for the seeds at step [s];
    longer paths seed [All]. *)
-let max_steps = Sys.int_size - 1
-
 let summary store path =
   match Store.partition store with
-  | Some partition when Path.length path < max_steps ->
+  | Some partition when Path.length path <= Path_partition.max_steps ->
     Some
       {
         store;
         partition;
-        path;
         links = Node_record.links ();
-        masks = Array.make (Path_partition.class_count partition) (-1);
+        masks = lazy (Path_partition.seed_masks partition path);
       }
   | Some _ | None -> None
 
-(* The steps a seed at an [Up] owned by a node of class [c] can serve:
-   bit [s] is set iff some node matching the path's first [s] steps is
-   the owner (step [s + 1] on [child]) or an ancestor-or-self of it
-   ([descendant], [descendant-or-self]). A [self] step never crosses a
-   border. *)
-let class_mask sm c =
-  let seq = Path_partition.class_sequence sm.partition c in
-  let ancestors = List.init (Array.length seq) (fun j -> Array.sub seq 0 (j + 1)) in
-  let mask = ref 0 in
-  List.iteri
-    (fun s (step : Path.step) ->
-      let prefix = Path.prefix sm.path s in
-      let feasible =
-        match step.Path.axis with
-        | Axis.Child -> Path.matches_sequence prefix seq
-        | Axis.Descendant | Axis.Descendant_or_self ->
-          List.exists (Path.matches_sequence prefix) ancestors
-        | _ -> false
-      in
-      if feasible then mask := !mask lor (1 lsl s))
-    sm.path;
-  !mask
-
 (* The feasible-step mask of the [Up] in [slot], from its owner's class
-   ([-1], every step, when the owner is no partition entry). *)
+   ([-1], every step, when the owner is no partition entry). A [self]
+   step never crosses a border. *)
 let slot_mask sm view slot =
   Store.read_links view sm.links slot;
   let c =
     Path_partition.class_at sm.partition ~pid:sm.links.Node_record.owner_pid
       ~slot:sm.links.Node_record.owner_slot
   in
-  if c < 0 then -1
-  else begin
-    if sm.masks.(c) < 0 then sm.masks.(c) <- class_mask sm c;
-    sm.masks.(c)
-  end
+  if c < 0 then -1 else (Lazy.force sm.masks).(c)
 
 (* A top-level loop, so a cluster's seeding allocates only the instances
    it keeps. *)

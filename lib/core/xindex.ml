@@ -35,29 +35,27 @@ type t = {
    prefix — shared by {!create} and {!usable}. The summary resolves
    self/child prefixes exactly; a descendant step ends exact resolution
    (its matches sit at arbitrary depths), so cap any requested depth
-   there and leave the rest to the XStep tail. *)
+   there, and at the longest prefix the summary walks, and leave the
+   rest to the XStep tail. *)
 let plan_classes partition ~path ~resolve =
-  let exact = Path.indexable_prefix path in
+  let exact = min Path_partition.max_steps (Path.indexable_prefix path) in
   let resolved = match resolve with None -> exact | Some k -> max 0 (min k exact) in
-  let prefix = Path.prefix path resolved in
-  (resolved, prefix, Path_partition.select partition ~matches:(Path.matches_sequence prefix))
+  (resolved, snd (Path_partition.walk partition (Path.prefix path resolved) ~select:resolved))
 
 (* Whether the partition may seed this query: every class the resolved
    prefix selects must still describe the store (no mutation touched its
-   entry clusters, no insert added a member), and no inserted node with
-   a tag sequence the import never saw may match the prefix (such nodes
-   belong to no class, so the entry lists cannot cover them). Fresh
-   stores are always usable; after updates, exactly the untouched query
-   shapes stay index-served. *)
+   entry clusters, no insert added a member). That includes the classes
+   inserts appended for tag sequences the import never saw: they have
+   no entries, so they are never fresh. Fresh stores are always usable;
+   after updates, exactly the untouched query shapes stay index-served. *)
 let usable store ~path ~resolve =
   match Store.partition store with
   | None -> false
   | Some partition ->
     Store.stats_fresh store
     ||
-    let _, prefix, classes = plan_classes partition ~path ~resolve in
+    let _, classes = plan_classes partition ~path ~resolve in
     List.for_all (fun c -> Store.class_fresh store c) classes
-    && not (List.exists (Path.matches_sequence prefix) (Store.novel_sequences store))
 
 let create ctx ~path ~resolve ~contexts =
   let store = ctx.Context.store in
@@ -67,7 +65,7 @@ let create ctx ~path ~resolve ~contexts =
     | Some _ | None -> invalid_arg "Xindex: store has no fresh path partition"
   in
   let path_len = Path.length path in
-  let resolved, _prefix, classes = plan_classes partition ~path ~resolve in
+  let resolved, classes = plan_classes partition ~path ~resolve in
   let covering, entries =
     if resolved = path_len then
       ( classes

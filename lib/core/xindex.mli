@@ -37,11 +37,11 @@ val usable : Xnav_store.Store.t -> path:Xnav_xpath.Path.t -> resolve:int option 
 (** Whether the partition may seed this query. Freshness is
     class-granular: every class the resolved prefix selects must be
     fresh ({!Xnav_store.Store.class_fresh} — no mutation touched its
-    entry clusters, no insert added a member), and no {e novel}
-    inserted tag sequence ({!Xnav_store.Store.novel_sequences}) may
-    match the prefix. Always true on an unmutated store with a
-    partition; after updates, query shapes untouched by the writes stay
-    index-served while touched ones degrade. *)
+    entry clusters, no insert added a member). A class an insert
+    appended for a tag sequence the import never saw is never fresh, so
+    a prefix it matches is refused. Always true on an unmutated store
+    with a partition; after updates, query shapes untouched by the
+    writes stay index-served while touched ones degrade. *)
 
 val create :
   Context.t ->

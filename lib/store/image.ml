@@ -1,10 +1,11 @@
 module Disk = Xnav_storage.Disk
 module Buffer_manager = Xnav_storage.Buffer_manager
 module Tag = Xnav_xml.Tag
+module Ordpath = Xnav_xml.Ordpath
 
 exception Corrupt of string
 
-let magic = "XNAVIMG1"
+let magic = "XNAVIMG2"
 
 (* --- encoding helpers -------------------------------------------------- *)
 
@@ -29,6 +30,12 @@ let read_u32 r =
   if v < 0 then raise (Corrupt "negative field");
   v
 
+(* A count of items that take at least one byte each. *)
+let read_count r =
+  let n = read_u32 r in
+  need r n;
+  n
+
 let read_float r =
   need r 8;
   let v = Int64.float_of_bits (String.get_int64_le r.data r.pos) in
@@ -41,6 +48,50 @@ let read_string r =
   let s = String.sub r.data r.pos n in
   r.pos <- r.pos + n;
   s
+
+(* An ORDPATH label: varints, so [Ordpath.decode] is bounded by hand. *)
+let read_label r =
+  match Ordpath.decode r.data r.pos with
+  | label, next ->
+    r.pos <- next;
+    label
+  | exception Invalid_argument _ -> raise (Corrupt "truncated image")
+
+(* Per class: its root-first tag sequence, then its entries as
+   (pid, slot, label). Classes are listed in id order. *)
+let add_partition buf p =
+  add_u32 buf (Path_partition.class_count p);
+  for c = 0 to Path_partition.class_count p - 1 do
+    let seq = Path_partition.class_sequence p c in
+    add_u32 buf (Array.length seq);
+    Array.iter (fun tag -> add_string buf (Tag.to_string tag)) seq;
+    let labels = Path_partition.class_labels p c in
+    add_u32 buf (Array.length labels);
+    Array.iteri
+      (fun i (id : Node_id.t) ->
+        add_u32 buf id.Node_id.pid;
+        add_u32 buf id.Node_id.slot;
+        Ordpath.encode buf labels.(i))
+      (Path_partition.class_entries p c)
+  done
+
+let read_partition r =
+  let classes =
+    Array.init (read_count r) (fun _ ->
+        let seq = Array.init (read_count r) (fun _ -> Tag.of_string (read_string r)) in
+        let entries =
+          Array.init (read_count r) (fun _ ->
+              let pid = read_u32 r in
+              let slot = read_u32 r in
+              (Node_id.make ~pid ~slot, read_label r))
+        in
+        (seq, entries))
+  in
+  try
+    Path_partition.make ~sequences:(Array.map fst classes)
+      ~entries:(Array.map (fun (_, e) -> Array.map fst e) classes)
+      ~labels:(Array.map (fun (_, e) -> Array.map snd e) classes)
+  with Invalid_argument msg -> raise (Corrupt msg)
 
 (* --- save ---------------------------------------------------------------- *)
 
@@ -86,19 +137,13 @@ let save path stores =
           add_string buf (Tag.to_string tag);
           add_u32 buf count)
         tags;
-      (* Stale synopses must not be reborn as fresh ones on load (the
-         loaded store's mutation stamp restarts at 0), so a mutated
-         store persists without stats or partition. *)
-      let fresh = Store.stats_fresh store in
-      (match Store.doc_stats store with
-      | Some stats when fresh ->
-        add_u32 buf 1;
-        Doc_stats.encode buf stats
-      | Some _ | None -> add_u32 buf 0);
+      (* A stale partition must not be reborn as a fresh one on load
+         (the loaded store's mutation stamp restarts at 0), so a mutated
+         store persists without it. *)
       match Store.partition store with
-      | Some partition when fresh ->
+      | Some partition when Store.stats_fresh store ->
         add_u32 buf 1;
-        Path_partition.encode buf partition
+        add_partition buf partition
       | Some _ | None -> add_u32 buf 0)
     stores;
   let oc = open_out_bin path in
@@ -153,23 +198,6 @@ let load ?(capacity = 1000) ?policy path =
                   (Tag.of_string name, count))
          in
          if first_page + page_count > pages then raise (Corrupt "catalog exceeds disk");
-         let has_stats = read_u32 r in
-         let doc_stats =
-           if has_stats = 1 then begin
-             let stats, next = Doc_stats.decode r.data r.pos in
-             r.pos <- next;
-             Some stats
-           end
-           else None
-         in
-         let has_partition = read_u32 r in
-         let partition =
-           if has_partition = 1 then begin
-             let partition, next = Path_partition.decode r.data r.pos in
-             r.pos <- next;
-             Some partition
-           end
-           else None
-         in
-         Store.attach_meta ?doc_stats ?partition buffer ~root ~first_page ~page_count ~node_count
+         let partition = if read_u32 r = 1 then Some (read_partition r) else None in
+         Store.attach_meta ?partition buffer ~root ~first_page ~page_count ~node_count
            ~height ~tag_counts)

@@ -4,19 +4,25 @@
 
     Format (little-endian, versioned):
     {v
-    "XNAVIMG1"                magic
+    "XNAVIMG2"                magic
     disk config               page_size u32, five cost floats
     page count u32, pages     raw page bytes
     catalog count u32         per document: root (pid,slot), first page,
                               page count, node count, height,
-                              tag list (name, count)
+                              tag list (name, count), then a partition
+                              flag u32 and, if 1, the path partition:
+                              class count, per class its tag sequence
+                              and entries (pid, slot, ORDPATH label)
     v}
+
+    A store mutated since attach is saved without its partition.
 
     Buffer state is deliberately not persisted — a loaded image starts
     with a cold cache, matching the benchmark regime. *)
 
 exception Corrupt of string
-(** Raised by {!load} on bad magic, truncation, or version mismatch. *)
+(** Raised by {!load} on bad magic (an older format version included),
+    truncation, or a malformed partition. *)
 
 val save : string -> Store.t list -> unit
 (** [save path stores] writes the shared disk of [stores] and their

@@ -19,7 +19,6 @@ type result = {
   border_count : int;
   height : int;
   tag_counts : (Xnav_xml.Tag.t * int) list;
-  stats : Doc_stats.t;
   partition : Path_partition.t;
   node_ids : Node_id.t array;
 }
@@ -350,7 +349,6 @@ let run ?(strategy = Dfs) ?payload disk doc =
     Disk.write disk pid (Page.to_bytes page)
   done;
 
-  let stats, classes, class_of = Doc_stats.collect_full doc in
   let node_ids = Array.map node_id_of cores in
   {
     root = node_id_of cores.(0);
@@ -360,7 +358,6 @@ let run ?(strategy = Dfs) ?payload disk doc =
     border_count = !border_count;
     height = Tree.height doc;
     tag_counts = Tree.tag_counts doc;
-    stats;
-    partition = Path_partition.build ~classes ~class_of ~node_ids ~ordpaths;
+    partition = Path_partition.build doc ~node_ids ~ordpaths;
     node_ids;
   }

@@ -33,12 +33,10 @@ type result = {
   tag_counts : (Xnav_xml.Tag.t * int) list;
       (** Per-tag node counts — the statistics the cost-based plan
           chooser consumes. *)
-  stats : Doc_stats.t;
-      (** The full path synopsis collected during import (tag counts,
-          parent/child pairs, subtree volumes). *)
   partition : Path_partition.t;
-      (** The structural index built in the same pass: per path class,
-          the sorted (cluster, node) entry list. *)
+      (** The path summary and structural index: per path class, the
+          sorted (cluster, node) entry list and the live member count
+          the cost model reads. *)
   node_ids : Node_id.t array;
       (** Preorder rank -> core NodeID, for tests and context lookup. *)
 }

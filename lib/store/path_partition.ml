@@ -1,16 +1,136 @@
+module Tree = Xnav_xml.Tree
 module Tag = Xnav_xml.Tag
 module Ordpath = Xnav_xml.Ordpath
+module Axis = Xnav_xml.Axis
+module Path = Xnav_xpath.Path
 
 type t = {
-  classes : Tag.t array array;  (* class id -> root-first tag sequence *)
-  entries : Node_id.t array array;  (* class id -> ids sorted by (cluster, slot) *)
-  labels : Ordpath.t array array;  (* aligned with [entries] *)
-  lookup : lookup Lazy.t;  (* NodeID -> class, built on first use *)
+  (* The summary trie. Arrays grow by doubling; [size] classes are in
+     use. A class's parent always has a smaller id. *)
+  mutable size : int;
+  mutable parents : int array;  (* class id -> parent class, -1 for the root *)
+  mutable tags : Tag.t array;  (* class id -> the members' own tag *)
+  mutable members : int array;  (* class id -> live node count *)
+  children : (int * Tag.t, int) Hashtbl.t;  (* (parent class or -1, tag) -> class *)
+  (* Entry lists of the import-time classes; appended classes have none. *)
+  mutable entries : Node_id.t array array;  (* class id -> ids sorted by (cluster, slot) *)
+  mutable labels : Ordpath.t array array;  (* aligned with [entries] *)
+  mutable lookup : lookup option;  (* NodeID -> class, built on first use *)
+  (* [walk]'s per-class masks, sized with the trie and kept between
+     calls so a walk allocates only its results. *)
+  mutable ends : int array;
+  mutable below : int array;
 }
 
 (* [pages.(pid - first).(slot)] is the class of the entry at (pid, slot),
    -1 where no entry lies. *)
 and lookup = { first : int; pages : int array array }
+
+let empty () =
+  {
+    size = 0;
+    parents = [||];
+    tags = [||];
+    members = [||];
+    children = Hashtbl.create 64;
+    entries = [||];
+    labels = [||];
+    lookup = None;
+    ends = [||];
+    below = [||];
+  }
+
+let append t parent tag =
+  let c = t.size in
+  if c = Array.length t.parents then begin
+    let grow a fill =
+      let b = Array.make (max 16 (2 * c)) fill in
+      Array.blit a 0 b 0 c;
+      b
+    in
+    t.parents <- grow t.parents (-1);
+    t.tags <- grow t.tags tag;
+    t.members <- grow t.members 0;
+    t.ends <- grow t.ends 0;
+    t.below <- grow t.below 0
+  end;
+  t.parents.(c) <- parent;
+  t.tags.(c) <- tag;
+  Hashtbl.add t.children (parent, tag) c;
+  t.size <- c + 1;
+  c
+
+let child t parent tag =
+  match Hashtbl.find_opt t.children (parent, tag) with
+  | Some c -> c
+  | None -> append t parent tag
+
+let intern t seq = Array.fold_left (child t) (-1) seq
+
+(* Install the import-time entry lists; each class's live count starts
+   as its list's length. *)
+let set_entries t ~entries ~labels =
+  t.entries <- entries;
+  t.labels <- labels;
+  Array.iteri (fun c ids -> t.members.(c) <- Array.length ids) entries
+
+let build doc ~node_ids ~ordpaths =
+  if Array.length node_ids <> Array.length ordpaths then
+    invalid_arg "Path_partition.build: node/ordpath arrays disagree";
+  let t = empty () in
+  let class_of = Array.make (Array.length node_ids) 0 in
+  let rec go parent (node : Tree.t) =
+    let c = child t parent node.Tree.tag in
+    class_of.(node.Tree.preorder) <- c;
+    Array.iter (go c) node.Tree.children
+  in
+  go (-1) doc;
+  let buckets = Array.make t.size [] in
+  (* Walk preorder backwards so each bucket comes out in document order;
+     the sort below then mostly sees already-ordered runs. *)
+  for p = Array.length class_of - 1 downto 0 do
+    let c = class_of.(p) in
+    buckets.(c) <- (node_ids.(p), ordpaths.(p)) :: buckets.(c)
+  done;
+  let sorted =
+    Array.map
+      (fun pairs ->
+        let a = Array.of_list pairs in
+        Array.sort (fun (x, _) (y, _) -> Node_id.compare x y) a;
+        a)
+      buckets
+  in
+  set_entries t
+    ~entries:(Array.map (Array.map fst) sorted)
+    ~labels:(Array.map (Array.map snd) sorted);
+  t
+
+let make ~sequences ~entries ~labels =
+  let n = Array.length sequences in
+  if Array.length entries <> n || Array.length labels <> n then
+    invalid_arg "Path_partition.make: class arrays disagree";
+  let t = empty () in
+  Array.iteri
+    (fun c seq ->
+      if Array.length seq = 0 || intern t seq <> c || t.size <> c + 1 then
+        invalid_arg "Path_partition.make: sequences are not a summary in first-occurrence order";
+      if Array.length entries.(c) <> Array.length labels.(c) then
+        invalid_arg "Path_partition.make: entries and labels disagree")
+    sequences;
+  set_entries t ~entries ~labels;
+  t
+
+let class_count t = t.size
+let class_sequence t c =
+  let rec up c acc = if c < 0 then Array.of_list acc else up t.parents.(c) (t.tags.(c) :: acc) in
+  up c []
+
+let class_tag t c = t.tags.(c)
+
+let class_parent t c = t.parents.(c)
+let class_entries t c = if c < Array.length t.entries then t.entries.(c) else [||]
+let class_labels t c = if c < Array.length t.labels then t.labels.(c) else [||]
+let add_members t c delta = t.members.(c) <- t.members.(c) + delta
 
 let build_lookup entries =
   let lo = ref max_int and hi = ref (-1) in
@@ -36,122 +156,116 @@ let build_lookup entries =
     { first; pages }
   end
 
-let make ~classes ~entries ~labels =
-  { classes; entries; labels; lookup = lazy (build_lookup entries) }
-
-let build ~classes ~class_of ~node_ids ~ordpaths =
-  if
-    Array.length class_of <> Array.length node_ids
-    || Array.length class_of <> Array.length ordpaths
-  then invalid_arg "Path_partition.build: class/node/ordpath arrays disagree";
-  let buckets = Array.make (Array.length classes) [] in
-  (* Walk preorder backwards so each bucket comes out in document order;
-     the sort below then mostly sees already-ordered runs. *)
-  for p = Array.length class_of - 1 downto 0 do
-    let c = class_of.(p) in
-    buckets.(c) <- (node_ids.(p), ordpaths.(p)) :: buckets.(c)
-  done;
-  let sorted =
-    Array.map
-      (fun pairs ->
-        let a = Array.of_list pairs in
-        Array.sort (fun (x, _) (y, _) -> Node_id.compare x y) a;
-        a)
-      buckets
-  in
-  make ~classes ~entries:(Array.map (Array.map fst) sorted) ~labels:(Array.map (Array.map snd) sorted)
-
-let class_count t = Array.length t.classes
-let class_sequence t c = t.classes.(c)
-let class_tag t c =
-  let seq = t.classes.(c) in
-  seq.(Array.length seq - 1)
-
-let class_entries t c = t.entries.(c)
-let class_labels t c = t.labels.(c)
-let node_count t = Array.fold_left (fun acc a -> acc + Array.length a) 0 t.entries
-
 let class_at t ~pid ~slot =
-  let { first; pages } = Lazy.force t.lookup in
+  let { first; pages } =
+    match t.lookup with
+    | Some l -> l
+    | None ->
+      let l = build_lookup t.entries in
+      t.lookup <- Some l;
+      l
+  in
   let p = pid - first in
   if p < 0 || p >= Array.length pages then -1
   else
     let page = pages.(p) in
     if slot < 0 || slot >= Array.length page then -1 else page.(slot)
 
-let select t ~matches =
-  let rec go c acc =
-    if c < 0 then acc else go (c - 1) (if matches t.classes.(c) then c :: acc else acc)
-  in
-  go (Array.length t.classes - 1) []
+(* --- cardinality walk ----------------------------------------------------------- *)
 
-(* --- persistence -------------------------------------------------------------- *)
+let max_steps = Sys.int_size - 2
 
-let add_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
-
-let add_string buf s =
-  add_u32 buf (String.length s);
-  Buffer.add_string buf s
-
-let encode buf t =
-  add_u32 buf (Array.length t.classes);
-  Array.iteri
-    (fun c seq ->
-      add_u32 buf (Array.length seq);
-      Array.iter (fun tag -> add_string buf (Tag.to_string tag)) seq;
-      let ids = t.entries.(c) in
-      let labels = t.labels.(c) in
-      add_u32 buf (Array.length ids);
-      Array.iteri
-        (fun i (id : Node_id.t) ->
-          add_u32 buf id.Node_id.pid;
-          add_u32 buf id.Node_id.slot;
-          Ordpath.encode buf labels.(i))
-        ids)
-    t.classes
-
-let read_u32 s pos =
-  let v = Int32.to_int (String.get_int32_le s pos) in
-  (v, pos + 4)
-
-let read_string s pos =
-  let n, pos = read_u32 s pos in
-  (String.sub s pos n, pos + n)
-
-let decode s pos =
-  let nclasses, pos = read_u32 s pos in
-  let pos = ref pos in
-  let classes = Array.make (max 0 nclasses) [||] in
-  let entries = Array.make (max 0 nclasses) [||] in
-  let labels = Array.make (max 0 nclasses) [||] in
-  for c = 0 to nclasses - 1 do
-    let len, p = read_u32 s !pos in
-    pos := p;
-    classes.(c) <-
-      Array.init len (fun _ ->
-          let name, p = read_string s !pos in
-          pos := p;
-          Tag.of_string name);
-    let n, p = read_u32 s !pos in
-    pos := p;
-    let pairs =
-      Array.init n (fun _ ->
-          let pid, p = read_u32 s !pos in
-          let slot, p = read_u32 s p in
-          let label, p = Ordpath.decode s p in
-          pos := p;
-          (Node_id.make ~pid ~slot, label))
-    in
-    entries.(c) <- Array.map fst pairs;
-    labels.(c) <- Array.map snd pairs
+(* One pass over the classes in id order, parents first. Class [c]
+   carries two masks over prefix lengths [0 .. n]: bit [i] of [ends.(c)]
+   is set iff the path's first [i] steps select the nodes of [c]; bit
+   [i] of [below.(c)] iff they select an ancestor-or-self of them. Both
+   follow from the parent's masks and the class's own tag, so each
+   class's count lands in every step it completes. Returns the counts
+   and, as bit [j] for step [j + 1], the [child] steps and the
+   [descendant] / [descendant-or-self] steps. *)
+let fill t path =
+  let steps = Array.of_list path in
+  let n = Array.length steps in
+  if n > max_steps then invalid_arg "Path_partition: path too long";
+  (* Bit [j] of [from_ends] / [from_below]: step [j + 1] continues from
+     the parent's [ends] ([child]) / [below] ([descendant]). [stay]
+     lists the [self] / [descendant-or-self] steps, which continue from
+     the class's own bits and so are applied in step order. *)
+  let from_ends = ref 0 and from_below = ref 0 and dos = ref 0 and stay = ref [] in
+  for j = n - 1 downto 0 do
+    match steps.(j).Path.axis with
+    | Axis.Child -> from_ends := !from_ends lor (1 lsl j)
+    | Axis.Descendant -> from_below := !from_below lor (1 lsl j)
+    | Axis.Self -> stay := (j + 1, true) :: !stay
+    | Axis.Descendant_or_self ->
+      dos := !dos lor (1 lsl j);
+      stay := (j + 1, false) :: !stay
+    | _ -> ()
   done;
-  (make ~classes ~entries ~labels, !pos)
+  let from_ends = !from_ends and from_below = !from_below in
+  let stay_step = Array.of_list (List.map fst !stay)
+  and stay_self = Array.of_list (List.map snd !stay) in
+  (* Bit [i] of a tag's mask: step [i]'s node test accepts the tag. *)
+  let tag_masks = Array.make (Tag.count ()) (-1) in
+  let tag_mask tag =
+    let id = Tag.id tag in
+    if tag_masks.(id) < 0 then begin
+      let m = ref 0 in
+      Array.iteri
+        (fun j (step : Path.step) ->
+          if Path.matches step.Path.test tag then m := !m lor (1 lsl (j + 1)))
+        steps;
+      tag_masks.(id) <- !m
+    end;
+    tag_masks.(id)
+  in
+  let counts = Array.make n 0 in
+  let ends = t.ends and below = t.below in
+  for c = 0 to t.size - 1 do
+    let p = t.parents.(c) in
+    let p_below = if p < 0 then 0 else below.(p) in
+    let m = tag_mask t.tags.(c) in
+    (* Prefix 0 (the context, the document root) ends at the root class. *)
+    let e =
+      ref
+        (if p < 0 then 1
+         else ((ends.(p) land from_ends) lor (p_below land from_below)) lsl 1 land m)
+    in
+    for k = 0 to Array.length stay_step - 1 do
+      let i = stay_step.(k) in
+      let from = if stay_self.(k) then !e else p_below lor !e in
+      if from land (1 lsl (i - 1)) <> 0 && m land (1 lsl i) <> 0 then e := !e lor (1 lsl i)
+    done;
+    ends.(c) <- !e;
+    below.(c) <- p_below lor !e;
+    let rest = ref (!e lsr 1) and i = ref 0 in
+    while !rest <> 0 do
+      if !rest land 1 <> 0 then counts.(!i) <- counts.(!i) + t.members.(c);
+      rest := !rest lsr 1;
+      incr i
+    done
+  done;
+  (counts, from_ends, from_below lor !dos)
+
+let walk t path ~select =
+  let counts, _, _ = fill t path in
+  let selected = ref [] in
+  for c = t.size - 1 downto 0 do
+    if t.ends.(c) land (1 lsl select) <> 0 then selected := c :: !selected
+  done;
+  (counts, !selected)
+
+let seed_masks t path =
+  let _, child, descendant = fill t path in
+  Array.init t.size (fun c -> (t.ends.(c) land child) lor (t.below.(c) land descendant))
+
+let step_counts t path = fst (walk t path ~select:0)
 
 let equal a b =
-  Array.length a.classes = Array.length b.classes
-  && Array.for_all2
-       (fun (x : Tag.t array) y -> Array.length x = Array.length y && Array.for_all2 Tag.equal x y)
-       a.classes b.classes
+  let prefix x a = Array.sub a 0 x.size in
+  prefix a a.parents = prefix b b.parents
+  && Array.for_all2 Tag.equal (prefix a a.tags) (prefix b b.tags)
+  && Array.length a.entries = Array.length b.entries
   && Array.for_all2
        (fun x y -> Array.length x = Array.length y && Array.for_all2 Node_id.equal x y)
        a.entries b.entries

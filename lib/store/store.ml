@@ -15,11 +15,9 @@ type t = {
   height : int;
   tag_counts : (Xnav_xml.Tag.t * int) list;
   tag_table : (Xnav_xml.Tag.t, int) Hashtbl.t;
-  doc_stats : Doc_stats.t option;
   partition : Path_partition.t option;
   mutable swizzle : bool;
   mutable mutations : int;
-  stats_stamp : int;  (* [mutations] value the stats/partition describe *)
   mutable swizzle_hits : int;
   mutable swizzle_misses : int;
   (* Cluster-granular mutation tracking: [page_stamps] maps a pid to the
@@ -34,16 +32,17 @@ type t = {
      scope a writer's invalidation to the clusters it wrote. *)
   mutable touch_log : (int, unit) Hashtbl.t option;
   mutable write_log : (int, unit) Hashtbl.t option;
-  (* Per-class partition staleness (lazily sized to the partition):
-     [class_pids.(c)] is the sorted unique cluster set of class [c]'s
-     entries, [class_stale.(c)] flips when a mutation touches one of
-     them (or an insert adds a node whose root tag sequence is the
-     class). [novel_paths] collects inserted tag sequences that match no
-     import-time class — the partition has no entry list for them, so
-     any query whose prefix could match one must not be index-seeded. *)
+  (* Per-class partition staleness, sized on the first mutation to the
+     classes that have entry lists: [class_pids.(c)] is the sorted
+     unique cluster set of class [c]'s entries, [class_stale.(c)] flips
+     when a mutation touches one of them (or an insert adds a node of
+     the class). Classes appended by later inserts lie beyond the array
+     and are never fresh — no entry list covers their members. *)
   mutable class_pids : int array array option;
   mutable class_stale : bool array;
-  mutable novel_paths : Xnav_xml.Tag.t array list;
+  (* The summary class of every node inserted since attach. A live node
+     missing here is an imported one, still at its entry's id. *)
+  inserted : int Node_id.Tbl.t;
 }
 
 let tag_table_of tag_counts =
@@ -71,35 +70,7 @@ let identity_of ~node_count ~tag_counts =
     (fun h (tag, n) -> mix (mix h (Xnav_xml.Tag.hash tag)) n)
     (mix 0x9e3779b9 node_count) tag_counts
 
-let attach buffer (import : Import.result) =
-  {
-    uid = fresh_uid ();
-    identity = identity_of ~node_count:import.Import.node_count ~tag_counts:import.Import.tag_counts;
-    buffer;
-    root = import.root;
-    first_page = import.first_page;
-    page_count = import.page_count;
-    node_count = import.node_count;
-    height = import.height;
-    tag_counts = import.tag_counts;
-    tag_table = tag_table_of import.tag_counts;
-    doc_stats = Some import.stats;
-    partition = Some import.partition;
-    swizzle = true;
-    mutations = 0;
-    stats_stamp = 0;
-    swizzle_hits = 0;
-    swizzle_misses = 0;
-    page_stamps = Hashtbl.create 64;
-    all_stamp = 0;
-    touch_log = None;
-    write_log = None;
-    class_pids = None;
-    class_stale = [||];
-    novel_paths = [];
-  }
-
-let attach_meta ?doc_stats ?partition buffer ~root ~first_page ~page_count ~node_count ~height
+let attach_meta ?partition buffer ~root ~first_page ~page_count ~node_count ~height
     ~tag_counts =
   {
     uid = fresh_uid ();
@@ -112,11 +83,9 @@ let attach_meta ?doc_stats ?partition buffer ~root ~first_page ~page_count ~node
     height;
     tag_counts;
     tag_table = tag_table_of tag_counts;
-    doc_stats;
     partition;
     swizzle = true;
     mutations = 0;
-    stats_stamp = 0;
     swizzle_hits = 0;
     swizzle_misses = 0;
     page_stamps = Hashtbl.create 64;
@@ -125,8 +94,13 @@ let attach_meta ?doc_stats ?partition buffer ~root ~first_page ~page_count ~node
     write_log = None;
     class_pids = None;
     class_stale = [||];
-    novel_paths = [];
+    inserted = Node_id.Tbl.create 16;
   }
+
+let attach buffer (import : Import.result) =
+  attach_meta ~partition:import.partition buffer ~root:import.root ~first_page:import.first_page
+    ~page_count:import.page_count ~node_count:import.node_count ~height:import.height
+    ~tag_counts:import.tag_counts
 
 let buffer t = t.buffer
 let root t = t.root
@@ -135,9 +109,8 @@ let first_page t = t.first_page
 let page_count t = t.page_count
 let height t = t.height
 let tag_counts t = t.tag_counts
-let doc_stats t = t.doc_stats
 let partition t = t.partition
-let stats_fresh t = t.mutations = t.stats_stamp
+let stats_fresh t = t.mutations = 0
 let uid t = t.uid
 let identity t = t.identity
 let mutation_stamp t = t.mutations
@@ -161,9 +134,10 @@ let swap_write_log t log =
   t.write_log <- log;
   old
 
-(* Per-class cluster sets, built lazily on the first mutation: the
-   partition is immutable after import, so the sets describe exactly the
-   clusters whose entry records belong to each class. *)
+(* Per-class cluster sets, built lazily on the first mutation: entry
+   lists are immutable after import, so the sets describe exactly the
+   clusters whose entry records belong to each class. Every mutation
+   reaches here before an insert can append a class. *)
 let ensure_class_meta t =
   match (t.partition, t.class_pids) with
   | None, _ | _, Some _ -> ()
@@ -183,7 +157,7 @@ let ensure_class_meta t =
           Array.of_list (List.rev !acc))
     in
     t.class_pids <- Some pids;
-    if Array.length t.class_stale <> n then t.class_stale <- Array.make n false
+    t.class_stale <- Array.make n false
 
 let pid_member pids pid =
   let lo = ref 0 and hi = ref (Array.length pids - 1) and found = ref false in
@@ -195,22 +169,17 @@ let pid_member pids pid =
   !found
 
 let stale_classes_at t pid =
-  match t.partition with
+  ensure_class_meta t;
+  match t.class_pids with
   | None -> ()
-  | Some _ ->
-    ensure_class_meta t;
-    (match t.class_pids with
-    | None -> ()
-    | Some pids ->
-      for c = 0 to Array.length pids - 1 do
-        if (not t.class_stale.(c)) && pid_member pids.(c) pid then t.class_stale.(c) <- true
-      done)
+  | Some pids ->
+    for c = 0 to Array.length pids - 1 do
+      if (not t.class_stale.(c)) && pid_member pids.(c) pid then t.class_stale.(c) <- true
+    done
 
 let class_fresh t c =
-  ensure_class_meta t;
-  t.all_stamp = 0 && (c < 0 || c >= Array.length t.class_stale || not t.class_stale.(c))
-
-let novel_sequences t = t.novel_paths
+  t.all_stamp = 0
+  && (t.class_pids = None || (c >= 0 && c < Array.length t.class_stale && not t.class_stale.(c)))
 
 (* Bookkeeping hooks for the update layer. *)
 let note_new_page t = t.page_count <- t.page_count + 1
@@ -227,27 +196,23 @@ let note_mutation_at t pid =
   (match t.write_log with Some tbl -> Hashtbl.replace tbl pid () | None -> ());
   stale_classes_at t pid
 
-let note_inserted t ~tags =
+let note_inserted t ~id ~tags =
   match t.partition with
   | None -> ()
-  | Some p -> begin
+  | Some p ->
     ensure_class_meta t;
-    match
-      Path_partition.select p ~matches:(fun seq ->
-          Array.length seq = Array.length tags && Array.for_all2 Xnav_xml.Tag.equal seq tags)
-    with
-    | c :: _ -> if not t.class_stale.(c) then t.class_stale.(c) <- true
-    | [] ->
-      (* A tag sequence the import never saw: no class has an entry list
-         for it, so queries matching this shape must not index-seed. *)
-      let known =
-        List.exists
-          (fun seq ->
-            Array.length seq = Array.length tags && Array.for_all2 Xnav_xml.Tag.equal seq tags)
-          t.novel_paths
-      in
-      if not known then t.novel_paths <- Array.copy tags :: t.novel_paths
-  end
+    let c = Path_partition.intern p tags in
+    Path_partition.add_members p c 1;
+    Node_id.Tbl.replace t.inserted id c;
+    if c < Array.length t.class_stale then t.class_stale.(c) <- true
+
+let class_of t id =
+  match t.partition with
+  | None -> -1
+  | Some p -> (
+    match Node_id.Tbl.find_opt t.inserted id with
+    | Some c -> c
+    | None -> Path_partition.class_at p ~pid:id.Node_id.pid ~slot:id.Node_id.slot)
 
 let set_swizzling t on = t.swizzle <- on
 let swizzle_stats t = (t.swizzle_hits, t.swizzle_misses)

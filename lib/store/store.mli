@@ -28,10 +28,10 @@ type t
 
 val attach : Xnav_storage.Buffer_manager.t -> Import.result -> t
 (** Binds an imported document to the buffer pool it will be read
-    through. *)
+    through. The store takes the import's partition over: updates
+    through {!Update} adjust its live class counts. *)
 
 val attach_meta :
-  ?doc_stats:Doc_stats.t ->
   ?partition:Path_partition.t ->
   Xnav_storage.Buffer_manager.t ->
   root:Node_id.t ->
@@ -51,17 +51,15 @@ val page_count : t -> int
 val height : t -> int
 val tag_counts : t -> (Xnav_xml.Tag.t * int) list
 
-val doc_stats : t -> Doc_stats.t option
-(** The import-time path synopsis, when available (imported or loaded
-    stores have it; it is frozen — updates do not maintain it). *)
-
 val partition : t -> Path_partition.t option
-(** The import-time path partition (structural index), when available.
-    Like the synopsis, it is frozen: consult {!stats_fresh} before
-    seeding plans from it. *)
+(** The path partition (summary, structural index and class counts),
+    when available: imported stores and stores loaded from an image
+    saved before any update have it. Its live class counts follow every
+    update; its entry lists are frozen at import — consult
+    {!stats_fresh} / {!class_fresh} before seeding plans from them. *)
 
 val stats_fresh : t -> bool
-(** Whether {!doc_stats} / {!partition} still describe the store:
+(** Whether the {!partition}'s entry lists still describe the store:
     [true] until the first structural mutation ({!note_mutation}) after
     attach. A stale partition must not seed index plans — {!Xnav_core}
     falls back to navigation-only plans; re-import (or save and reload
@@ -97,7 +95,7 @@ val mutation_stamp : t -> int
     attach. A cached derivation of the document (query result, decoded
     record, partition seed) is valid exactly while the stamp it was
     computed under still equals the current one — the same freshness
-    discipline {!stats_fresh} applies to the import-time synopsis. *)
+    discipline {!stats_fresh} applies to the import-time entry lists. *)
 
 val tag_count : t -> Xnav_xml.Tag.t -> int
 (** Number of nodes carrying the tag (0 if absent) — selectivity input
@@ -125,12 +123,18 @@ val note_mutation_at : t -> int -> unit
     (if any) and stales exactly the partition classes with an entry in
     [pid]. Views of other clusters keep their swizzled decodes. *)
 
-val note_inserted : t -> tags:Xnav_xml.Tag.t array -> unit
-(** Registers the root-first tag sequence of a freshly inserted node
-    (update layer only). If a partition class with exactly that sequence
-    exists it goes stale (its entry list now under-reports the class);
-    otherwise the sequence is remembered as a {e novel path} — see
-    {!novel_sequences}. *)
+val note_inserted : t -> id:Node_id.t -> tags:Xnav_xml.Tag.t array -> unit
+(** Registers the freshly inserted node [id] and its root-first tag
+    sequence (update layer only): the summary trie finds its class —
+    appending one, with no entries, for a sequence the import never saw
+    — and the class's live count grows by one. The class goes stale:
+    its entry list, if any, now under-reports it. *)
+
+val class_of : t -> Node_id.t -> int
+(** The summary class of the live node [id], read without touching a
+    page: an inserted node's as {!note_inserted} recorded it, an
+    imported one's from the partition's entry lists. [-1] when the
+    store has no partition. *)
 
 val page_stamp : t -> int -> int
 (** [page_stamp t pid] is the {!mutation_stamp} value at cluster [pid]'s
@@ -142,14 +146,9 @@ val page_stamp : t -> int -> int
 val class_fresh : t -> int -> bool
 (** Whether partition class [c]'s entry list still describes the store:
     no mutation has touched any of the class' entry clusters, no insert
-    added a node of the class, and no pid-less mutation occurred. Index
-    plans may seed from fresh classes even when {!stats_fresh} is false. *)
-
-val novel_sequences : t -> Xnav_xml.Tag.t array list
-(** Root-first tag sequences of inserted nodes that match {e no}
-    partition class (deduplicated). A query whose indexable prefix could
-    match one of these must not be answered from the partition — no
-    class carries entries for the new nodes. *)
+    added a node of the class, and no pid-less mutation occurred. A
+    class appended by an insert is never fresh. Index plans may seed
+    from fresh classes even when {!stats_fresh} is false. *)
 
 (** {2 Access / write observation}
 

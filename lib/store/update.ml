@@ -11,20 +11,24 @@ exception No_room_for_border of int
 (* --- page surgery helpers ------------------------------------------------ *)
 
 (* Write-through page mutation: the buffered copy is changed and flushed
-   to the simulated disk in one step. *)
-let with_page store pid f =
+   to the simulated disk in one step — unless [changed] says the result
+   left the page as it was. *)
+let with_page ?(changed = fun _ -> true) store pid f =
   let buffer = Store.buffer store in
   let frame = Buffer_manager.fix buffer pid in
   let page = Buffer_manager.page frame in
   match f page with
   | result ->
-    Disk.write (Buffer_manager.disk buffer) pid (Page.to_bytes page);
-    Buffer_manager.unfix buffer frame;
-    (* Live views of {e this} cluster must drop their swizzled decode
-       caches: the page bytes changed underneath them. Views of other
-       clusters, cached results over them and partition classes without an
-       entry here all stay valid — invalidation is cluster-granular. *)
-    Store.note_mutation_at store pid;
+    if changed result then begin
+      Disk.write (Buffer_manager.disk buffer) pid (Page.to_bytes page);
+      Buffer_manager.unfix buffer frame;
+      (* Live views of {e this} cluster must drop their swizzled decode
+         caches: the page bytes changed underneath them. Views of other
+         clusters, cached results over them and partition classes without
+         an entry here all stay valid — invalidation is cluster-granular. *)
+      Store.note_mutation_at store pid
+    end
+    else Buffer_manager.unfix buffer frame;
     result
   | exception e ->
     (* Nothing was flushed and nothing is considered mutated — but the
@@ -53,7 +57,7 @@ let down_reserve = 64
 
 let insert_core_reserved store pid record =
   let encoded = Node_record.encode record in
-  with_page store pid (fun page ->
+  with_page ~changed:Option.is_some store pid (fun page ->
       if Page.free_space page >= String.length encoded + down_reserve then
         Page.insert page encoded
       else None)
@@ -253,9 +257,8 @@ let splice store loc (elem : Node_id.t) =
   | None -> set_last_child store loc.anchor (Some elem.Node_id.slot)
 
 (* Root-first tag sequence of the node [id] (root's tag first, [id]'s
-   tag last, [acc] appended) — the path-class key of a freshly inserted
-   node, reported to the store so exactly the matching partition class
-   goes stale. *)
+   tag last, [acc] appended) — the path-class key of a node, which the
+   store's summary trie maps to its class. *)
 let rec tag_chain store (id : Node_id.t) acc =
   match get_record store id with
   | Node_record.Core c -> begin
@@ -367,7 +370,7 @@ let insert_element store ~parent ?(position = Last) tag =
       n_id
   in
   Store.note_nodes_delta store 1;
-  Store.note_inserted store ~tags:(Array.of_list (tag_chain store parent [ tag ]));
+  Store.note_inserted store ~id:node_id ~tags:(Array.of_list (tag_chain store parent [ tag ]));
   node_id
 
 let rec insert_tree store ~parent ?position (tree : Tree.t) =
@@ -379,18 +382,28 @@ let rec insert_tree store ~parent ?position (tree : Tree.t) =
 
 (* Remove a chain element's record and everything hanging below it
    (subtrees for cores, whole runs for Downs). Does not touch the
-   element's own chain links. Returns the number of cores removed. *)
-let rec purge store (id : Node_id.t) =
+   element's own chain links. [owner] is the summary class of the
+   chain's owner (-1 without a partition); each removed core leaves its
+   class's live count. Returns the number of cores removed. *)
+let rec purge store owner (id : Node_id.t) =
   match get_record store id with
   | Node_record.Core c ->
-    let removed = purge_chain store id.Node_id.pid c.first_child in
+    let cls =
+      match Store.partition store with
+      | Some p ->
+        let cls = Path_partition.child p owner c.tag in
+        Path_partition.add_members p cls (-1);
+        cls
+      | None -> -1
+    in
+    let removed = purge_chain store cls id.Node_id.pid c.first_child in
     remove_record store id;
     removed + 1
   | Node_record.Down d ->
     let removed =
       match get_record store d.target with
       | Node_record.Up u ->
-        let removed = purge_chain store d.target.Node_id.pid u.first_child in
+        let removed = purge_chain store owner d.target.Node_id.pid u.first_child in
         remove_record store d.target;
         removed
       | Node_record.Core _ | Node_record.Down _ -> assert false
@@ -399,7 +412,7 @@ let rec purge store (id : Node_id.t) =
     removed
   | Node_record.Up _ -> assert false
 
-and purge_chain store pid slot_opt =
+and purge_chain store owner pid slot_opt =
   match slot_opt with
   | None -> 0
   | Some slot ->
@@ -410,8 +423,8 @@ and purge_chain store pid slot_opt =
       | Node_record.Down d -> d.next_sibling
       | Node_record.Up _ -> assert false
     in
-    let removed = purge store id in
-    removed + purge_chain store pid next
+    let removed = purge store owner id in
+    removed + purge_chain store owner pid next
 
 (* Unlink a chain element (core or Down) from its chain, collapsing the
    anchoring border pair if the run becomes empty. *)
@@ -453,7 +466,12 @@ let delete_subtree store (id : Node_id.t) =
     if c.parent = None then invalid_arg "Update: cannot delete the document root"
   | Node_record.Down _ | Node_record.Up _ ->
     invalid_arg "Update: cannot delete a border record");
+  let owner =
+    match Store.partition store with
+    | Some p -> Path_partition.class_parent p (Store.class_of store id)
+    | None -> -1
+  in
   unlink store id;
-  let removed = purge store id in
+  let removed = purge store owner id in
   Store.note_nodes_delta store (-removed);
   removed

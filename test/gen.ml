@@ -28,6 +28,38 @@ let tree_gen ?(tags = tag_pool) ~size () : Tree.t QCheck2.Gen.t =
 
 let tree_print tree = Format.asprintf "%a" Tree.pp tree
 
+(* A random downward path of one to four self/child/descendant/
+   descendant-or-self steps over the tag pool, [*] and [node()]. *)
+let path_gen =
+  let open QCheck2.Gen in
+  let axis =
+    oneofl
+      Xnav_xml.Axis.[ Child; Descendant; Descendant_or_self; Self ]
+  in
+  let test =
+    oneof
+      [
+        (oneofa tag_pool >|= fun name -> Xnav_xpath.Path.Name (Tag.of_string name));
+        return Xnav_xpath.Path.Wildcard;
+        return Xnav_xpath.Path.Any_node;
+      ]
+  in
+  list_size (int_range 1 4) (pair axis test)
+  >|= List.map (fun (axis, test) -> Xnav_xpath.Path.step axis test)
+
+(* Whether the store's path summary counts the nodes every prefix of
+   [path] selects exactly as the reference evaluator does on [tree]. *)
+let summary_exact store tree path =
+  match Xnav_store.Store.partition store with
+  | None -> false
+  | Some p ->
+    let counts = Xnav_store.Path_partition.step_counts p path in
+    Array.length counts = List.length path
+    && List.for_all
+         (fun i ->
+           counts.(i) = Xnav_xpath.Eval_ref.count tree (Xnav_xpath.Path.prefix path (i + 1)))
+         (List.init (Array.length counts) Fun.id)
+
 (* A wide tree: a root with many children, some of which have small
    subtrees — exercises sibling-run splitting across clusters. *)
 let wide_tree ~children () =

@@ -19,6 +19,24 @@ let int = Alcotest.int
 
 let temp_path = Filename.temp_file "xnav_image" ".xnav"
 
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+(* The partition [store] carries after a save and load. *)
+let loaded_partition store =
+  Image.save temp_path [ store ];
+  match Image.load temp_path with
+  | [ loaded ] -> Option.get (Store.partition loaded)
+  | _ -> Alcotest.fail "expected one store"
+
 let tests =
   [
     Alcotest.test_case "round-trips a document" `Quick (fun () ->
@@ -76,24 +94,20 @@ let tests =
         check int "grown" (Tree.size doc + 1) (Store.node_count loaded));
     Alcotest.test_case "the path partition round-trips through the codec" `Quick (fun () ->
         let doc = Gen.wide_tree ~children:60 () in
-        let _, import = Gen.import_store ~payload:220 doc in
+        let store, import = Gen.import_store ~payload:220 doc in
         let partition = import.Import.partition in
-        let buf = Buffer.create 1024 in
-        Xnav_store.Path_partition.encode buf partition;
-        let s = Buffer.contents buf in
-        let decoded, consumed = Xnav_store.Path_partition.decode s 0 in
-        check int "codec consumes exactly what it wrote" (String.length s) consumed;
+        let decoded = loaded_partition store in
         check bool "decoded partition equals the original" true
           (Xnav_store.Path_partition.equal partition decoded);
-        check int "entries cover every node" (Tree.size doc)
-          (Xnav_store.Path_partition.node_count decoded));
+        check (Alcotest.list int) "live counts cover every node" [ Tree.size doc ]
+          (Array.to_list
+             (Xnav_store.Path_partition.step_counts decoded
+                [ Xnav_xpath.Path.descendant_or_self_any ])));
     Alcotest.test_case "the partition maps every entry id back to its class" `Quick (fun () ->
         let module Path_partition = Xnav_store.Path_partition in
         let doc = Gen.wide_tree ~children:60 () in
         let store, import = Gen.import_store ~payload:220 doc in
-        let buf = Buffer.create 1024 in
-        Path_partition.encode buf import.Import.partition;
-        let decoded, _ = Path_partition.decode (Buffer.contents buf) 0 in
+        let decoded = loaded_partition store in
         List.iter
           (fun p ->
             let class_of (id : Xnav_store.Node_id.t) =
@@ -140,13 +154,12 @@ let tests =
         let path = Xpath_parser.parse "/b/x" in
         check int "covering index on the loaded store" (Eval_ref.count doc path)
           (Exec.cold_run ~ordered:false loaded path (Plan.xindex ())).Exec.count;
-        (* Mutate, save again: the stale synopsis must not be reborn as a
+        (* Mutate, save again: the stale partition must not be reborn as a
            fresh one on load. *)
         ignore (Update.insert_element loaded ~parent:(Store.root loaded) (Xnav_xml.Tag.of_string "b"));
         Image.save temp_path [ loaded ];
         let reloaded = List.hd (Image.load ~capacity:32 temp_path) in
-        check bool "stale partition dropped on save" true (Store.partition reloaded = None);
-        check bool "stale synopsis dropped on save" true (Store.doc_stats reloaded = None));
+        check bool "stale partition dropped on save" true (Store.partition reloaded = None));
     Alcotest.test_case "corrupt images are rejected" `Quick (fun () ->
         let oc = open_out_bin temp_path in
         output_string oc "NOTANIMAGE-----";
@@ -155,11 +168,36 @@ let tests =
         | exception Image.Corrupt _ -> ()
         | _ -> Alcotest.fail "expected Corrupt");
         let oc = open_out_bin temp_path in
-        output_string oc "XNAVIMG1";
+        output_string oc "XNAVIMG2";
         close_out oc;
         match Image.load temp_path with
         | exception Image.Corrupt _ -> ()
         | _ -> Alcotest.fail "expected Corrupt on truncation");
+    Alcotest.test_case "every truncation past the pages and an old version raise Corrupt" `Quick
+      (fun () ->
+        let store, _ = Gen.import_store ~payload:200 (Gen.sample_doc ()) in
+        Image.save temp_path [ store ];
+        let image = read_file temp_path in
+        (* Magic, page size, six cost floats, page count, the pages. *)
+        let disk = Buffer_manager.disk (Store.buffer store) in
+        let pages_end = 8 + 4 + (6 * 8) + 4 + (Xnav_storage.Disk.page_count disk * 512) in
+        check bool "the catalog follows the pages" true (String.length image > pages_end + 4);
+        let load_bytes bytes =
+          write_file temp_path bytes;
+          Image.load temp_path
+        in
+        for len = pages_end to String.length image - 1 do
+          match load_bytes (String.sub image 0 len) with
+          | exception Image.Corrupt _ -> ()
+          | exception e ->
+            Alcotest.failf "truncated to %d of %d bytes: %s" len (String.length image)
+              (Printexc.to_string e)
+          | _ -> Alcotest.failf "truncated to %d of %d bytes: loaded" len (String.length image)
+        done;
+        (match load_bytes ("XNAVIMG1" ^ String.sub image 8 (String.length image - 8)) with
+        | exception Image.Corrupt _ -> ()
+        | _ -> Alcotest.fail "an XNAVIMG1 image must be rejected");
+        check int "the whole image loads" 1 (List.length (load_bytes image)));
     Alcotest.test_case "save requires a shared disk" `Quick (fun () ->
         let s1, _ = Gen.import_store (Gen.sample_doc ()) in
         let s2, _ = Gen.import_store (Gen.sample_doc ()) in

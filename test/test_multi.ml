@@ -82,6 +82,19 @@ let tests =
         match Multi.run ~cold:true store [ Xpath_parser.parse "//B/.." ] with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
+    Alcotest.test_case "multi applies its own swizzling knob after an exec run" `Quick (fun () ->
+        let doc = Gen.wide_tree ~children:60 () in
+        let store, _ = Gen.import_store ~payload:200 ~capacity:16 doc in
+        let paths = List.map Xpath_parser.parse [ "//b"; "//b/x" ] in
+        let swizzling on = { Context.default_config with Context.swizzling = on } in
+        let hits config =
+          (Multi.run ~config ~cold:true store paths).Multi.metrics.Exec.swizzle_hits
+        in
+        let path = List.hd paths in
+        ignore (Exec.cold_run ~config:(swizzling false) store path (Plan.xscan ()));
+        check bool "swizzling on: the decode cache hits" true (hits (swizzling true) > 0);
+        ignore (Exec.cold_run ~config:(swizzling true) store path (Plan.xscan ()));
+        check int "swizzling off: no decode-cache hit" 0 (hits (swizzling false)));
     Alcotest.test_case "document order is restored per path" `Quick (fun () ->
         let doc = Gen.sample_doc () in
         let store, _ = Gen.import_store ~payload:200 doc in

@@ -1,11 +1,9 @@
-(* Document statistics and cardinality estimation. *)
+(* Cardinality statistics: the path summary's live class counts. *)
 
 module Tree = Xnav_xml.Tree
-module Tag = Xnav_xml.Tag
-module Axis = Xnav_xml.Axis
-module Doc_stats = Xnav_store.Doc_stats
 module Store = Xnav_store.Store
 module Image = Xnav_store.Image
+module Path_partition = Xnav_store.Path_partition
 module Path = Xnav_xpath.Path
 module Xpath_parser = Xnav_xpath.Xpath_parser
 module Eval_ref = Xnav_xpath.Eval_ref
@@ -14,92 +12,71 @@ module Compile = Xnav_core.Compile
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
+let ints = Alcotest.(list int)
 
-let tag = Tag.of_string
+let partition store = Option.get (Store.partition store)
+let step_counts store path = Array.to_list (Path_partition.step_counts (partition store) path)
+
+(* The reference evaluator's count after each step of [path]. *)
+let oracle doc path =
+  List.init (List.length path) (fun i -> Eval_ref.count doc (Path.prefix path (i + 1)))
 
 let unit_tests =
   [
-    Alcotest.test_case "counts and pairs on the sample doc" `Quick (fun () ->
-        let doc = Gen.sample_doc () in
-        let s = Doc_stats.collect doc in
-        check int "nodes" (Tree.size doc) (Doc_stats.node_count s);
-        check int "A count" 4 (Doc_stats.tag_count s (tag "A"));
-        check int "R->A edges" 2 (Doc_stats.pair_count s ~parent:(tag "R") ~child:(tag "A"));
-        check int "A->A edges" 1 (Doc_stats.pair_count s ~parent:(tag "A") ~child:(tag "A"));
-        check int "no B->A edges" 0 (Doc_stats.pair_count s ~parent:(tag "B") ~child:(tag "A"));
-        check bool "root" true (Tag.equal (Doc_stats.root_tag s) (tag "R")));
-    Alcotest.test_case "avg subtree of the root is the document size" `Quick (fun () ->
-        let doc = Gen.sample_doc () in
-        let s = Doc_stats.collect doc in
-        check bool "root subtree" true
-          (abs_float (Doc_stats.avg_subtree s (tag "R") -. float_of_int (Tree.size doc)) < 1e-9));
     Alcotest.test_case "child steps from a unique parent are estimated exactly" `Quick
       (fun () ->
-        (* Every step along /R/A has a unique parent tag, so the pair
-           statistics give the exact answer. *)
-        let doc = Gen.sample_doc () in
-        let s = Doc_stats.collect doc in
-        let est = Doc_stats.estimate_path s (Xpath_parser.parse "/A") in
-        (match est with
-        | [ first ] -> check bool "exact" true (abs_float (first -. 2.0) < 1e-9)
-        | _ -> Alcotest.fail "one step expected"));
+        let store, _ = Gen.import_store (Gen.sample_doc ()) in
+        check ints "/A" [ 2 ] (step_counts store (Xpath_parser.parse "/A")));
     Alcotest.test_case "estimates are capped by tag totals" `Quick (fun () ->
         let doc = Gen.wide_tree ~children:100 () in
-        let s = Doc_stats.collect doc in
+        let store, _ = Gen.import_store ~payload:220 doc in
         List.iter
           (fun path_str ->
             let path = Xpath_parser.parse path_str in
-            let est = Doc_stats.estimate_path s path in
-            let final = List.nth est (List.length est - 1) in
-            check bool path_str true (final <= float_of_int (Doc_stats.node_count s) +. 1e-6))
+            let counts = step_counts store path in
+            check ints path_str (oracle doc path) counts;
+            List.iter
+              (fun n -> check bool path_str true (n <= Store.node_count store))
+              counts)
           [ "//node()"; "//b"; "//b/x"; "/b//x" ]);
     Alcotest.test_case "descendant estimates are roughly right on XMark" `Quick (fun () ->
         let config = { Xnav_xmark.Gen.default_config with Xnav_xmark.Gen.fidelity = 0.01 } in
         let doc = Xnav_xmark.Gen.generate ~config () in
-        let s = Doc_stats.collect doc in
+        let store, _ = Gen.import_store ~page_size:4096 doc in
         List.iter
           (fun path_str ->
             let path = Path.from_root_element (Xpath_parser.parse path_str) in
-            let actual = float_of_int (Eval_ref.count doc path) in
-            let est =
-              List.nth (Doc_stats.estimate_path s path) (List.length path - 1)
-            in
-            (* Within a factor of three either way (the crude v1 bound is
-               off by orders of magnitude on these). *)
-            if actual > 0. then
-              check bool
-                (Printf.sprintf "%s est=%.1f actual=%.0f" path_str est actual)
-                true
-                (est < 3.0 *. actual +. 10. && est > (actual /. 3.0) -. 10.))
+            check ints path_str (oracle doc path) (step_counts store path))
           [ "/site/regions//item"; "/site//description"; "/site/people/person/email" ]);
     Alcotest.test_case "frontier respects self filters" `Quick (fun () ->
-        let doc = Gen.sample_doc () in
-        let s = Doc_stats.collect doc in
-        let est = Doc_stats.estimate_path s (Xpath_parser.parse "/self::R/A") in
-        check int "steps" 2 (List.length est);
-        let miss = Doc_stats.estimate_path s (Xpath_parser.parse "/self::B/A") in
-        check bool "dead frontier" true (List.nth miss 1 < 1e-9));
+        let store, _ = Gen.import_store (Gen.sample_doc ()) in
+        check ints "/self::R/A" [ 1; 2 ] (step_counts store (Xpath_parser.parse "/self::R/A"));
+        check ints "/self::B/A" [ 0; 0 ] (step_counts store (Xpath_parser.parse "/self::B/A")));
     Alcotest.test_case "synopsis survives persistence" `Quick (fun () ->
         let doc = Gen.sample_doc () in
         let store, _ = Gen.import_store ~payload:200 doc in
         let path = Filename.temp_file "xnav_stats" ".xnav" in
         Image.save path [ store ];
         let loaded = List.hd (Image.load path) in
-        (match Store.doc_stats loaded with
-        | None -> Alcotest.fail "stats lost"
-        | Some s ->
-          check int "A count" 4 (Doc_stats.tag_count s (tag "A"));
-          check int "R->A" 2 (Doc_stats.pair_count s ~parent:(tag "R") ~child:(tag "A")));
-        Sys.remove path);
+        Sys.remove path;
+        List.iter
+          (fun path_str ->
+            let path = Xpath_parser.parse path_str in
+            check ints path_str (oracle doc path) (step_counts loaded path))
+          [ "/A"; "//A"; "//B/*"; "/self::R//A//B" ]);
     Alcotest.test_case "compile uses the synopsis" `Quick (fun () ->
         (* A path to a tag that exists but is unreachable through the
-           given chain: the synopsis knows the chain is dead, the v1
+           given chain: the summary knows the chain is dead, the per-tag
            bound does not. *)
-        let doc = Gen.sample_doc () in
-        let store, _ = Gen.import_store ~payload:200 doc in
+        let store, _ = Gen.import_store ~payload:200 (Gen.sample_doc ()) in
         let dead = Xpath_parser.parse "/B/R" in
-        let est = Compile.estimate store dead in
-        check int "dead chain touches ~nothing" 1 est.Compile.touched_nodes);
+        check ints "dead chain" [ 0; 0 ] (step_counts store dead);
+        check int "dead chain touches only the context" 1
+          (Compile.estimate store dead).Compile.touched_nodes;
+        let live = Xpath_parser.parse "//A/B" in
+        check int "touched nodes sum the exact step counts"
+          (List.fold_left ( + ) 0 (oracle (Gen.sample_doc ()) live))
+          (Compile.estimate store live).Compile.touched_nodes);
   ]
 
 let props =
@@ -108,29 +85,17 @@ let props =
       (Gen.tree_gen ~size:40 ())
       ~print:Gen.tree_print
       (fun doc ->
-        let s = Doc_stats.collect doc in
-        (* Sum over tags of pair_count(root_tag -> c) equals the root's
-           arity when the root tag is unique. *)
-        ignore (Tree.index doc);
-        if Doc_stats.tag_count s doc.Tree.tag = 1 then begin
-          let est = Doc_stats.step s (Doc_stats.root_frontier s) (Path.step Axis.Child Path.Wildcard) in
-          abs_float (Doc_stats.cardinality est -. float_of_int (Array.length doc.Tree.children))
-          < 1e-6
-        end
-        else true);
-    QCheck2.Test.make ~name:"stats: codec round-trip" ~count:60
-      (Gen.tree_gen ~size:40 ())
-      ~print:Gen.tree_print
-      (fun doc ->
-        let s = Doc_stats.collect doc in
-        let buf = Buffer.create 256 in
-        Doc_stats.encode buf s;
-        let decoded, consumed = Doc_stats.decode (Buffer.contents buf) 0 in
-        consumed = Buffer.length buf
-        && Doc_stats.node_count decoded = Doc_stats.node_count s
-        && List.for_all
-             (fun (t, n) -> Doc_stats.tag_count decoded t = n)
-             (Tree.tag_counts doc));
+        let store, _ = Gen.import_store doc in
+        step_counts store [ Path.step Xnav_xml.Axis.Child Path.Wildcard ]
+        = [ Array.length doc.Tree.children ]);
+    QCheck2.Test.make ~name:"stats: every step's count equals the oracle's on random paths"
+      ~count:200
+      QCheck2.Gen.(pair (Gen.tree_gen ~size:40 ()) Gen.path_gen)
+      ~print:(fun (doc, path) ->
+        Printf.sprintf "%s | %s" (Gen.tree_print doc) (Path.to_string path))
+      (fun (doc, path) ->
+        let store, _ = Gen.import_store doc in
+        Gen.summary_exact store doc path);
   ]
 
 let suite = [ ("stats", unit_tests); Gen.qsuite "stats.props" props ]

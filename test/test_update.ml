@@ -99,10 +99,22 @@ let overflow_insert_is_atomic () =
         snapshot)
   in
   let tag = Tag.of_string "new" in
+  let path = Xpath_parser.parse "/descendant::new" in
+  let writes () =
+    (Xnav_storage.Disk.stats (Buffer_manager.disk (Store.buffer store))).Xnav_storage.Disk.writes
+  in
+  let summary_count () =
+    (Xnav_store.Path_partition.step_counts (Option.get (Store.partition store)) path).(0)
+  in
   let inserted = ref 0 in
   let failed = ref None in
   let insert ?position parent =
-    let before = (pages (), Store.node_count store, Store.page_count store) in
+    let before =
+      ( pages (),
+        Store.node_count store,
+        Store.page_count store,
+        (writes (), Store.mutation_stamp store, summary_count ()) )
+    in
     match Update.insert_element store ~parent ?position tag with
     | id ->
       incr inserted;
@@ -123,7 +135,8 @@ let overflow_insert_is_atomic () =
   done;
   match !failed with
   | None -> Alcotest.fail "no insert ran out of room for its Down"
-  | Some (pid, (pages_before, nodes_before, count_before)) ->
+  | Some (pid, (pages_before, nodes_before, count_before, counters_before)) ->
+    let writes_before, stamp_before, summary_before = counters_before in
     check int "inserts before the failing one" 64 !inserted;
     check bool "the full page belongs to the store" true
       (List.exists (fun (p, _, _) -> p = pid) pages_before);
@@ -134,7 +147,10 @@ let overflow_insert_is_atomic () =
       pages_before (pages ());
     check int "node count" nodes_before (Store.node_count store);
     check int "page count" count_before (Store.page_count store);
-    let path = Xpath_parser.parse "/descendant::new" in
+    check int "disk writes" writes_before (writes ());
+    check int "mutation stamp" stamp_before (Store.mutation_stamp store);
+    check int "summary count of the inserted tag" summary_before (summary_count ());
+    check int "the summary counts every inserted node" !inserted (summary_count ());
     let config = { Xnav_core.Context.default_config with Xnav_core.Context.validate = true } in
     List.iter
       (fun plan ->
@@ -491,6 +507,41 @@ let props =
           [ Plan.simple; Plan.xschedule (); Plan.xscan () ]);
   ]
 
+(* Paths whose every prefix the summary must count exactly, the novel
+   tag included. *)
+let summary_paths =
+  List.map Xpath_parser.parse [ "//node()"; "//*/b"; "/self::*//c/*"; "//novel"; "/novel" ]
+
+let summary_props =
+  [
+    QCheck2.Test.make ~name:"update: the summary counts every step exactly after random ops"
+      ~count:40
+      QCheck2.Gen.(
+        quad (Gen.tree_gen ~size:25 ())
+          (list_size (int_range 1 25) op_gen)
+          (oneofl [ Import.Dfs; Import.Scattered 13 ])
+          (list_size (int_range 1 3) Gen.path_gen))
+      ~print:(fun (tree, ops, strategy, paths) ->
+        Printf.sprintf "%s | %d ops | %s | %s" (Gen.tree_print tree) (List.length ops)
+          (Import.strategy_to_string strategy)
+          (String.concat " " (List.map Xnav_xpath.Path.to_string paths)))
+      (fun (tree, ops, strategy, paths) ->
+        let store, import = Gen.import_store ~strategy ~payload:170 tree in
+        let paths = summary_paths @ paths in
+        let exact () = List.for_all (Gen.summary_exact store tree) paths in
+        let ok = ref true in
+        apply_ops tree store import ops ~after_op:(fun _ -> if !ok then ok := exact ());
+        (* A tag sequence the import never saw, then the delete of that
+           inserted node. *)
+        let novel = Tag.of_string "novel" in
+        let id = Update.insert_element store ~parent:(Store.root store) novel in
+        let node = mirror_insert tree (Array.length tree.Tree.children) novel in
+        let after_insert = exact () in
+        ignore (Update.delete_subtree store id);
+        mirror_delete node;
+        !ok && after_insert && exact ());
+  ]
+
 let axis_props =
   [
     QCheck2.Test.make ~name:"update: every axis matches the mirror after every op" ~count:40
@@ -510,4 +561,8 @@ let axis_props =
   ]
 
 let suite =
-  [ ("update", unit_tests); Gen.qsuite "update.props" props; Gen.qsuite "update.axes" axis_props ]
+  [
+    ("update", unit_tests);
+    Gen.qsuite "update.props" (props @ summary_props);
+    Gen.qsuite "update.axes" axis_props;
+  ]
