@@ -469,7 +469,8 @@ let check_writers_built ~doc ~import case =
     List.map
       (fun (name, plan) ->
         { Workload.label = name; path = case.path; plan; timeout = None; ops = [] })
-      (plans_for case)
+      (plans_for case
+      @ if Path.is_downward case.path then [ ("xindex", Plan.xindex ()) ] else [])
   in
   let clients = Array.of_list (List.map (fun s -> [ s ]) (readers @ writers)) in
   (match Workload.run_clients ~config ~cold:true store clients with
@@ -528,9 +529,9 @@ let check_writers_built ~doc ~import case =
     | () -> (
       if not (fingerprint_equal (fingerprint ~config store) (fingerprint ~config twin)) then
         record "writers" "final documents diverge between the concurrent store and the replay";
-      match Store.partition store with
-      | Some partition
-        when Path.is_downward case.path && Path.length case.path <= Path_partition.max_steps ->
+      if not (Path_partition.equal (Store.partition store) (Store.partition twin)) then
+        record "writers" "path partitions diverge between the concurrent store and the replay";
+      if Path.is_downward case.path && Path.length case.path <= Path_partition.max_steps then
         Array.iteri
           (fun i counted ->
             let prefix = Path.prefix case.path (i + 1) in
@@ -539,8 +540,7 @@ let check_writers_built ~doc ~import case =
               record "writers"
                 (Printf.sprintf "summary counts %d nodes for %s, the replay's Simple plan %d"
                    counted (Path.to_string prefix) navigated))
-          (Path_partition.step_counts partition case.path)
-      | Some _ | None -> ())
+          (Path_partition.step_counts (Store.partition store) case.path))
     | exception e -> record "writers" (Printf.sprintf "final replay raised %s" (Printexc.to_string e)))
   | exception e -> record "writers" (Printf.sprintf "raised %s" (Printexc.to_string e)));
   List.rev !mismatches

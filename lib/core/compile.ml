@@ -44,15 +44,15 @@ let estimate ?(fused = true) store path =
     (config.Disk.seek_max /. 2.) +. config.Disk.rotational +. config.Disk.transfer
   in
   (* Exact per-step result sizes from the summary's live class counts;
-     without a partition (or for a path the walk does not cover) a
-     per-tag upper bound stands in. *)
+     for a path the walk does not cover (a non-downward step, or longer
+     than it accepts) a per-tag upper bound stands in. *)
+  let partition = Store.partition store in
   let resolved = Path.indexable_prefix path in
   let per_step, prefix_classes =
-    match Store.partition store with
-    | Some partition when Path.is_downward path && Path.length path <= Path_partition.max_steps ->
+    if Path.is_downward path && Path.length path <= Path_partition.max_steps then
       let counts, classes = Path_partition.walk partition path ~select:resolved in
       (counts, Some classes)
-    | Some _ | None ->
+    else
       let bound (s : Path.step) =
         match s.Path.test with Path.Name tag -> Store.tag_count store tag | _ -> node_count
       in
@@ -102,10 +102,11 @@ let estimate ?(fused = true) store path =
        transfer cost. When the tail still spans (almost) the whole
        document (a tail step selects > [residual_selectivity] of the nodes — //x,
        q7), seeding buys nothing and the term keeps the conservative
-       >=-schedule price, so Auto never prefers it there. Infinite when
-       no fresh partition exists or the path cannot be index-seeded. *)
-    match (Store.partition store, prefix_classes) with
-    | Some partition, Some classes when Store.stats_fresh store && path <> [] ->
+       >=-schedule price, so Auto never prefers it there. The entry
+       lists are live, so the price holds after updates too. Infinite
+       when the path cannot be index-seeded. *)
+    match prefix_classes with
+    | Some classes when path <> [] ->
       let entries =
         List.fold_left
           (fun acc c -> acc + Array.length (Path_partition.class_entries partition c))

@@ -15,22 +15,22 @@
     - [cost_simple]: the same page share fetched at full random cost,
       once per step that reaches it (no batching, no reordering).
 
-    When the store carries a path partition, touched-node counts are the
-    exact per-step result sizes of {!Xnav_store.Path_partition.step_counts},
-    read from live class counts that updates keep current; a store
-    without one falls back to a crude per-tag upper bound. Either way
-    the model separates the
-    regimes the paper's evaluation exhibits: low-selectivity paths (Q7)
-    go to XScan, selective paths (Q15) to the structural index (or, with
-    no fresh partition, to XSchedule) — [cost_index] being the fourth
-    term, computed exactly from the partition's entry lists. *)
+    Touched-node counts are the exact per-step result sizes of
+    {!Xnav_store.Path_partition.step_counts}, read from the live class
+    counts that updates keep current; a path the summary walk does not
+    cover (non-downward, or too long) falls back to a crude per-tag
+    upper bound. The model separates the regimes the paper's evaluation
+    exhibits: low-selectivity paths (Q7) go to XScan, selective paths
+    (Q15) to the structural index — [cost_index] being the fourth term,
+    computed exactly from the partition's entry lists. *)
 
 type choice = Auto | Force_simple | Force_schedule | Force_scan | Force_index
 
 type estimate = {
   touched_nodes : int;
       (** Nodes enumerated by the steps (at least 1): exact from the
-          summary, an upper bound without a partition. *)
+          summary, a per-tag upper bound where its walk does not
+          apply. *)
   est_pages : int;  (** Estimated distinct clusters a schedule plan loads. *)
   fused : bool;
       (** Whether the reordered-shape CPU terms assume the fused
@@ -51,8 +51,8 @@ type estimate = {
           pending clusters smallest-pid-first over contiguous seed
           subtrees), so [Auto] can pick residual seeding for q6'-style
           queries; otherwise the term keeps its conservative
-          [>= cost_schedule] price. [infinity] when the store has no
-          fresh partition or the path has non-downward steps. *)
+          [>= cost_schedule] price. [infinity] for an empty path or
+          one the summary walk does not cover (a non-downward step). *)
 }
 
 val estimate : ?fused:bool -> Xnav_store.Store.t -> Xnav_xpath.Path.t -> estimate
@@ -71,9 +71,8 @@ val compile :
     (default [true]) enables the [//] optimisation on scan plans.
 
     [Auto] only considers the index plan when [context_is_root] — the
-    partition's classes are anchored at the document root — and when the
-    store's partition is fresh ([cost_index] is infinite otherwise, so a
-    post-update store re-plans to navigation automatically).
+    partition's classes are anchored at the document root. The
+    partition is live, so index plans stay available after updates.
 
     @raise Invalid_argument if [Force_schedule]/[Force_scan]/[Force_index]
     is requested for a non-downward path. *)

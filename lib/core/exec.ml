@@ -85,18 +85,16 @@ let pipeline ctx store path plan contexts =
       stream ~scan
         (Xassembly.create ctx ~path_len ~xschedule:None ~dslash:(seeding = Plan.Dslash) top)
     | Plan.Io_index { resolve } ->
-      if Xindex.usable store ~path ~resolve && root_only store contexts then begin
+      if root_only store contexts then begin
         let index = Xindex.create ctx ~path ~resolve ~contexts:(fun () -> of_list contexts) in
         let top = chain ctx path (fun () -> Xindex.next index) in
         stream ~index
           (Xassembly.create ctx ~path_len ~xschedule:None ~xindex:index ~dslash:false top)
       end
       else
-        (* Missing or stale partition — the entry lists no longer
-           describe the document — or non-root contexts, which the
-           partition's root-anchored classes cannot seed. Degrade to
-           the speculative schedule shape: same results, no index
-           counters. *)
+        (* Non-root contexts: the partition's root-anchored classes
+           cannot seed them. Degrade to the speculative schedule shape:
+           same results, no index counters. *)
         schedule_pipeline true)
 
 let abandon s =

@@ -27,7 +27,6 @@ let context view id =
     invalid_arg "Path_instance.context: context is a border record"
 
 type summary = {
-  store : Store.t;
   partition : Path_partition.t;
   links : Node_record.links;  (* register set for the owner reads *)
   masks : int array Lazy.t;  (* class -> feasible-step mask *)
@@ -36,27 +35,28 @@ type summary = {
 (* A mask is one non-negative int, bit [s] for the seeds at step [s];
    longer paths seed [All]. *)
 let summary store path =
-  match Store.partition store with
-  | Some partition when Path.length path <= Path_partition.max_steps ->
+  if Path.length path > Path_partition.max_steps then None
+  else
+    let partition = Store.partition store in
     Some
       {
-        store;
         partition;
         links = Node_record.links ();
         masks = lazy (Path_partition.seed_masks partition path);
       }
-  | Some _ | None -> None
 
 (* The feasible-step mask of the [Up] in [slot], from its owner's class
-   ([-1], every step, when the owner is no partition entry). A [self]
-   step never crosses a border. *)
+   ([-1], every step, when the owner is no partition entry or its class
+   was appended after the masks were computed). A [self] step never
+   crosses a border. *)
 let slot_mask sm view slot =
   Store.read_links view sm.links slot;
   let c =
     Path_partition.class_at sm.partition ~pid:sm.links.Node_record.owner_pid
       ~slot:sm.links.Node_record.owner_slot
   in
-  if c < 0 then -1 else (Lazy.force sm.masks).(c)
+  let masks = Lazy.force sm.masks in
+  if c < 0 || c >= Array.length masks then -1 else masks.(c)
 
 (* A top-level loop, so a cluster's seeding allocates only the instances
    it keeps. *)
@@ -79,11 +79,6 @@ let rec seed (c : Counters.counters) ~path_len summary view agenda from =
   end
 
 let speculate ctx ~path_len ?summary view agenda =
-  (* Once a writer has committed, the partition no longer describes the
-     store: an insert may reuse a deleted node's slot. *)
-  let summary =
-    match summary with Some sm when Store.stats_fresh sm.store -> summary | _ -> None
-  in
   seed ctx.Context.counters ~path_len summary view agenda 0
 
 let right_incomplete p =

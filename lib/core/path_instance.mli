@@ -59,8 +59,8 @@ type summary
 
 val summary : Xnav_store.Store.t -> Xnav_xpath.Path.t -> summary option
 (** [summary store path] is the filter for evaluating [path] from the
-    document root, or [None] when the store has no partition or the path
-    has 62 steps or more (a step mask is one int). *)
+    document root, or [None] when the path has 62 steps or more (a step
+    mask is one int). *)
 
 val speculate :
   Context.t -> path_len:int -> ?summary:summary -> Xnav_store.Store.view -> t Queue.t -> unit
@@ -69,10 +69,11 @@ val speculate :
     the left-incomplete instance with [S_L = S_R = i] and both ends [b]
     to the queue, counting each in [specs_created]. With [summary], only
     the steps its filter proves feasible for [b]'s owner are seeded —
-    the owner is read in place from the page — unless the store has
-    mutated since import ({!Xnav_store.Store.stats_fresh}), in which case
-    every step is. XScan, XSchedule's speculative mode and {!Multi}'s
-    shared scan all seed through it. *)
+    the owner is read in place from the page, its class from the live
+    partition, so the filter holds after updates. An owner whose class
+    is newer than the filter's masks seeds every step. XScan,
+    XSchedule's speculative mode and {!Multi}'s shared scan all seed
+    through it. *)
 
 val right_incomplete : t -> bool
 (** True iff the right end is an untraversed border. *)

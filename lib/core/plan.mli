@@ -31,8 +31,7 @@ type seeding =
   | Summary
       (** Only the seeds the store's path partition proves could ever be
           discharged (see {!Path_instance.summary}). Applies to
-          root-context runs on a store with a partition; any other run,
-          and every seeding after a structural mutation, seeds [All]. *)
+          root-context runs; any other run seeds [All]. *)
 
 type t =
   | Simple of { dedup_intermediate : bool }
@@ -52,9 +51,9 @@ val xscan : ?seeding:seeding -> unit -> t
 (** [seeding] defaults to [All], the paper's operator. *)
 
 val xindex : ?resolve:int -> unit -> t
-(** The structural-index plan (requires a fresh {!Xnav_store.Store}
-    partition; {!Exec} degrades to the speculative XSchedule shape when
-    it is missing or stale). [resolve] is clamped to [0 .. length path] at
+(** The structural-index plan, seeded from the {!Xnav_store.Store}
+    partition; {!Exec} degrades it to the speculative XSchedule shape
+    for non-root contexts. [resolve] is clamped to [0 .. length path] at
     execution time; values below the path length force residual XStep
     navigation — mainly a test knob. *)
 

@@ -32,38 +32,17 @@ type t = {
 }
 
 (* Resolution depth and the partition classes matching the resolved
-   prefix — shared by {!create} and {!usable}. The summary resolves
-   self/child prefixes exactly; a descendant step ends exact resolution
-   (its matches sit at arbitrary depths), so cap any requested depth
-   there, and at the longest prefix the summary walks, and leave the
-   rest to the XStep tail. *)
+   prefix. The summary resolves self/child prefixes exactly; a
+   descendant step ends exact resolution (its matches sit at arbitrary
+   depths), so cap any requested depth there, and at the longest prefix
+   the summary walks, and leave the rest to the XStep tail. *)
 let plan_classes partition ~path ~resolve =
   let exact = min Path_partition.max_steps (Path.indexable_prefix path) in
   let resolved = match resolve with None -> exact | Some k -> max 0 (min k exact) in
   (resolved, snd (Path_partition.walk partition (Path.prefix path resolved) ~select:resolved))
 
-(* Whether the partition may seed this query: every class the resolved
-   prefix selects must still describe the store (no mutation touched its
-   entry clusters, no insert added a member). That includes the classes
-   inserts appended for tag sequences the import never saw: they have
-   no entries, so they are never fresh. Fresh stores are always usable;
-   after updates, exactly the untouched query shapes stay index-served. *)
-let usable store ~path ~resolve =
-  match Store.partition store with
-  | None -> false
-  | Some partition ->
-    Store.stats_fresh store
-    ||
-    let _, classes = plan_classes partition ~path ~resolve in
-    List.for_all (fun c -> Store.class_fresh store c) classes
-
 let create ctx ~path ~resolve ~contexts =
-  let store = ctx.Context.store in
-  let partition =
-    match Store.partition store with
-    | Some p when usable store ~path ~resolve -> p
-    | Some _ | None -> invalid_arg "Xindex: store has no fresh path partition"
-  in
+  let partition = Store.partition ctx.Context.store in
   let path_len = Path.length path in
   let resolved, classes = plan_classes partition ~path ~resolve in
   let covering, entries =

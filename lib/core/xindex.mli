@@ -24,24 +24,13 @@
       cluster ride along with the seed visit, so no cluster is pinned
       twice on their account.
 
-    The operator requires the partition classes the query's prefix
-    selects to be {e fresh} (see {!usable}); {!Exec} degrades an index
-    plan to the XSchedule shape when the partition is missing or those
-    classes are stale. In fallback mode it mirrors {!Xscan}: restart the
-    contexts and act as the identity while the border-transparent chain
-    recomputes. *)
+    The entry lists are live under updates; the operator reads the
+    selected classes' lists once, at {!create}, and keeps those arrays
+    (an update swaps in fresh ones). In fallback mode it mirrors
+    {!Xscan}: restart the contexts and act as the identity while the
+    border-transparent chain recomputes. *)
 
 type t
-
-val usable : Xnav_store.Store.t -> path:Xnav_xpath.Path.t -> resolve:int option -> bool
-(** Whether the partition may seed this query. Freshness is
-    class-granular: every class the resolved prefix selects must be
-    fresh ({!Xnav_store.Store.class_fresh} — no mutation touched its
-    entry clusters, no insert added a member). A class an insert
-    appended for a tag sequence the import never saw is never fresh, so
-    a prefix it matches is refused. Always true on an unmutated store
-    with a partition; after updates, query shapes untouched by the
-    writes stay index-served while touched ones degrade. *)
 
 val create :
   Context.t ->
@@ -52,10 +41,7 @@ val create :
 (** [resolve] is clamped to [0 .. indexable_prefix path] ([None] = the
     full indexable prefix, i.e. covering whenever the path is a pure
     self/child chain). [contexts] is the replayable factory used only if
-    fallback forces an identity restart.
-
-    @raise Invalid_argument if the store has no partition or the
-    selected classes are not fresh (i.e. {!usable} is false). *)
+    fallback forces an identity restart. *)
 
 val push :
   t ->

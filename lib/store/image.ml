@@ -5,7 +5,7 @@ module Ordpath = Xnav_xml.Ordpath
 
 exception Corrupt of string
 
-let magic = "XNAVIMG2"
+let magic = "XNAVIMG3"
 
 (* --- encoding helpers -------------------------------------------------- *)
 
@@ -130,21 +130,7 @@ let save path stores =
       add_u32 buf (Store.page_count store);
       add_u32 buf (Store.node_count store);
       add_u32 buf (Store.height store);
-      let tags = Store.tag_counts store in
-      add_u32 buf (List.length tags);
-      List.iter
-        (fun (tag, count) ->
-          add_string buf (Tag.to_string tag);
-          add_u32 buf count)
-        tags;
-      (* A stale partition must not be reborn as a fresh one on load
-         (the loaded store's mutation stamp restarts at 0), so a mutated
-         store persists without it. *)
-      match Store.partition store with
-      | Some partition when Store.stats_fresh store ->
-        add_u32 buf 1;
-        add_partition buf partition
-      | Some _ | None -> add_u32 buf 0)
+      add_partition buf (Store.partition store))
     stores;
   let oc = open_out_bin path in
   Buffer.output_buffer oc buf;
@@ -189,15 +175,6 @@ let load ?(capacity = 1000) ?policy path =
          let page_count = read_u32 r in
          let node_count = read_u32 r in
          let height = read_u32 r in
-         let tag_entries = read_u32 r in
-         let tag_counts =
-           List.init tag_entries (fun _ -> ())
-           |> List.map (fun () ->
-                  let name = read_string r in
-                  let count = read_u32 r in
-                  (Tag.of_string name, count))
-         in
          if first_page + page_count > pages then raise (Corrupt "catalog exceeds disk");
-         let partition = if read_u32 r = 1 then Some (read_partition r) else None in
-         Store.attach_meta ?partition buffer ~root ~first_page ~page_count ~node_count
-           ~height ~tag_counts)
+         let partition = read_partition r in
+         Store.attach_meta ~partition buffer ~root ~first_page ~page_count ~node_count ~height)

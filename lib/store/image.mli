@@ -4,18 +4,18 @@
 
     Format (little-endian, versioned):
     {v
-    "XNAVIMG2"                magic
-    disk config               page_size u32, five cost floats
+    "XNAVIMG3"                magic
+    disk config               page_size u32, six cost floats
     page count u32, pages     raw page bytes
     catalog count u32         per document: root (pid,slot), first page,
-                              page count, node count, height,
-                              tag list (name, count), then a partition
-                              flag u32 and, if 1, the path partition:
-                              class count, per class its tag sequence
-                              and entries (pid, slot, ORDPATH label)
+                              page count, node count, height, then the
+                              path partition: class count, per class
+                              its tag sequence and entries (pid, slot,
+                              ORDPATH label)
     v}
 
-    A store mutated since attach is saved without its partition.
+    The partition is live under updates, so a mutated store saves and
+    loads like a fresh one.
 
     Buffer state is deliberately not persisted — a loaded image starts
     with a cold cache, matching the benchmark regime. *)

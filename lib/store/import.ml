@@ -18,7 +18,6 @@ type result = {
   node_count : int;
   border_count : int;
   height : int;
-  tag_counts : (Xnav_xml.Tag.t * int) list;
   partition : Path_partition.t;
   node_ids : Node_id.t array;
 }
@@ -357,7 +356,6 @@ let run ?(strategy = Dfs) ?payload disk doc =
     node_count;
     border_count = !border_count;
     height = Tree.height doc;
-    tag_counts = Tree.tag_counts doc;
     partition = Path_partition.build doc ~node_ids ~ordpaths;
     node_ids;
   }

@@ -30,13 +30,10 @@ type result = {
   node_count : int;  (** Logical (core) nodes. *)
   border_count : int;  (** Down + Up records materialised. *)
   height : int;
-  tag_counts : (Xnav_xml.Tag.t * int) list;
-      (** Per-tag node counts — the statistics the cost-based plan
-          chooser consumes. *)
   partition : Path_partition.t;
       (** The path summary and structural index: per path class, the
-          sorted (cluster, node) entry list and the live member count
-          the cost model reads. *)
+          sorted (cluster, node) entry list, whose length is the live
+          member count the cost model reads. *)
   node_ids : Node_id.t array;
       (** Preorder rank -> core NodeID, for tests and context lookup. *)
 }

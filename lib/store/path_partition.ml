@@ -10,9 +10,10 @@ type t = {
   mutable size : int;
   mutable parents : int array;  (* class id -> parent class, -1 for the root *)
   mutable tags : Tag.t array;  (* class id -> the members' own tag *)
-  mutable members : int array;  (* class id -> live node count *)
   children : (int * Tag.t, int) Hashtbl.t;  (* (parent class or -1, tag) -> class *)
-  (* Entry lists of the import-time classes; appended classes have none. *)
+  (* Entry lists, live under updates: a class's member count is its
+     list's length. An update swaps in a fresh list rather than editing
+     one in place, because a running XIndex keeps the lists it read. *)
   mutable entries : Node_id.t array array;  (* class id -> ids sorted by (cluster, slot) *)
   mutable labels : Ordpath.t array array;  (* aligned with [entries] *)
   mutable lookup : lookup option;  (* NodeID -> class, built on first use *)
@@ -23,15 +24,15 @@ type t = {
 }
 
 (* [pages.(pid - first).(slot)] is the class of the entry at (pid, slot),
-   -1 where no entry lies. *)
-and lookup = { first : int; pages : int array array }
+   -1 where no entry lies. Private to the partition, so updates edit it
+   in place. *)
+and lookup = { mutable first : int; mutable pages : int array array }
 
 let empty () =
   {
     size = 0;
     parents = [||];
     tags = [||];
-    members = [||];
     children = Hashtbl.create 64;
     entries = [||];
     labels = [||];
@@ -50,7 +51,8 @@ let append t parent tag =
     in
     t.parents <- grow t.parents (-1);
     t.tags <- grow t.tags tag;
-    t.members <- grow t.members 0;
+    t.entries <- grow t.entries [||];
+    t.labels <- grow t.labels [||];
     t.ends <- grow t.ends 0;
     t.below <- grow t.below 0
   end;
@@ -67,12 +69,9 @@ let child t parent tag =
 
 let intern t seq = Array.fold_left (child t) (-1) seq
 
-(* Install the import-time entry lists; each class's live count starts
-   as its list's length. *)
 let set_entries t ~entries ~labels =
-  t.entries <- entries;
-  t.labels <- labels;
-  Array.iteri (fun c ids -> t.members.(c) <- Array.length ids) entries
+  Array.blit entries 0 t.entries 0 (Array.length entries);
+  Array.blit labels 0 t.labels 0 (Array.length labels)
 
 let build doc ~node_ids ~ordpaths =
   if Array.length node_ids <> Array.length ordpaths then
@@ -128,48 +127,113 @@ let class_sequence t c =
 let class_tag t c = t.tags.(c)
 
 let class_parent t c = t.parents.(c)
-let class_entries t c = if c < Array.length t.entries then t.entries.(c) else [||]
-let class_labels t c = if c < Array.length t.labels then t.labels.(c) else [||]
-let add_members t c delta = t.members.(c) <- t.members.(c) + delta
+let class_entries t c = t.entries.(c)
+let class_labels t c = t.labels.(c)
 
-let build_lookup entries =
+let build_lookup t =
   let lo = ref max_int and hi = ref (-1) in
-  Array.iter
-    (Array.iter (fun (id : Node_id.t) ->
-         lo := min !lo id.Node_id.pid;
-         hi := max !hi id.Node_id.pid))
-    entries;
+  for c = 0 to t.size - 1 do
+    Array.iter
+      (fun (id : Node_id.t) ->
+        lo := min !lo id.Node_id.pid;
+        hi := max !hi id.Node_id.pid)
+      t.entries.(c)
+  done;
   if !hi < 0 then { first = 0; pages = [||] }
   else begin
     let first = !lo in
     let width = Array.make (!hi - first + 1) 0 in
-    Array.iter
-      (Array.iter (fun (id : Node_id.t) ->
-           let p = id.Node_id.pid - first in
-           width.(p) <- max width.(p) (id.Node_id.slot + 1)))
-      entries;
+    for c = 0 to t.size - 1 do
+      Array.iter
+        (fun (id : Node_id.t) ->
+          let p = id.Node_id.pid - first in
+          width.(p) <- max width.(p) (id.Node_id.slot + 1))
+        t.entries.(c)
+    done;
     let pages = Array.map (fun w -> Array.make w (-1)) width in
-    Array.iteri
-      (fun c ids ->
-        Array.iter (fun (id : Node_id.t) -> pages.(id.Node_id.pid - first).(id.Node_id.slot) <- c) ids)
-      entries;
+    for c = 0 to t.size - 1 do
+      Array.iter
+        (fun (id : Node_id.t) -> pages.(id.Node_id.pid - first).(id.Node_id.slot) <- c)
+        t.entries.(c)
+    done;
     { first; pages }
   end
 
+let built_lookup t =
+  match t.lookup with
+  | Some l -> l
+  | None ->
+    let l = build_lookup t in
+    t.lookup <- Some l;
+    l
+
 let class_at t ~pid ~slot =
-  let { first; pages } =
-    match t.lookup with
-    | Some l -> l
-    | None ->
-      let l = build_lookup t.entries in
-      t.lookup <- Some l;
-      l
-  in
+  let { first; pages } = built_lookup t in
   let p = pid - first in
   if p < 0 || p >= Array.length pages then -1
   else
     let page = pages.(p) in
     if slot < 0 || slot >= Array.length page then -1 else page.(slot)
+
+(* Record [c] as the class at [id] in a built lookup, widening it to
+   cover the id's page (pages appended after import) and slot. *)
+let set_class t (id : Node_id.t) c =
+  match t.lookup with
+  | None -> ()
+  | Some l ->
+    let pid = id.Node_id.pid and slot = id.Node_id.slot in
+    if Array.length l.pages = 0 then l.first <- pid;
+    let n = Array.length l.pages in
+    if pid < l.first || pid >= l.first + n then begin
+      let first = min pid l.first in
+      let pages = Array.make (max (pid + 1) (l.first + n) - first) [||] in
+      Array.blit l.pages 0 pages (l.first - first) n;
+      l.first <- first;
+      l.pages <- pages
+    end;
+    let p = pid - l.first in
+    let page = l.pages.(p) in
+    if slot >= Array.length page then begin
+      let wider = Array.make (slot + 1) (-1) in
+      Array.blit page 0 wider 0 (Array.length page);
+      l.pages.(p) <- wider
+    end;
+    l.pages.(p).(slot) <- c
+
+(* The position of the first entry of [ids] not below [id]. *)
+let search ids id =
+  let lo = ref 0 and hi = ref (Array.length ids) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Node_id.compare ids.(mid) id < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let insert_at a i x =
+  let n = Array.length a in
+  let b = Array.make (n + 1) x in
+  Array.blit a 0 b 0 i;
+  Array.blit a i b (i + 1) (n - i);
+  b
+
+let remove_at a i =
+  let n = Array.length a in
+  Array.init (n - 1) (fun j -> if j < i then a.(j) else a.(j + 1))
+
+let add t c id label =
+  let i = search t.entries.(c) id in
+  t.entries.(c) <- insert_at t.entries.(c) i id;
+  t.labels.(c) <- insert_at t.labels.(c) i label;
+  set_class t id c
+
+let remove t c id =
+  let ids = t.entries.(c) in
+  let i = search ids id in
+  if i >= Array.length ids || not (Node_id.equal ids.(i) id) then
+    invalid_arg "Path_partition.remove: the id is no entry of the class";
+  t.entries.(c) <- remove_at ids i;
+  t.labels.(c) <- remove_at t.labels.(c) i;
+  set_class t id (-1)
 
 (* --- cardinality walk ----------------------------------------------------------- *)
 
@@ -240,7 +304,7 @@ let fill t path =
     below.(c) <- p_below lor !e;
     let rest = ref (!e lsr 1) and i = ref 0 in
     while !rest <> 0 do
-      if !rest land 1 <> 0 then counts.(!i) <- counts.(!i) + t.members.(c);
+      if !rest land 1 <> 0 then counts.(!i) <- counts.(!i) + Array.length t.entries.(c);
       rest := !rest lsr 1;
       incr i
     done
@@ -262,13 +326,13 @@ let seed_masks t path =
 let step_counts t path = fst (walk t path ~select:0)
 
 let equal a b =
-  let prefix x a = Array.sub a 0 x.size in
-  prefix a a.parents = prefix b b.parents
-  && Array.for_all2 Tag.equal (prefix a a.tags) (prefix b b.tags)
-  && Array.length a.entries = Array.length b.entries
-  && Array.for_all2
-       (fun x y -> Array.length x = Array.length y && Array.for_all2 Node_id.equal x y)
-       a.entries b.entries
-  && Array.for_all2
-       (fun x y -> Array.length x = Array.length y && Array.for_all2 Ordpath.equal x y)
-       a.labels b.labels
+  let same eq x y = Array.length x = Array.length y && Array.for_all2 eq x y in
+  let rec from c =
+    c >= a.size
+    || a.parents.(c) = b.parents.(c)
+       && Tag.equal a.tags.(c) b.tags.(c)
+       && same Node_id.equal a.entries.(c) b.entries.(c)
+       && same Ordpath.equal a.labels.(c) b.labels.(c)
+       && from (c + 1)
+  in
+  a.size = b.size && from 0

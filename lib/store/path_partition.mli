@@ -14,12 +14,13 @@
     all, while partially resolved paths seed navigation from the entry
     clusters (the {!Xnav_core} XIndex leaf operator).
 
-    The summary is also the cost model's only source of cardinalities:
-    each class keeps a live member count, which {!Update} maintains, and
-    {!step_counts} turns the counts into the exact size of every step's
-    result. Entry lists stay as the import built them; a node inserted
-    under a tag sequence the import never saw gets an {e appended}
-    class with no entries. *)
+    The partition stays exact under {!Update}: an insert {!add}s the new
+    node to its class's entry list and a delete {!remove}s every removed
+    node, so a class's member count is always its entry list's length. A
+    node inserted under a tag sequence the import never saw gets an
+    {e appended} class, with entries like any other. The summary is also
+    the cost model's only source of cardinalities: {!step_counts} turns
+    the live counts into the exact size of every step's result. *)
 
 type t
 
@@ -54,7 +55,9 @@ val class_parent : t -> int -> int
 
 val class_entries : t -> int -> Node_id.t array
 (** Entry list of a class, sorted by {!Node_id.compare} — the order the
-    XIndex operator visits clusters in. Empty for appended classes. *)
+    XIndex operator visits clusters in. Updates never edit a returned
+    array: {!add} and {!remove} swap in a fresh one, so a reader keeps
+    the list it read. *)
 
 val class_labels : t -> int -> Xnav_xml.Ordpath.t array
 (** ORDPATH labels aligned with {!class_entries} — what makes the
@@ -70,9 +73,15 @@ val intern : t -> Xnav_xml.Tag.t array -> int
 (** The class of a root-first tag sequence, appending the classes the
     summary lacks. *)
 
-val add_members : t -> int -> int -> unit
-(** [add_members t c delta] adjusts class [c]'s live member count, which
-    starts as its entry list's length (update layer only). *)
+val add : t -> int -> Node_id.t -> Xnav_xml.Ordpath.t -> unit
+(** [add t c id label] enters the node [id], labelled [label], into
+    class [c]: its entry list stays sorted and {!class_at} maps [id] to
+    [c] (update layer only). *)
+
+val remove : t -> int -> Node_id.t -> unit
+(** [remove t c id] drops [id] from class [c]'s entry list, and
+    {!class_at} maps [id] to [-1] (update layer only).
+    @raise Invalid_argument if [id] is no entry of [c]. *)
 
 val max_steps : int
 (** Longest path {!walk} accepts. *)
@@ -80,7 +89,7 @@ val max_steps : int
 val walk : t -> Xnav_xpath.Path.t -> select:int -> int array * int list
 (** [walk t path ~select] evaluates [path] from the document root in one
     pass over the classes: [counts.(i)] is the exact number of distinct
-    nodes the first [i + 1] steps select, from the live member counts;
+    nodes the first [i + 1] steps select, from the live entry counts;
     [classes] (ascending) are those whose nodes the first [select] steps
     select. Steps on a non-downward axis select nothing here.
     @raise Invalid_argument for paths longer than {!max_steps}. *)
@@ -99,7 +108,8 @@ val class_at : t -> pid:int -> slot:int -> int
 (** [class_at t ~pid ~slot] is the class whose entry list holds the
     NodeID [(pid, slot)], or [-1] when no entry has that id. The lookup
     (one int array per page) is built on the first call, not at import
-    or load, and answers without allocating. *)
+    or load, then kept current by {!add} and {!remove}; it answers
+    without allocating. *)
 
 val equal : t -> t -> bool
 (** Same classes in the same order, same entry lists and labels. *)

@@ -13,42 +13,22 @@ type t = {
   mutable page_count : int;
   mutable node_count : int;
   height : int;
-  tag_counts : (Xnav_xml.Tag.t * int) list;
-  tag_table : (Xnav_xml.Tag.t, int) Hashtbl.t;
-  partition : Path_partition.t option;
+  partition : Path_partition.t;
   mutable swizzle : bool;
   mutable mutations : int;
   mutable swizzle_hits : int;
   mutable swizzle_misses : int;
   (* Cluster-granular mutation tracking: [page_stamps] maps a pid to the
-     global [mutations] value of its last mutation, [all_stamp] is the
-     stamp of the last store-wide (pid-less) mutation. A cached decode of
+     global [mutations] value of its last mutation. A cached decode of
      page [pid] taken at stamp [s] is valid iff [page_stamp t pid <= s]. *)
   page_stamps : (int, int) Hashtbl.t;
-  mutable all_stamp : int;
   (* Optional observer tables: when installed, every record access /
      page mutation reports the cluster it touched. The execution layer
      uses them to attach cluster footprints to cached results and to
      scope a writer's invalidation to the clusters it wrote. *)
   mutable touch_log : (int, unit) Hashtbl.t option;
   mutable write_log : (int, unit) Hashtbl.t option;
-  (* Per-class partition staleness, sized on the first mutation to the
-     classes that have entry lists: [class_pids.(c)] is the sorted
-     unique cluster set of class [c]'s entries, [class_stale.(c)] flips
-     when a mutation touches one of them (or an insert adds a node of
-     the class). Classes appended by later inserts lie beyond the array
-     and are never fresh — no entry list covers their members. *)
-  mutable class_pids : int array array option;
-  mutable class_stale : bool array;
-  (* The summary class of every node inserted since attach. A live node
-     missing here is an imported one, still at its entry's id. *)
-  inserted : int Node_id.Tbl.t;
 }
-
-let tag_table_of tag_counts =
-  let table = Hashtbl.create (max 16 (2 * List.length tag_counts)) in
-  List.iter (fun (tag, n) -> Hashtbl.replace table tag n) tag_counts;
-  table
 
 let next_uid = ref 0
 
@@ -70,37 +50,43 @@ let identity_of ~node_count ~tag_counts =
     (fun h (tag, n) -> mix (mix h (Xnav_xml.Tag.hash tag)) n)
     (mix 0x9e3779b9 node_count) tag_counts
 
-let attach_meta ?partition buffer ~root ~first_page ~page_count ~node_count ~height
-    ~tag_counts =
+(* Per tag, the sum of its classes' live counts: at import, the census
+   {!Xnav_xml.Tree.tag_counts} takes of the document. *)
+let census partition =
+  let counts = Hashtbl.create 64 in
+  for c = 0 to Path_partition.class_count partition - 1 do
+    let n = Array.length (Path_partition.class_entries partition c) in
+    if n > 0 then begin
+      let tag = Path_partition.class_tag partition c in
+      Hashtbl.replace counts tag (n + Option.value ~default:0 (Hashtbl.find_opt counts tag))
+    end
+  done;
+  Hashtbl.fold (fun tag n acc -> (tag, n) :: acc) counts []
+  |> List.sort (fun (a, _) (b, _) -> Xnav_xml.Tag.compare a b)
+
+let attach_meta ~partition buffer ~root ~first_page ~page_count ~node_count ~height =
   {
     uid = fresh_uid ();
-    identity = identity_of ~node_count ~tag_counts;
+    identity = identity_of ~node_count ~tag_counts:(census partition);
     buffer;
     root;
     first_page;
     page_count;
     node_count;
     height;
-    tag_counts;
-    tag_table = tag_table_of tag_counts;
     partition;
     swizzle = true;
     mutations = 0;
     swizzle_hits = 0;
     swizzle_misses = 0;
     page_stamps = Hashtbl.create 64;
-    all_stamp = 0;
     touch_log = None;
     write_log = None;
-    class_pids = None;
-    class_stale = [||];
-    inserted = Node_id.Tbl.create 16;
   }
 
 let attach buffer (import : Import.result) =
   attach_meta ~partition:import.partition buffer ~root:import.root ~first_page:import.first_page
     ~page_count:import.page_count ~node_count:import.node_count ~height:import.height
-    ~tag_counts:import.tag_counts
 
 let buffer t = t.buffer
 let root t = t.root
@@ -108,18 +94,15 @@ let node_count t = t.node_count
 let first_page t = t.first_page
 let page_count t = t.page_count
 let height t = t.height
-let tag_counts t = t.tag_counts
+let tag_counts t = census t.partition
 let partition t = t.partition
-let stats_fresh t = t.mutations = 0
 let uid t = t.uid
 let identity t = t.identity
 let mutation_stamp t = t.mutations
 
 (* --- Cluster-granular mutation tracking --------------------------------- *)
 
-let page_stamp t pid =
-  let s = match Hashtbl.find_opt t.page_stamps pid with Some s -> s | None -> 0 in
-  max s t.all_stamp
+let page_stamp t pid = Option.value ~default:0 (Hashtbl.find_opt t.page_stamps pid)
 
 let touch t pid =
   match t.touch_log with Some tbl -> Hashtbl.replace tbl pid () | None -> ()
@@ -134,91 +117,24 @@ let swap_write_log t log =
   t.write_log <- log;
   old
 
-(* Per-class cluster sets, built lazily on the first mutation: entry
-   lists are immutable after import, so the sets describe exactly the
-   clusters whose entry records belong to each class. Every mutation
-   reaches here before an insert can append a class. *)
-let ensure_class_meta t =
-  match (t.partition, t.class_pids) with
-  | None, _ | _, Some _ -> ()
-  | Some p, None ->
-    let n = Path_partition.class_count p in
-    let pids =
-      Array.init n (fun c ->
-          let entries = Path_partition.class_entries p c in
-          (* Sorted by (pid, slot) already — collapse to unique pids. *)
-          let acc = ref [] in
-          Array.iter
-            (fun (id : Node_id.t) ->
-              match !acc with
-              | pid :: _ when pid = id.Node_id.pid -> ()
-              | _ -> acc := id.Node_id.pid :: !acc)
-            entries;
-          Array.of_list (List.rev !acc))
-    in
-    t.class_pids <- Some pids;
-    t.class_stale <- Array.make n false
-
-let pid_member pids pid =
-  let lo = ref 0 and hi = ref (Array.length pids - 1) and found = ref false in
-  while (not !found) && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let v = pids.(mid) in
-    if v = pid then found := true else if v < pid then lo := mid + 1 else hi := mid - 1
-  done;
-  !found
-
-let stale_classes_at t pid =
-  ensure_class_meta t;
-  match t.class_pids with
-  | None -> ()
-  | Some pids ->
-    for c = 0 to Array.length pids - 1 do
-      if (not t.class_stale.(c)) && pid_member pids.(c) pid then t.class_stale.(c) <- true
-    done
-
-let class_fresh t c =
-  t.all_stamp = 0
-  && (t.class_pids = None || (c >= 0 && c < Array.length t.class_stale && not t.class_stale.(c)))
-
 (* Bookkeeping hooks for the update layer. *)
 let note_new_page t = t.page_count <- t.page_count + 1
 let note_nodes_delta t delta = t.node_count <- t.node_count + delta
 
-let note_mutation t =
-  t.mutations <- t.mutations + 1;
-  (* Pid-less mutation: conservatively stales every cluster and class. *)
-  t.all_stamp <- t.mutations
-
 let note_mutation_at t pid =
   t.mutations <- t.mutations + 1;
   Hashtbl.replace t.page_stamps pid t.mutations;
-  (match t.write_log with Some tbl -> Hashtbl.replace tbl pid () | None -> ());
-  stale_classes_at t pid
+  match t.write_log with Some tbl -> Hashtbl.replace tbl pid () | None -> ()
 
-let note_inserted t ~id ~tags =
-  match t.partition with
-  | None -> ()
-  | Some p ->
-    ensure_class_meta t;
-    let c = Path_partition.intern p tags in
-    Path_partition.add_members p c 1;
-    Node_id.Tbl.replace t.inserted id c;
-    if c < Array.length t.class_stale then t.class_stale.(c) <- true
-
-let class_of t id =
-  match t.partition with
-  | None -> -1
-  | Some p -> (
-    match Node_id.Tbl.find_opt t.inserted id with
-    | Some c -> c
-    | None -> Path_partition.class_at p ~pid:id.Node_id.pid ~slot:id.Node_id.slot)
+let class_of t (id : Node_id.t) = Path_partition.class_at t.partition ~pid:id.pid ~slot:id.slot
 
 let set_swizzling t on = t.swizzle <- on
 let swizzle_stats t = (t.swizzle_hits, t.swizzle_misses)
 
 let tag_count t tag =
-  match Hashtbl.find_opt t.tag_table tag with Some n -> n | None -> 0
+  match List.find_opt (fun (x, _) -> Xnav_xml.Tag.equal x tag) (tag_counts t) with
+  | Some (_, n) -> n
+  | None -> 0
 
 (* --- Views ------------------------------------------------------------ *)
 

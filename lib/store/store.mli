@@ -29,17 +29,16 @@ type t
 val attach : Xnav_storage.Buffer_manager.t -> Import.result -> t
 (** Binds an imported document to the buffer pool it will be read
     through. The store takes the import's partition over: updates
-    through {!Update} adjust its live class counts. *)
+    through {!Update} keep it exact. *)
 
 val attach_meta :
-  ?partition:Path_partition.t ->
+  partition:Path_partition.t ->
   Xnav_storage.Buffer_manager.t ->
   root:Node_id.t ->
   first_page:int ->
   page_count:int ->
   node_count:int ->
   height:int ->
-  tag_counts:(Xnav_xml.Tag.t * int) list ->
   t
 (** Rebinds a document from persisted catalog metadata (see {!Image}). *)
 
@@ -49,21 +48,16 @@ val node_count : t -> int
 val first_page : t -> int
 val page_count : t -> int
 val height : t -> int
+
 val tag_counts : t -> (Xnav_xml.Tag.t * int) list
+(** Live node count per tag, sorted by {!Xnav_xml.Tag.compare}, absent
+    tags left out — summed from the {!partition}'s class counts, so a
+    fresh import gives {!Xnav_xml.Tree.tag_counts} of its document. *)
 
-val partition : t -> Path_partition.t option
+val partition : t -> Path_partition.t
 (** The path partition (summary, structural index and class counts),
-    when available: imported stores and stores loaded from an image
-    saved before any update have it. Its live class counts follow every
-    update; its entry lists are frozen at import — consult
-    {!stats_fresh} / {!class_fresh} before seeding plans from them. *)
-
-val stats_fresh : t -> bool
-(** Whether the {!partition}'s entry lists still describe the store:
-    [true] until the first structural mutation ({!note_mutation}) after
-    attach. A stale partition must not seed index plans — {!Xnav_core}
-    falls back to navigation-only plans; re-import (or save and reload
-    a re-imported image) to refresh. *)
+    kept exact by every update: entry lists, {!class_of} and the counts
+    always describe the store as it is. *)
 
 val uid : t -> int
 (** Process-unique identity assigned at attach time. Caches layered
@@ -91,17 +85,14 @@ val reset_uids : unit -> unit
     call it while stores are live in caches you care about. *)
 
 val mutation_stamp : t -> int
-(** Monotonic count of structural mutations ({!note_mutation}) since
+(** Monotonic count of structural mutations ({!note_mutation_at}) since
     attach. A cached derivation of the document (query result, decoded
     record, partition seed) is valid exactly while the stamp it was
-    computed under still equals the current one — the same freshness
-    discipline {!stats_fresh} applies to the import-time entry lists. *)
+    computed under still equals the current one. *)
 
 val tag_count : t -> Xnav_xml.Tag.t -> int
-(** Number of nodes carrying the tag (0 if absent) — selectivity input
-    for the cost-based plan chooser, answered from a hash table built at
-    attach time. Statistics are collected at import time and are {e not}
-    maintained by {!Update}; re-import to refresh. *)
+(** Number of live nodes carrying the tag (0 if absent) — the cost-based
+    plan chooser's bound for steps the summary walk does not cover. *)
 
 val note_new_page : t -> unit
 (** Registers a page appended after import (update layer only): extends
@@ -110,45 +101,21 @@ val note_new_page : t -> unit
 val note_nodes_delta : t -> int -> unit
 (** Adjusts the logical node count (update layer only). *)
 
-val note_mutation : t -> unit
-(** Registers a pid-less structural mutation (update layer only):
-    conservatively stales {e every} cluster — all live views drop their
-    swizzled decode caches and every partition class goes stale. Prefer
-    {!note_mutation_at} so invalidation stays cluster-granular. *)
-
 val note_mutation_at : t -> int -> unit
 (** Registers a structural mutation of cluster [pid] (update layer
     only): bumps {!mutation_stamp}, records the per-cluster stamp
-    consulted by {!page_stamp}, reports [pid] to the installed write log
-    (if any) and stales exactly the partition classes with an entry in
-    [pid]. Views of other clusters keep their swizzled decodes. *)
-
-val note_inserted : t -> id:Node_id.t -> tags:Xnav_xml.Tag.t array -> unit
-(** Registers the freshly inserted node [id] and its root-first tag
-    sequence (update layer only): the summary trie finds its class —
-    appending one, with no entries, for a sequence the import never saw
-    — and the class's live count grows by one. The class goes stale:
-    its entry list, if any, now under-reports it. *)
+    consulted by {!page_stamp} and reports [pid] to the installed write
+    log (if any). Views of other clusters keep their swizzled decodes. *)
 
 val class_of : t -> Node_id.t -> int
-(** The summary class of the live node [id], read without touching a
-    page: an inserted node's as {!note_inserted} recorded it, an
-    imported one's from the partition's entry lists. [-1] when the
-    store has no partition. *)
+(** The summary class of the live core node [id], read from the
+    partition without touching a page ([-1] for any other id). *)
 
 val page_stamp : t -> int -> int
 (** [page_stamp t pid] is the {!mutation_stamp} value at cluster [pid]'s
-    last mutation (0 if never mutated; at least the stamp of the last
-    pid-less {!note_mutation}). A cached derivation that only read
-    clusters [P] under stamp [s] is still valid iff
+    last mutation (0 if never mutated). A cached derivation that only
+    read clusters [P] under stamp [s] is still valid iff
     [page_stamp t pid <= s] for every [pid] in [P]. *)
-
-val class_fresh : t -> int -> bool
-(** Whether partition class [c]'s entry list still describes the store:
-    no mutation has touched any of the class' entry clusters, no insert
-    added a node of the class, and no pid-less mutation occurred. A
-    class appended by an insert is never fresh. Index plans may seed
-    from fresh classes even when {!stats_fresh} is false. *)
 
 (** {2 Access / write observation}
 

@@ -256,25 +256,6 @@ let splice store loc (elem : Node_id.t) =
   | Some slot -> set_prev store (Node_id.make ~pid ~slot) (Some elem.Node_id.slot)
   | None -> set_last_child store loc.anchor (Some elem.Node_id.slot)
 
-(* Root-first tag sequence of the node [id] (root's tag first, [id]'s
-   tag last, [acc] appended) — the path-class key of a node, which the
-   store's summary trie maps to its class. *)
-let rec tag_chain store (id : Node_id.t) acc =
-  match get_record store id with
-  | Node_record.Core c -> begin
-    let acc = c.Node_record.tag :: acc in
-    match c.Node_record.parent with
-    | None -> acc
-    | Some pslot -> begin
-      let anchor = Node_id.make ~pid:id.Node_id.pid ~slot:pslot in
-      match get_record store anchor with
-      | Node_record.Core _ -> tag_chain store anchor acc
-      | Node_record.Up u -> tag_chain store u.Node_record.owner acc
-      | Node_record.Down _ -> assert false
-    end
-  end
-  | Node_record.Down _ | Node_record.Up _ -> acc
-
 let insert_element store ~parent ?(position = Last) tag =
   let loc = locate store ~parent position in
   let home = loc.anchor.Node_id.pid in
@@ -370,7 +351,10 @@ let insert_element store ~parent ?(position = Last) tag =
       n_id
   in
   Store.note_nodes_delta store 1;
-  Store.note_inserted store ~id:node_id ~tags:(Array.of_list (tag_chain store parent [ tag ]));
+  let partition = Store.partition store in
+  Path_partition.add partition
+    (Path_partition.child partition (Store.class_of store parent) tag)
+    node_id loc.ordpath;
   node_id
 
 let rec insert_tree store ~parent ?position (tree : Tree.t) =
@@ -382,28 +366,20 @@ let rec insert_tree store ~parent ?position (tree : Tree.t) =
 
 (* Remove a chain element's record and everything hanging below it
    (subtrees for cores, whole runs for Downs). Does not touch the
-   element's own chain links. [owner] is the summary class of the
-   chain's owner (-1 without a partition); each removed core leaves its
-   class's live count. Returns the number of cores removed. *)
-let rec purge store owner (id : Node_id.t) =
+   element's own chain links. Each removed core leaves its class's entry
+   list. Returns the number of cores removed. *)
+let rec purge store (id : Node_id.t) =
   match get_record store id with
   | Node_record.Core c ->
-    let cls =
-      match Store.partition store with
-      | Some p ->
-        let cls = Path_partition.child p owner c.tag in
-        Path_partition.add_members p cls (-1);
-        cls
-      | None -> -1
-    in
-    let removed = purge_chain store cls id.Node_id.pid c.first_child in
+    Path_partition.remove (Store.partition store) (Store.class_of store id) id;
+    let removed = purge_chain store id.Node_id.pid c.first_child in
     remove_record store id;
     removed + 1
   | Node_record.Down d ->
     let removed =
       match get_record store d.target with
       | Node_record.Up u ->
-        let removed = purge_chain store owner d.target.Node_id.pid u.first_child in
+        let removed = purge_chain store d.target.Node_id.pid u.first_child in
         remove_record store d.target;
         removed
       | Node_record.Core _ | Node_record.Down _ -> assert false
@@ -412,7 +388,7 @@ let rec purge store owner (id : Node_id.t) =
     removed
   | Node_record.Up _ -> assert false
 
-and purge_chain store owner pid slot_opt =
+and purge_chain store pid slot_opt =
   match slot_opt with
   | None -> 0
   | Some slot ->
@@ -423,8 +399,8 @@ and purge_chain store owner pid slot_opt =
       | Node_record.Down d -> d.next_sibling
       | Node_record.Up _ -> assert false
     in
-    let removed = purge store owner id in
-    removed + purge_chain store owner pid next
+    let removed = purge store id in
+    removed + purge_chain store pid next
 
 (* Unlink a chain element (core or Down) from its chain, collapsing the
    anchoring border pair if the run becomes empty. *)
@@ -466,12 +442,7 @@ let delete_subtree store (id : Node_id.t) =
     if c.parent = None then invalid_arg "Update: cannot delete the document root"
   | Node_record.Down _ | Node_record.Up _ ->
     invalid_arg "Update: cannot delete a border record");
-  let owner =
-    match Store.partition store with
-    | Some p -> Path_partition.class_parent p (Store.class_of store id)
-    | None -> -1
-  in
   unlink store id;
-  let removed = purge store owner id in
+  let removed = purge store id in
   Store.note_nodes_delta store (-removed);
   removed

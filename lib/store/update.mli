@@ -21,13 +21,13 @@
     Writes are write-through: every mutated page goes to the simulated
     disk immediately, so buffer frames and disk never diverge. Every
     mutated cluster is reported via {!Store.note_mutation_at}, which is
-    what keeps swizzle/result-cache/partition invalidation
-    cluster-granular; inserts additionally report the new node's
-    root-first tag sequence ({!Store.note_inserted}) so exactly the
-    matching path class goes stale.
+    what keeps swizzle and result-cache invalidation cluster-granular.
 
-    Import-time statistics ({!Store.tag_counts}) are not maintained;
-    {!Store.node_count} and {!Store.page_count} are. *)
+    The store's path partition stays exact: an insert adds the new node
+    to the class its parent's class and tag name, a delete removes every
+    removed node from its class ({!Path_partition.add},
+    {!Path_partition.remove}). {!Store.node_count}, {!Store.page_count}
+    and the tag census {!Store.tag_counts} follow. *)
 
 type position =
   | First  (** As the first child. *)

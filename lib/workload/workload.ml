@@ -158,6 +158,12 @@ let demand_frames = 2
    resident advances no simulated time at all). *)
 let step_cap = 256
 
+(* Whether a statement seeds from the partition's entry lists (streams
+   always run from the root, so an index plan is never degraded). *)
+let index_seeded = function
+  | Plan.Reordered { io = Plan.Io_index _; _ } -> true
+  | Plan.Reordered _ | Plan.Simple _ -> false
+
 let percentile xs p =
   match List.sort compare xs with
   | [] -> 0.0
@@ -434,9 +440,13 @@ let run_topology ~config ~quantum ~ordered ~cold ~pools ~sites clients =
      atomic within a writer's turn, so checking once at the top of each
      reader turn suffices — the stream cannot observe a half-applied
      op. Page stamps never exceed the store's mutation counter, so the
-     fold only runs once something has committed since the snapshot. On
-     conflict the stream restarts from scratch under a fresh stamp;
-     fairness credits of the abandoned attempt are carried. *)
+     fold only runs once something has committed since the snapshot. An
+     index-seeded stream read its seeds from the partition's entry
+     lists when it was built, not from pages, so no footprint covers a
+     write that changes them: as for {!Result_cache}'s footprint-less
+     entries, any commit since the snapshot conflicts. On conflict the
+     stream restarts from scratch under a fresh stamp; fairness credits
+     of the abandoned attempt are carried. *)
   let restart lane stream =
     Exec.stream_abandon stream;
     let c = lane.ctx.Context.counters in
@@ -462,9 +472,10 @@ let run_topology ~config ~quantum ~ordered ~cold ~pools ~sites clients =
     let saved = Store.swap_touch_log store (Some lane.touched) in
     let conflicted =
       Store.mutation_stamp store > lane.snapshot
-      && Hashtbl.fold
-           (fun pid () acc -> acc || Store.page_stamp store pid > lane.snapshot)
-           lane.touched false
+      && (index_seeded lane.spec.plan
+         || Hashtbl.fold
+              (fun pid () acc -> acc || Store.page_stamp store pid > lane.snapshot)
+              lane.touched false)
     in
     let stream =
       if not conflicted then Some stream

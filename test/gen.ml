@@ -50,15 +50,11 @@ let path_gen =
 (* Whether the store's path summary counts the nodes every prefix of
    [path] selects exactly as the reference evaluator does on [tree]. *)
 let summary_exact store tree path =
-  match Xnav_store.Store.partition store with
-  | None -> false
-  | Some p ->
-    let counts = Xnav_store.Path_partition.step_counts p path in
-    Array.length counts = List.length path
-    && List.for_all
-         (fun i ->
-           counts.(i) = Xnav_xpath.Eval_ref.count tree (Xnav_xpath.Path.prefix path (i + 1)))
-         (List.init (Array.length counts) Fun.id)
+  let counts = Xnav_store.Path_partition.step_counts (Xnav_store.Store.partition store) path in
+  Array.length counts = List.length path
+  && List.for_all
+       (fun i -> counts.(i) = Xnav_xpath.Eval_ref.count tree (Xnav_xpath.Path.prefix path (i + 1)))
+       (List.init (Array.length counts) Fun.id)
 
 (* A wide tree: a root with many children, some of which have small
    subtrees — exercises sibling-run splitting across clusters. *)

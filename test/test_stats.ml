@@ -14,7 +14,7 @@ let bool = Alcotest.bool
 let int = Alcotest.int
 let ints = Alcotest.(list int)
 
-let partition store = Option.get (Store.partition store)
+let partition = Store.partition
 let step_counts store path = Array.to_list (Path_partition.step_counts (partition store) path)
 
 (* The reference evaluator's count after each step of [path]. *)

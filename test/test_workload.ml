@@ -508,22 +508,22 @@ let pinned_shards ~shards =
     r.Shard.rebalance_moves )
 
 let pin_single_pool_expected = {|q-x c0 recovered n13 sub=0x0p+0 st=0x0p+0 fin=0x1.05335725348c8p-3 srv=1 stv=0 y=0 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
-q-e c1 recovered n15 sub=0x0p+0 st=0x1.3d31b9b66f932p-10 fin=0x1.10344b361404p-3 srv=2 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-e c1 recovered n15 sub=0x0p+0 st=0x1.3d31b9b66f932p-10 fin=0x1.10344b3614048p-3 srv=2 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
 q-y c2 completed n14 sub=0x0p+0 st=0x1.affa6b861f9dp-8 fin=0x1.434de6b58b826p-6 srv=3 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
 q-d c3 completed n14 sub=0x0p+0 st=0x1.434de6b58b826p-6 fin=0x1.1316b4ec759e1p-5 srv=4 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
 q-e c4 recovered n15 sub=0x0p+0 st=0x1.1316b4ec759e1p-5 fin=0x1.427f6af1297dfp-5 srv=2 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
-w1 c5 completed n0 sub=0x0p+0 st=0x1.427f6af1297dfp-5 fin=0x1.cbbb080b1bd8ep-4 srv=4 stv=0 y=0 bo=0 sh=false ch=false wc=2 lw=0 sr=0 fc=2
-w2 c6 completed n0 sub=0x0p+0 st=0x1.cbbb080b1bd8ep-4 fin=0x1.83d5faec674f7p-3 srv=4 stv=0 y=0 bo=0 sh=false ch=false wc=2 lw=0 sr=0 fc=4
-q-d c0 completed n13 sub=0x1.3d31b9b66f932p-10 st=0x1.83d5faec674f7p-3 fin=0x1.968df8f516495p-3 srv=3 stv=0 y=0 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
-q-a c1 completed n8 sub=0x1.affa6b861f9dp-8 st=0x1.968df8f516495p-3 fin=0x1.006c2c65e618p-2 srv=8 stv=0 y=7 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
-q-t c2 timed-out n0 sub=0x1.434de6b58b826p-6 st=0x1.006c2c65e618p-2 fin=0x1.006c2c65e618p-2 srv=0 stv=0 y=0 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
-q-d c4 completed n13 sub=0x1.427f6af1297dfp-5 st=0x1.006c2c65e618p-2 fin=0x1.006c2c65e618p-2 srv=0 stv=0 y=0 bo=0 sh=false ch=true wc=0 lw=0 sr=0 fc=4
-q-d c1 completed n13 sub=0x1.006c2c65e618p-2 st=0x1.006c2c65e618p-2 fin=0x1.006c2c65e618p-2 srv=0 stv=0 y=0 bo=0 sh=false ch=true wc=0 lw=0 sr=0 fc=4
-q-x c3 recovered n13 sub=0x1.1316b4ec759e1p-5 st=0x1.006c2c65e618p-2 fin=0x1.0657053a8a41cp-2 srv=2 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
-q-x c0 recovered n13 sub=0x1.968df8f516495p-3 st=0x1.006c2c65e618p-2 fin=0x1.0657053a8a41cp-2 srv=2 stv=0 y=0 bo=0 sh=true ch=false wc=0 lw=0 sr=0 fc=4
-q-e c2 recovered n15 sub=0x1.006c2c65e618p-2 st=0x1.0657053a8a41cp-2 fin=0x1.0bd9bd2eec50cp-2 srv=2 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
-q-y c3 completed n15 sub=0x1.0657053a8a41cp-2 st=0x1.0bd9bd2eec50cp-2 fin=0x1.194eb1ec2c8bep-2 srv=3 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
-turns=38 maxc=1 moves=0 reads=611 commits=4
+w1 c5 completed n0 sub=0x0p+0 st=0x1.427f6af1297dfp-5 fin=0x1.b9edb48060ea2p-4 srv=4 stv=0 y=0 bo=0 sh=false ch=false wc=2 lw=0 sr=0 fc=2
+w2 c6 completed n0 sub=0x0p+0 st=0x1.b9edb48060ea2p-4 fin=0x1.68fbd531ddd06p-3 srv=4 stv=0 y=0 bo=0 sh=false ch=false wc=2 lw=0 sr=0 fc=4
+q-d c0 completed n13 sub=0x1.3d31b9b66f932p-10 st=0x1.68fbd531ddd06p-3 fin=0x1.855349be65218p-3 srv=4 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-a c1 completed n8 sub=0x1.affa6b861f9dp-8 st=0x1.855349be65218p-3 fin=0x1.ef9da9951b081p-3 srv=8 stv=0 y=7 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-t c2 timed-out n0 sub=0x1.434de6b58b826p-6 st=0x1.ef9da9951b081p-3 fin=0x1.ef9da9951b081p-3 srv=0 stv=0 y=0 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-d c4 completed n13 sub=0x1.427f6af1297dfp-5 st=0x1.ef9da9951b081p-3 fin=0x1.ef9da9951b081p-3 srv=0 stv=0 y=0 bo=0 sh=false ch=true wc=0 lw=0 sr=0 fc=4
+q-d c1 completed n13 sub=0x1.ef9da9951b081p-3 st=0x1.ef9da9951b081p-3 fin=0x1.ef9da9951b081p-3 srv=0 stv=0 y=0 bo=0 sh=false ch=true wc=0 lw=0 sr=0 fc=4
+q-x c3 recovered n13 sub=0x1.1316b4ec759e1p-5 st=0x1.ef9da9951b081p-3 fin=0x1.fb735b3e635b5p-3 srv=2 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-x c0 recovered n13 sub=0x1.855349be65218p-3 st=0x1.ef9da9951b081p-3 fin=0x1.fb735b3e635b5p-3 srv=2 stv=0 y=0 bo=0 sh=true ch=false wc=0 lw=0 sr=0 fc=4
+q-e c2 recovered n15 sub=0x1.ef9da9951b081p-3 st=0x1.fb735b3e635b5p-3 fin=0x1.033c659393bcap-2 srv=2 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-y c3 completed n15 sub=0x1.fb735b3e635b5p-3 st=0x1.033c659393bcap-2 fin=0x1.10b15a50d3f7cp-2 srv=3 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+turns=39 maxc=1 moves=0 reads=610 commits=4
 |}
 let pin_two_shards_expected = {|gamma/g-c c4 completed n4 sub=0x0p+0 st=0x0p+0 fin=0x1.dba50136f6c8bp-7 srv=2 stv=5 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
 gamma/g-a c3 completed n2 sub=0x0p+0 st=0x0p+0 fin=0x1.dba50136f6c8bp-7 srv=3 stv=6 y=2 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
@@ -557,6 +557,28 @@ let schedules_are_pinned () =
   let one, moves = pinned_shards ~shards:1 in
   check Alcotest.string "(c) one shard" pin_one_shard_expected one;
   check Alcotest.bool "(c) the fairness gate fired" true (moves > 0)
+
+(* A covering index reader answers from the entry lists it read when
+   its stream was built, touching no page, so the cluster snapshot rule
+   alone would never restart it. With more results than one turn
+   serves, the writer's insert commits between its turns: the reader
+   must restart and return the post-commit answer. *)
+let index_reader_restarts_on_commit () =
+  let store = build ~capacity:16 (Gen.wide_tree ~children:3000 ()) in
+  let reader = spec "r" "/child::b" (Plan.xindex ()) in
+  let writer =
+    spec
+      ~ops:[ Workload.Insert_child { parent = Store.root store; tag = Tag.of_string "b" } ]
+      "w" "/child::*" Plan.simple
+  in
+  let r = Workload.run_clients ~config:validating ~cold:true store [| [ reader ]; [ writer ] |] in
+  check Alcotest.(list string) "clean end" [] r.Workload.violations;
+  let j = job_by_label r "r" in
+  check Alcotest.int "the reader finished after the commit" 1 j.Workload.finish_commit;
+  check Alcotest.int "one snapshot restart" 1 j.Workload.snapshot_retries;
+  check Alcotest.(list string) "the post-commit answer"
+    (List.map Node_id.to_string (serial_ids store validating reader))
+    (List.map Node_id.to_string (ids_of j.Workload.nodes))
 
 (* --- bad specs and shard followers ------------------------------------------ *)
 
@@ -747,6 +769,8 @@ let suite =
         Alcotest.test_case "a bad spec is rejected before any pin is taken" `Quick
           bad_spec_leaves_no_pins;
         Alcotest.test_case "an empty spec list is rejected" `Quick empty_spec_list_rejected;
+        Alcotest.test_case "an index reader restarts on any commit" `Quick
+          index_reader_restarts_on_commit;
       ] );
     ( "workload.turns",
       [
@@ -798,3 +822,4 @@ let suite =
             List.for_all (fun (_, want, got) -> want = got) counts);
       ];
   ]
+
