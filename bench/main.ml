@@ -469,7 +469,7 @@ let ablation_concurrency cfg =
       { Workload.label = Path.to_string path; path; plan; timeout = None; ops = [] }
     in
     let r = Workload.run ~quantum:0.0 ~ordered:false ~cold:true store [ spec p1; spec p2 ] in
-    (r.Workload.io_time, r.Workload.seek_distance)
+    (r.Workload.io_time, r.Workload.metrics.seek_distance)
   in
   Printf.printf "%-24s %12s %12s\n" "configuration" "io[s]" "seek-dist";
   let show label (io, seek) = Printf.printf "%-24s %12.4f %12d\n" label io seek in
@@ -848,7 +848,8 @@ let skew_measure cfg ~clients ~per_client =
   let on = run true in
   Result_cache.clear ();
   let served (r : Workload.result) =
-    if r.Workload.total_time > 0.0 then float_of_int jobs /. r.Workload.total_time else 0.0
+    let t = r.Workload.metrics.total_time in
+    if t > 0.0 then float_of_int jobs /. t else 0.0
   in
   let served_on = served on and served_off = served off in
   let both f = f on + f off in
@@ -861,17 +862,19 @@ let skew_measure cfg ~clients ~per_client =
     ("served_per_sec_cache_on", Json.Float served_on);
     ("served_per_sec_cache_off", Json.Float served_off);
     ("speedup", Json.Float (if served_off > 0.0 then served_on /. served_off else 0.0));
-    ("cache_hits", Json.Int on.Workload.cache_hits);
+    ("cache_hits", Json.Int on.Workload.metrics.cache_hits);
     ("shared_jobs", Json.Int on.Workload.shared_jobs);
-    ("cache_installs", Json.Int on.Workload.cache_misses);
+    ("cache_installs", Json.Int on.Workload.metrics.cache_misses);
     ("page_reads_cache_on", Json.Int on.Workload.page_reads);
     ("page_reads_cache_off", Json.Int off.Workload.page_reads);
-    ("total_time_cache_on", Json.Float on.Workload.total_time);
-    ("total_time_cache_off", Json.Float off.Workload.total_time);
+    ("total_time_cache_on", Json.Float on.Workload.metrics.total_time);
+    ("total_time_cache_off", Json.Float off.Workload.metrics.total_time);
     ("violations", Json.Int (both (fun r -> List.length r.Workload.violations)));
     ("completed", Json.Int (both (fun r -> List.length r.Workload.jobs)));
     ( "front_door_cache_off",
-      Json.Int (off.Workload.cache_hits + off.Workload.shared_jobs + off.Workload.cache_misses) );
+      Json.Int
+        (off.Workload.metrics.cache_hits + off.Workload.shared_jobs
+       + off.Workload.metrics.cache_misses) );
   ]
 
 (* Enough repeats that the fixed cost of first-executing each distinct
@@ -1052,9 +1055,8 @@ let workload_mode ~profile cfg ~clients ~writers out_file =
   let p50 = Workload.percentile latencies 50.0 in
   let p95 = Workload.percentile latencies 95.0 in
   let p99 = Workload.percentile latencies 99.0 in
-  let throughput =
-    if r.Workload.total_time > 0.0 then float_of_int total_jobs /. r.Workload.total_time else 0.0
-  in
+  let m = r.Workload.metrics in
+  let throughput = if m.total_time > 0.0 then float_of_int total_jobs /. m.total_time else 0.0 in
   let yields = List.fold_left (fun a (j : Workload.job) -> a + j.Workload.yields) 0 r.Workload.jobs in
   let boosts = List.fold_left (fun a (j : Workload.job) -> a + j.Workload.boosts) 0 r.Workload.jobs in
   let statuses =
@@ -1066,13 +1068,13 @@ let workload_mode ~profile cfg ~clients ~writers out_file =
     r.Workload.page_reads read_budget clients serial_reads
     (float_of_int read_budget /. float_of_int (max 1 r.Workload.page_reads));
   Printf.printf "coalescing: %d batched reads over %d pages in %d runs; %d yields, %d boosts\n"
-    r.Workload.batched_reads r.Workload.batch_pages r.Workload.coalesce_runs yields boosts;
+    m.batched_reads m.batch_pages m.coalesce_runs yields boosts;
   if writers > 0 then
     Printf.printf
       "writers: %d commits, %d latch waits, %d snapshot retries, %d cluster stales; reader p99 \
        %.4fs (writer-free %.4fs)\n"
       r.Workload.writer_commits r.Workload.latch_waits r.Workload.snapshot_retries
-      r.Workload.cluster_stales reader_p99 writer_free_p99;
+      m.cluster_stales reader_p99 writer_free_p99;
   let job_rows =
     List.map
       (fun (j : Workload.job) ->
@@ -1086,16 +1088,16 @@ let workload_mode ~profile cfg ~clients ~writers out_file =
             ("started", Json.Float j.Workload.started);
             ("finished", Json.Float j.Workload.finished);
             ("latency", Json.Float j.Workload.latency);
-            ("pin_wait", Json.Float j.Workload.pin_wait);
+            ("pin_wait", Json.Float (j.Workload.started -. j.Workload.submitted));
             ("served_ticks", Json.Int j.Workload.served_ticks);
             ("starved_ticks", Json.Int j.Workload.starved_ticks);
             ("yields", Json.Int j.Workload.yields);
             ("boosts", Json.Int j.Workload.boosts);
             ("writer_commits", Json.Int j.Workload.writer_commits);
-            ("latch_waits", Json.Int j.Workload.latch_waits);
+            ("latch_waits", Json.Int j.Workload.metrics.latch_waits);
             ("snapshot_retries", Json.Int j.Workload.snapshot_retries);
             ("finish_commit", Json.Int j.Workload.finish_commit);
-            ("fell_back", Json.Bool j.Workload.fell_back);
+            ("fell_back", Json.Bool j.Workload.metrics.fell_back);
           ])
       r.Workload.jobs
   in
@@ -1121,12 +1123,12 @@ let workload_mode ~profile cfg ~clients ~writers out_file =
                 ("serial_page_reads", Json.Int serial_reads);
                 ("read_budget", Json.Int read_budget);
                 ("io_time", Json.Float r.Workload.io_time);
-                ("cpu_time", Json.Float r.Workload.cpu_time);
-                ("total_time", Json.Float r.Workload.total_time);
-                ("seek_distance", Json.Int r.Workload.seek_distance);
-                ("batched_reads", Json.Int r.Workload.batched_reads);
-                ("batch_pages", Json.Int r.Workload.batch_pages);
-                ("coalesce_runs", Json.Int r.Workload.coalesce_runs);
+                ("cpu_time", Json.Float m.cpu_time);
+                ("total_time", Json.Float m.total_time);
+                ("seek_distance", Json.Int m.seek_distance);
+                ("batched_reads", Json.Int m.batched_reads);
+                ("batch_pages", Json.Int m.batch_pages);
+                ("coalesce_runs", Json.Int m.coalesce_runs);
                 ("max_concurrent", Json.Int r.Workload.max_concurrent);
                 ("turns", Json.Int r.Workload.turns);
                 ("yields", Json.Int yields);
@@ -1135,7 +1137,7 @@ let workload_mode ~profile cfg ~clients ~writers out_file =
                 ("writer_commits", Json.Int r.Workload.writer_commits);
                 ("latch_waits", Json.Int r.Workload.latch_waits);
                 ("snapshot_retries", Json.Int r.Workload.snapshot_retries);
-                ("cluster_stales", Json.Int r.Workload.cluster_stales);
+                ("cluster_stales", Json.Int m.cluster_stales);
                 ("reader_p99", Json.Float reader_p99);
                 ("violations", Json.Int (List.length r.Workload.violations));
                 ("pinned", Json.Int pinned);

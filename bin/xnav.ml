@@ -625,24 +625,22 @@ let workload_cmd =
       jobs (count_status Workload.Completed) (count_status Workload.Recovered)
       (count_status Workload.Timed_out) r.Workload.max_concurrent r.Workload.turns;
     let lats = List.map (fun (j : Workload.job) -> j.Workload.latency) r.Workload.jobs in
-    let throughput =
-      if r.Workload.total_time > 0.0 then float_of_int jobs /. r.Workload.total_time else 0.0
-    in
+    let m = r.Workload.metrics in
+    let throughput = if m.total_time > 0.0 then float_of_int jobs /. m.total_time else 0.0 in
     Printf.printf "throughput %.1f jobs/s   latency p50 %.4fs  p95 %.4fs  p99 %.4fs\n" throughput
       (Workload.percentile lats 50.0) (Workload.percentile lats 95.0)
       (Workload.percentile lats 99.0);
     Printf.printf "io %.4fs  page reads %d  seek %d  batched %d reads / %d pages in %d runs\n"
-      r.Workload.io_time r.Workload.page_reads r.Workload.seek_distance r.Workload.batched_reads
-      r.Workload.batch_pages r.Workload.coalesce_runs;
+      m.io_time m.page_reads m.seek_distance m.batched_reads m.batch_pages m.coalesce_runs;
     Printf.printf "front door: %s — %d cache hits, %d installs, %d shared scans\n"
       (if no_cache then "off" else "on")
-      r.Workload.cache_hits r.Workload.cache_misses r.Workload.shared_jobs;
+      m.cache_hits m.cache_misses r.Workload.shared_jobs;
     if writers > 0 then
       Printf.printf
         "writers: %d clients — %d commits, %d latch waits, %d snapshot retries, %d cluster \
          stales\n"
         writers r.Workload.writer_commits r.Workload.latch_waits r.Workload.snapshot_retries
-        r.Workload.cluster_stales;
+        m.cluster_stales;
     Printf.printf "fairness per path:\n";
     Printf.printf "  %-28s %5s %9s %9s %7s %8s %7s %7s\n" "path" "jobs" "mean-lat" "pin-wait"
       "served" "starved" "yields" "boosts";
@@ -656,7 +654,7 @@ let workload_cmd =
         let sumi f = List.fold_left (fun a j -> a + f j) 0 js in
         Printf.printf "  %-28s %5d %9.4f %9.4f %7d %8d %7d %7d\n" label n
           (sumf (fun j -> j.Workload.latency) /. float_of_int (max 1 n))
-          (sumf (fun j -> j.Workload.pin_wait) /. float_of_int (max 1 n))
+          (sumf (fun j -> j.Workload.started -. j.Workload.submitted) /. float_of_int (max 1 n))
           (sumi (fun j -> j.Workload.served_ticks))
           (sumi (fun j -> j.Workload.starved_ticks))
           (sumi (fun j -> j.Workload.yields))

@@ -178,6 +178,9 @@ let plans_for case =
     [ ("xscan-dslash", Plan.xscan ~seeding:Plan.Dslash ()) ]
   else []
 
+(* A workload job over [path]: a reader, or a writer with [ops]. *)
+let job ?(ops = []) path (label, plan) = { Workload.label; path; plan; timeout = None; ops }
+
 (* Each summary-seeded plan of [plans_for] and the [All] plan whose I/O
    it must reproduce: the speculative XSchedule only runs with
    [case.speculative]. *)
@@ -357,12 +360,7 @@ let fused_plans case =
    on the engine's result. *)
 let check_concurrent ~config ?(extra = fun _ -> []) ~serial ~store case =
   let plans = plans_for case in
-  let specs =
-    List.map
-      (fun (name, plan) ->
-        { Workload.label = name; path = case.path; plan; timeout = None; ops = [] })
-      plans
-  in
+  let specs = List.map (job case.path) plans in
   let mismatch plan detail = { plan; detail } in
   match Workload.run ~config ~cold:true store specs with
   | r ->
@@ -376,7 +374,7 @@ let check_concurrent ~config ?(extra = fun _ -> []) ~serial ~store case =
                (Format.asprintf "serial: %d nodes %a, concurrent (%s%s): %d nodes %a"
                   (List.length expected) pp_ids expected
                   (Workload.status_to_string job.Workload.status)
-                  (if job.Workload.shared then ", follower" else "")
+                  (if job.Workload.metrics.shared_demand > 0 then ", follower" else "")
                   (List.length got) pp_ids got))
         | _ -> None)
       r.Workload.jobs
@@ -438,42 +436,13 @@ let sample_ops prng (import : Import.result) tags =
         Workload.Insert_child { parent = ids.(Prng.int prng n); tag = Prng.pick prng tags }
       else Workload.Delete_subtree ids.(1 + Prng.int prng (n - 1)))
 
-let check_writers_built ~doc ~import case =
-  (* Writers mutate the store, so this tier never touches the batch's
-     shared one: the concurrent run and the serial replay each get a
-     fresh, identically-imported twin. *)
-  let store, _ = build_store ~doc case.physical in
-  let twin, _ = build_store ~doc case.physical in
-  let config = context_config case in
-  let mismatches = ref [] in
-  let record plan detail = mismatches := { plan; detail } :: !mismatches in
-  let tags = Array.of_list (List.map fst (Store.tag_counts store)) in
-  (* Ops are a pure function of the case (not of global sampling state),
-     so a shrunk case replays the same schedule. *)
-  let prng =
-    Prng.create (case.doc_seed lxor (31 * List.length case.path) lxor (997 * case.k))
-  in
-  let writers =
-    List.init
-      (1 + Prng.int prng 2)
-      (fun i ->
-        {
-          Workload.label = Printf.sprintf "writer-%d" i;
-          path = case.path;
-          plan = Plan.simple;
-          timeout = None;
-          ops = sample_ops prng import tags;
-        })
-  in
-  let readers =
-    List.map
-      (fun (name, plan) ->
-        { Workload.label = name; path = case.path; plan; timeout = None; ops = [] })
-      (plans_for case
-      @ if Path.is_downward case.path then [ ("xindex", Plan.xindex ()) ] else [])
-  in
-  let clients = Array.of_list (List.map (fun s -> [ s ]) (readers @ writers)) in
-  (match Workload.run_clients ~config ~cold:true store clients with
+(* One concurrent schedule: [specs] (readers and writers) run as
+   single-job clients on [store], in this order, then the serial replay
+   on [twin] must give each reader its answer at its finish point, and
+   end in the same document and path partition. *)
+let check_schedule ~config ~store ~twin ~path specs record =
+  let clients = Array.of_list (List.map (fun s -> [ s ]) specs) in
+  match Workload.run_clients ~config ~cold:true store clients with
   | r ->
     List.iter (fun msg -> record "writers" msg) r.Workload.violations;
     (match storage_clean store with
@@ -496,10 +465,10 @@ let check_writers_built ~doc ~import case =
     let reader_jobs =
       List.filter
         (fun (j : Workload.job) ->
-          not
-            (List.exists
-               (fun (w : Workload.spec) -> w.Workload.label = j.Workload.job_label)
-               writers))
+          List.exists
+            (fun (s : Workload.spec) ->
+              s.Workload.ops = [] && s.Workload.label = j.Workload.job_label)
+            specs)
         r.Workload.jobs
     in
     List.iter
@@ -507,7 +476,7 @@ let check_writers_built ~doc ~import case =
         match advance_to j.Workload.finish_commit with
         | () ->
           let expected =
-            ids_of (Exec.run ~config ~ordered:false twin case.path Plan.simple).Exec.nodes
+            ids_of (Exec.run ~config ~ordered:false twin path Plan.simple).Exec.nodes
           in
           let got = ids_of j.Workload.nodes in
           if got <> expected then
@@ -531,18 +500,75 @@ let check_writers_built ~doc ~import case =
         record "writers" "final documents diverge between the concurrent store and the replay";
       if not (Path_partition.equal (Store.partition store) (Store.partition twin)) then
         record "writers" "path partitions diverge between the concurrent store and the replay";
-      if Path.is_downward case.path && Path.length case.path <= Path_partition.max_steps then
+      if Path.is_downward path && Path.length path <= Path_partition.max_steps then
         Array.iteri
           (fun i counted ->
-            let prefix = Path.prefix case.path (i + 1) in
+            let prefix = Path.prefix path (i + 1) in
             let navigated = (Exec.run ~config ~ordered:false twin prefix Plan.simple).Exec.count in
             if counted <> navigated then
               record "writers"
                 (Printf.sprintf "summary counts %d nodes for %s, the replay's Simple plan %d"
                    counted (Path.to_string prefix) navigated))
-          (Path_partition.step_counts (Store.partition store) case.path))
+          (Path_partition.step_counts (Store.partition store) path))
     | exception e -> record "writers" (Printf.sprintf "final replay raised %s" (Printexc.to_string e)))
-  | exception e -> record "writers" (Printf.sprintf "raised %s" (Printexc.to_string e)));
+  | exception e -> record "writers" (Printf.sprintf "raised %s" (Printexc.to_string e))
+
+(* The wide family: a commit in the middle of an index stream. The root
+   has 600 to 899 [b] children (every fifth with an [x] child), so an
+   xindex reader over [/child::b] needs three or more 256-result turns.
+   It and a writer whose first op inserts a [b] under the root are the
+   first two clients, and the pool has at least 8 frames, so both are
+   admitted together and the insert commits while the reader streams. *)
+let check_wide_family prng ~config case record =
+  let b = Tag.of_string "b" in
+  let doc =
+    Tree.make (Tag.of_string "r")
+      (List.init
+         (600 + Prng.int prng 300)
+         (fun i -> Tree.make b (if i mod 5 = 4 then [ Tree.leaf (Tag.of_string "x") ] else [])))
+  in
+  let physical = { case.physical with capacity = max 8 case.physical.capacity } in
+  let store, import = build_store ~doc physical in
+  let twin, _ = build_store ~doc physical in
+  let path = [ Path.step Axis.Child (Path.Name b) ] in
+  let ops =
+    Workload.Insert_child { parent = Store.root store; tag = b }
+    :: sample_ops prng import [| b; Tag.of_string "x" |]
+  in
+  let index = job path ("xindex", Plan.xindex ()) in
+  let writer = job ~ops path ("writer-wide", Plan.simple) in
+  check_schedule ~config ~store ~twin ~path
+    (index :: writer :: List.map (job path) (plans_for { case with path }))
+    record
+
+let check_writers_built ~doc ~import case =
+  (* Writers mutate the store, so this tier never touches the batch's
+     shared one: the concurrent run and the serial replay each get a
+     fresh, identically-imported twin. *)
+  let store, _ = build_store ~doc case.physical in
+  let twin, _ = build_store ~doc case.physical in
+  let config = context_config case in
+  let mismatches = ref [] in
+  let record plan detail = mismatches := { plan; detail } :: !mismatches in
+  let tags = Array.of_list (List.map fst (Store.tag_counts store)) in
+  (* Ops are a pure function of the case (not of global sampling state),
+     so a shrunk case replays the same schedule. *)
+  let prng =
+    Prng.create (case.doc_seed lxor (31 * List.length case.path) lxor (997 * case.k))
+  in
+  let writers =
+    List.init
+      (1 + Prng.int prng 2)
+      (fun i ->
+        job ~ops:(sample_ops prng import tags) case.path
+          (Printf.sprintf "writer-%d" i, Plan.simple))
+  in
+  let readers =
+    List.map (job case.path)
+      (plans_for case @ if Path.is_downward case.path then [ ("xindex", Plan.xindex ()) ] else [])
+  in
+  check_schedule ~config ~store ~twin ~path:case.path (readers @ writers) record;
+  if Prng.int prng 3 = 0 then check_wide_family prng ~config case record;
   List.rev !mismatches
 
 (* --- shards tier ----------------------------------------------------------- *)
@@ -589,13 +615,7 @@ let check_shards case =
          (fun (name, _) ->
            List.map
              (fun (pname, plan) ->
-               [
-                 {
-                   Shard.tenant = name;
-                   spec =
-                     { Workload.label = pname; path = case.path; plan; timeout = None; ops = [] };
-                 };
-               ])
+               [ { Shard.tenant = name; spec = job case.path (pname, plan) } ])
              plans)
          tenants)
   in
@@ -705,7 +725,7 @@ let check_cache_built ~store case =
   Result_cache.clear ();
   let shared (r : Workload.result) =
     let n = List.length (plans_for case) in
-    if n >= 2 && r.Workload.shared_jobs + r.Workload.cache_hits = 0 then
+    if n >= 2 && r.Workload.shared_jobs + r.Workload.metrics.cache_hits = 0 then
       [
         {
           plan = "workload";

@@ -105,7 +105,10 @@ val tiers : tier list
       latch/snapshot protocol. Each reader's answer equals a serial
       replay of the committed-op schedule up to its finish point on an
       identically-imported twin store, and the final documents match.
-      Stores are built fresh per case.
+      Stores are built fresh per case. About a third of the cases add
+      the wide family: an xindex reader over a root with 600-899 [b]
+      children, admitted beside a writer whose first op inserts a [b],
+      so the commit lands while the reader streams.
     - [shards]: a small multi-tenant topology derived from the case
       (2–4 XMark tenants over 1–3 shards; 2Q eviction and the result
       cache each on in half the cases), every (tenant, plan) pair at

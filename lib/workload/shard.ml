@@ -130,10 +130,10 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold t clients =
              shard = sid;
              tenants =
                Array.fold_left (fun a site -> if site.shard_id = sid then a + 1 else a) 0 t.sites;
-             page_reads = ps.Workload.pool_reads;
-             io_time = ps.Workload.pool_io;
+             page_reads = ps.Workload.pool_metrics.page_reads;
+             io_time = ps.Workload.pool_metrics.io_time;
              turns = ps.Workload.pool_turns;
-             scan_resist_hits = ps.Workload.pool_scan_resist_hits;
+             scan_resist_hits = ps.Workload.pool_metrics.scan_resist_hits;
            })
          run.Workload.pools)
   in
@@ -143,18 +143,16 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold t clients =
          (fun site ->
            let mine = List.filter (fun (name, _) -> name = site.name) jobs in
            let lats = List.map (fun (_, (j : Workload.job)) -> j.Workload.latency) mine in
+           let sum f = List.fold_left (fun a (_, (j : Workload.job)) -> a + f j) 0 mine in
            {
              tenant = site.name;
              shard = site.shard_id;
              jobs = List.length mine;
              p50 = Workload.percentile lats 50.0;
              p99 = Workload.percentile lats 99.0;
-             served_ticks =
-               List.fold_left (fun a (_, j) -> a + j.Workload.served_ticks) 0 mine;
-             starved_ticks =
-               List.fold_left (fun a (_, j) -> a + j.Workload.starved_ticks) 0 mine;
-             cache_hits =
-               List.fold_left (fun a (_, j) -> a + if j.Workload.cache_hit then 1 else 0) 0 mine;
+             served_ticks = sum (fun j -> j.Workload.served_ticks);
+             starved_ticks = sum (fun j -> j.Workload.starved_ticks);
+             cache_hits = sum (fun j -> j.Workload.metrics.cache_hits);
            })
          t.sites)
   in
@@ -165,9 +163,9 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold t clients =
     turns = r.Workload.turns;
     rebalance_moves = run.Workload.rebalance_moves;
     max_concurrent = r.Workload.max_concurrent;
-    cpu_time = r.Workload.cpu_time;
+    cpu_time = r.Workload.metrics.cpu_time;
     io_time = r.Workload.io_time;
     page_reads = r.Workload.page_reads;
-    cache_hits = r.Workload.cache_hits;
+    cache_hits = r.Workload.metrics.cache_hits;
     violations = r.Workload.violations;
   }

@@ -116,7 +116,7 @@ type result = {
   cpu_time : float;
   io_time : float;  (** Sum of the shards' simulated disk time. *)
   page_reads : int;  (** Sum over shards. *)
-  cache_hits : int;  (** Jobs answered from the result cache at admission. *)
+  cache_hits : int;  (** [metrics.cache_hits]: admission and recompute cache hits. *)
   violations : string list;
       (** Per-shard invariant sweep findings (prefixed with the shard
           id); non-empty means an engine bug. *)

@@ -11,130 +11,126 @@
 
     {2 One engine, two topologies}
 
-    There is one scheduler loop ({!run_topology}). It runs over a
-    {e topology}: an array of {e pools} (disk + buffer + scheduler, each
-    with its own waiting queue, active lanes and round-robin cursor) and
-    an array of {e sites} (a store and the index of the pool it lives
-    on). Every job names a site; it queues, is admitted, pins, reads and
-    is timed on that site's pool.
+    {!run_topology} runs over an array of {e pools} (disk + buffer +
+    scheduler) and an array of {e sites} (a store and the index of its
+    pool). Every job names a site; it queues, is admitted, pins, reads
+    and is timed on that site's pool. {!run_clients} is the engine over
+    one pool and one site; [Shard.run_clients] runs it over K pools,
+    one site per tenant, adding placement and per-tenant / per-shard
+    statistics.
 
-    - {!run_clients} is the engine over one pool and one site.
-    - [Shard.run_clients] is the engine over K pools, one site per
-      tenant document; it adds placement, input checks and per-tenant /
-      per-shard statistics.
+    {2 Phases}
+
+    The run's state is one record, moved by named phases. Each turn,
+    {e admit} takes queued jobs into each pool (as a follower, a cache
+    hit or a lane), {e expire} aborts lanes past their deadline, and
+    {e pick} gives the turn to one lane and charges every lane's
+    fairness ticks. The lane is then served: {e serve_reader} checks the
+    snapshot, restarts the stream on a conflict and runs one quantum;
+    {e serve_writer} acquires or commits one op. A lane that ends goes
+    through {e finish}, which answers its followers and {e submit}s the
+    client's next job. Once no work is left, {e recover} recomputes
+    wedged jobs serially, {e sweep} checks the invariants and
+    {e report} builds the result.
 
     {2 Scheduling}
 
-    Each turn has two levels. The {e balancer} picks a pool: round-robin
+    {e pick} has two levels. The {e balancer} picks a pool: round-robin
     over pools with runnable lanes, under a {e cross-site fairness
-    gate} — every site's {e pressure} (turns since it was last served
-    or admitted) is tracked, and when the worst pressure exceeds
-    [2 * active_lanes + 4] the gate serves that site's lane directly.
-    With a single site the gate cannot fire: the site is served every
-    turn, so its pressure never exceeds 1.
+    gate} — when the worst site {e pressure} (turns since the site was
+    last served or admitted) exceeds [2 * active_lanes + 4], that site's
+    lane is served directly. A single site is served every turn, so the
+    gate cannot fire.
 
     Within the chosen pool, one query is served for a {e cost credit}
-    (the [quantum], in simulated disk seconds): the query runs until its
-    credit is spent, until it triggers a random I/O (the expensive event
-    the paper's cost model penalises — the query yields immediately so
-    cheaper work can run while the head is repositioned), or until it
-    finishes. Queries whose queued demand is already cheap to serve on
-    their pool — a demanded cluster is resident, falls inside another
-    query's open scan window, or sits in a coalescible pending run
-    ([pid±1] also pending) — are {e boosted} ahead of plain round-robin
-    order, which is what turns cross-query contention into cross-query
-    batching. Fairness is observable: the chosen query's
-    {!Xnav_core.Context.counters.served_ticks} and every other runnable
-    query's [starved_ticks], on any pool, advance each turn.
+    (the [quantum], in simulated disk seconds): it runs until the credit
+    is spent, until it triggers a random I/O (the event the paper's cost
+    model penalises: it yields so cheaper work can run while the head
+    moves), or until it finishes. A query whose queued demand is cheap on
+    its pool — a demanded cluster is resident, inside another query's
+    open scan window, or in a coalescible pending run ([pid±1] also
+    pending) — is {e boosted} ahead of round-robin order, which turns
+    cross-query contention into cross-query batching. Each turn the
+    chosen query's [served_ticks] and every other runnable query's
+    [starved_ticks], on any pool, advance.
 
     {2 Admission}
 
-    A query is only admitted to a pool while its worst-case steady pin
-    demand cannot wedge that pool (generalising the capacity-1
-    release-before-acquire fix): every plan holds at most one steady pin
-    (XSchedule's current cluster; Simple/XScan navigation pins are
-    transient) plus one frame of headroom for the page being entered, so
-    [n] concurrent queries need [2n] frames and the next query is
-    admitted iff [2 (n + 1) <= capacity] — except that a query is
-    {e always} admitted when it would run alone, which keeps tiny pools
-    (capacity 1) live by degrading to serial execution. Batch installs
-    can still transiently overcommit a small pool; that cannot deadlock,
-    because a wedged query raises
-    {!Xnav_storage.Buffer_manager.Buffer_full}, is torn down through
-    {!Xnav_storage.Buffer_manager.abort_async} and is recomputed serially
-    on its own pool's clock once the pools are quiescent (status
-    {!constructor:Recovered}). A spec {!Xnav_core.Exec.plan_error}
+    A plan holds at most one steady pin plus one frame of headroom, so
+    a pool admits its next query iff [2 (n + 1) <= capacity], or when
+    the query would run alone (tiny pools degrade to serial execution).
+    Batch installs can still overcommit a small pool; a wedged query
+    raises {!Xnav_storage.Buffer_manager.Buffer_full}, is torn down
+    through {!Xnav_storage.Buffer_manager.abort_async} and is recomputed
+    serially on its pool's clock once the pools are quiescent
+    ({!constructor:Recovered}). A spec {!Xnav_core.Exec.plan_error}
     rejects fails the whole run before any state moves.
 
     {2 The repeat-traffic front door}
 
-    With {!Xnav_core.Context.config.result_cache} set the engine serves
-    repeated statements without re-executing them, at two levels.
-    {e Level 1}: admission consults the process-wide
-    {!Xnav_core.Result_cache} — a hit completes the job instantly (no
-    lane, no planning, no I/O), and every completed stream job installs
-    its answer for the next identical statement. Entries key on the
+    With {!Xnav_core.Context.config.result_cache} set, repeated
+    statements are served without re-executing them. {e Level 1}:
+    admission consults the process-wide {!Xnav_core.Result_cache} — a
+    hit completes the job at once (no lane, no planning, no I/O) — and
+    every completed stream job installs its answer. Entries key on the
     store, so co-located sites never serve each other's answers.
     {e Level 2}: a job may {e follow} an in-flight {e leader} lane with
-    the same store and the same path text — its pending cluster demand
-    would duplicate work the pool is about to do anyway — and receives
-    the leader's answer the instant the shared scan completes. Followers
-    never cross stores (so never tenants), pin nothing and bypass
-    admission; fairness credits ([served_ticks]) are charged to all
-    sharers each time the leader is served, and each deduped job reports
-    {!Xnav_core.Context.counters.shared_demand}. Jobs with a [timeout]
-    never share (a follower's fate is its leader's). With the knob off
-    (the default) both levels are inert and the engine reproduces the
+    the same store and path text, and receives the leader's answer the
+    instant the shared scan completes. Followers pin nothing, bypass
+    admission and are charged [served_ticks] whenever their leader is
+    served. Jobs with a [timeout] never share. With the knob off (the
+    default) both levels are inert and the engine reproduces the
     historical execution byte for byte.
 
     {2 Writers: online updates under concurrent reads}
 
-    A spec whose [ops] list is non-empty is a {e writer job}: instead of
-    evaluating a path it applies in-place updates
-    ({!Xnav_store.Update.insert_element} / [delete_subtree]) against its
-    store, interleaved turn-by-turn with the readers. Writers run on
-    single-pool topologies only ([Shard.run_clients] rejects them up
-    front): cluster latches are keyed by page id and the commit log is
-    kept per store, so neither means anything across several stores.
-    Three rules keep the mix coherent:
+    A spec whose [ops] list is non-empty is a {e writer job}: it applies
+    in-place updates ({!Xnav_store.Update.insert_element} /
+    [delete_subtree]) to its store, interleaved turn by turn with the
+    readers. Writers run on single-pool topologies only
+    ([Shard.run_clients] rejects them): latches are keyed by page id and
+    the commit log is kept per store. Three rules keep the mix coherent:
 
-    - {e Cluster latches (writer–writer)}: each op declares its target
-      cluster; a writer latches it exclusively for the op's duration
-      (acquire one turn, commit the next — [latch_waits] counts blocked
-      turns). At acquire time the target is re-validated; an op whose
-      target a concurrent delete removed is skipped. Clusters an op
-      escalates into mid-commit (overflow allocation, purged subtree
-      pages) are not latched — the commit is atomic within the turn, so
-      nothing else observes the escalation.
+    - {e Cluster latches (writer–writer)}: a writer latches each op's
+      target cluster exclusively (acquire one turn, commit the next;
+      [latch_waits] counts blocked turns). An op whose target a
+      concurrent delete removed is skipped at acquire time; an op whose
+      commit raises a failure {!Xnav_store.Update} documents
+      ([No_room_for_border], [Invalid_argument], [Failure]) or
+      [Buffer_full] is skipped at commit time, and any other exception
+      propagates. Skipped ops are not in the commit log. Clusters an op
+      escalates into mid-commit are not latched: the commit is atomic
+      within the turn.
     - {e Snapshot reads (writer–reader)}: readers are latch-free. A
       stream records every cluster it observes and the mutation stamp it
       started under; a commit into an observed cluster
-      ({!Xnav_store.Store.page_stamp} exceeding the snapshot) forces the
-      stream to restart from scratch under a fresh stamp
-      ([snapshot_retries]). Commits it never observed are invisible to
-      it — a running query always sees a single consistent snapshot.
-      The check costs nothing while the store's
+      ({!Xnav_store.Store.page_stamp} past the snapshot), or any commit
+      for an index-seeded stream, restarts it from scratch under a fresh
+      stamp ([snapshot_retries]). The check costs nothing while
       {!Xnav_store.Store.mutation_stamp} has not moved.
     - {e Cluster-granular invalidation}: a commit stales only the
-      result-cache entries whose recorded cluster footprint intersects
-      its write set ({!Xnav_core.Result_cache.stale_clusters}, counted
-      as [cluster_stales]), the decoded views of the written clusters,
-      and the path-partition classes they cover — repeat statements over
-      untouched paths keep hitting the cache and the index across
-      writer traffic.
+      result-cache entries whose cluster footprint meets its write set
+      ([cluster_stales]), the decoded views of the written clusters and
+      the path-partition classes they cover.
 
-    Each job's [finish_commit] records how many commits (engine-wide)
-    preceded its completion, and [result.commit_log] lists the committed
-    ops in serial order — together they make the concurrent schedule
-    replayable: evaluating each reader's statement on a twin store after
-    applying the first [finish_commit] ops must reproduce its answer.
+    Each job's [finish_commit] counts the commits that preceded its
+    completion, and [result.commit_log] lists the committed ops in
+    order: evaluating a reader's statement on a twin store after the
+    first [finish_commit] ops must reproduce its answer.
 
-    {2 Clocks}
+    {2 Metrics and clocks}
 
-    All latencies ([submitted]/[started]/[finished], and the derived
-    [latency] and [pin_wait]) are measured on the simulated clock of the
-    job's pool — deterministic, so percentiles are CI-stable. Process
-    CPU time is reported separately at the engine level. *)
+    Each job carries one {!Xnav_core.Exec.metrics} record across its
+    attempts ([job.metrics]): its operator rows, its workload rows and
+    its cache rows. A job that never restarted or recovered reports its
+    lane's own record; a snapshot restart folds the abandoned stream's
+    counters in with {!Xnav_core.Counters.add}, and a recovered job adds
+    its serial recompute's. [result.metrics] holds the pools' measured
+    rows (run, disk, buffer, store) summed, plus every job's other rows
+    summed. The counter fields of {!type-job} and {!type-result} are read from
+    these records. Latencies ([submitted], [started], [finished]) are
+    read on the simulated clock of the job's pool, so percentiles are
+    CI-stable; process CPU time is [result.metrics.cpu_time]. *)
 
 type update_op =
   | Insert_child of { parent : Xnav_store.Node_id.t; tag : Xnav_xml.Tag.t }
@@ -178,50 +174,33 @@ type job = {
   started : float;  (** Admission time; [started -. submitted] is the pin wait. *)
   finished : float;
   latency : float;  (** [finished -. submitted], simulated seconds. *)
-  pin_wait : float;
   served_ticks : int;
   starved_ticks : int;
   yields : int;  (** Turns this job ended early by triggering a random I/O. *)
   boosts : int;  (** Turns this job was served ahead of round-robin order. *)
-  shared : bool;
-      (** The job was deduped into another client's identical in-flight
-          scan (level 2) instead of executing its own. *)
-  cache_hit : bool;
-      (** The job was answered from the result cache at admission
-          (level 1) — it never held a lane slot. *)
-  writer_commits : int;  (** Ops this (writer) job committed. *)
-  latch_waits : int;  (** Turns this writer spent blocked on a latch. *)
+  writer_commits : int;
   snapshot_retries : int;
-      (** Stream restarts forced by commits into observed clusters. *)
   finish_commit : int;
       (** Engine-wide commit count at this job's completion — the serial
           replay point at which its answer must be reproducible. *)
-  fell_back : bool;
+  metrics : Xnav_core.Exec.metrics;
+      (** The job's counters over all its attempts; the four fields
+          above are copies of its rows. [shared_demand = 1] marks a
+          follower; a [Completed] job with [cache_hits = 1] was answered
+          at admission, while a [Recovered] job's rows include its
+          serial recompute's (cache hit, disk reads and all). *)
 }
 
 type result = {
   jobs : job list;  (** In completion order. *)
   io_time : float;
-  cpu_time : float;
-  total_time : float;
   page_reads : int;
-  seek_distance : int;
-  batched_reads : int;
-  batch_pages : int;
-  coalesce_runs : int;
   max_concurrent : int;  (** High-water mark of simultaneously admitted queries. *)
   turns : int;  (** Scheduling turns taken. *)
-  shared_jobs : int;  (** Jobs deduped into a leader's shared scan. *)
-  cache_hits : int;  (** Jobs answered from the result cache at admission. *)
-  cache_misses : int;
-      (** Completed stream jobs that installed their answer into the
-          cache (0 with the front door off). *)
-  writer_commits : int;  (** Total ops committed across all writers. *)
+  shared_jobs : int;  (** [metrics.shared_demand]: jobs that followed a leader. *)
+  writer_commits : int;
   latch_waits : int;
   snapshot_retries : int;
-  cluster_stales : int;
-      (** Result-cache entries proactively dropped because a commit's
-          write set intersected their cluster footprint. *)
   commit_log : update_op list;
       (** Every committed op, in commit order — replaying this serially
           on a twin store reproduces the final document. *)
@@ -231,6 +210,11 @@ type result = {
           [config.validate] set the sweep additionally runs
           {!Xnav_core.Exec.stream_violations} per query and raises on any
           finding. *)
+  metrics : Xnav_core.Exec.metrics;
+      (** The pools' measured rows summed, except [cpu_time] and
+          [minor_words], the longest pool's (the pools share the
+          process), and every job's other rows summed. The counter
+          fields above are copies of its rows. *)
 }
 
 val run_clients :
@@ -273,14 +257,14 @@ val percentile : float list -> float -> float
     The engine beneath {!run_clients} and [Shard.run_clients]. *)
 
 type pool_stat = {
-  pool_reads : int;
-  pool_io : float;  (** Simulated seconds this pool's disk spent. *)
+  pool_metrics : Xnav_core.Exec.metrics;
+      (** This pool's measured deltas: the run, disk, buffer and store
+          rows of {!Xnav_core.Counters.table}. *)
   pool_turns : int;  (** Turns the balancer granted this pool. *)
-  pool_scan_resist_hits : int;  (** Protected-queue hits (0 with 2Q off). *)
 }
 
 type topology_run = {
-  result : result;  (** Disk figures summed over the pools. *)
+  result : result;
   site_jobs : (int * job) list;  (** [result.jobs] paired with each job's site. *)
   pools : pool_stat array;  (** One per pool, in pool order. *)
   rebalance_moves : int;

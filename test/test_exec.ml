@@ -58,8 +58,7 @@ let every_driver_same_counters () =
               [ { Workload.label = name; path; plan; timeout = None; ops = [] } ]
           in
           check Alcotest.string (name ^ ": one-job workload") exec
-            (row w.Workload.io_time w.Workload.page_reads w.Workload.seek_distance
-               w.Workload.batched_reads w.Workload.batch_pages w.Workload.coalesce_runs);
+            (of_metrics w.Workload.metrics);
           let q = Query_exec.run ~choice ~cold:true store (Xpath_parser.parse_query text) in
           check Alcotest.string (name ^ ": hybrid executor") exec
             (of_metrics q.Query_exec.metrics);

@@ -86,7 +86,11 @@ let admission_scales_with_capacity () =
   check Alcotest.int "capacity 64 admits the whole mix" 4 r_roomy.Workload.max_concurrent;
   (* Serialised admission makes later queries wait for the pool: the
      wait is visible as pin-wait time on the simulated clock. *)
-  let total_wait = List.fold_left (fun a j -> a +. j.Workload.pin_wait) 0.0 r_small.Workload.jobs in
+  let total_wait =
+    List.fold_left
+      (fun a (j : Workload.job) -> a +. (j.Workload.started -. j.Workload.submitted))
+      0.0 r_small.Workload.jobs
+  in
   check Alcotest.bool "serialised queries waited for admission" true (total_wait > 0.0)
 
 (* A timeout aborts the query at its deadline: the job reports Timed_out
@@ -186,7 +190,7 @@ let writer_mix_commits_and_replays () =
   check Alcotest.int "a writer reports no nodes" 0 wj.Workload.count;
   check Alcotest.int "commits are attributed to the writer job" (List.length ops)
     wj.Workload.writer_commits;
-  check Alcotest.bool "a writer is never a cache hit" false wj.Workload.cache_hit;
+  check Alcotest.int "a writer is never a cache hit" 0 wj.Workload.metrics.cache_hits;
   replay twin r.Workload.commit_log;
   check Alcotest.bool "replaying the commit log reproduces the document" true
     (Tree.equal (Gen.reconstruct store) (Gen.reconstruct twin));
@@ -248,25 +252,26 @@ let untouched_paths_keep_hitting_across_commits () =
   in
   let r1 = run_q () in
   let j1 = job_by_label r1 "q" in
-  check Alcotest.bool "first run misses" false j1.Workload.cache_hit;
-  check Alcotest.int "first run installs its answer" 1 r1.Workload.cache_misses;
+  check Alcotest.int "first run misses" 0 j1.Workload.metrics.cache_hits;
+  check Alcotest.int "first run installs its answer" 1 r1.Workload.metrics.cache_misses;
   (* Commit into the deep tail of the b-chain — clusters the query never
      touched. *)
   let r2 = Workload.run ~config:caching ~cold:true store [ writer "w-far" (node_at "/descendant::c") ] in
   check Alcotest.int "far writer committed" 1 r2.Workload.writer_commits;
-  check Alcotest.int "a disjoint write set stales nothing" 0 r2.Workload.cluster_stales;
+  check Alcotest.int "a disjoint write set stales nothing" 0 r2.Workload.metrics.cluster_stales;
   let r3 = run_q () in
   let j3 = job_by_label r3 "q" in
-  check Alcotest.bool "untouched-path repeat still hits the cache" true j3.Workload.cache_hit;
+  check Alcotest.int "untouched-path repeat still hits the cache" 1 j3.Workload.metrics.cache_hits;
   check id_list "the hit serves the original answer" (ids_of j1.Workload.nodes)
     (ids_of j3.Workload.nodes);
   (* Commit into the query's own footprint: insert under [a]. *)
   let r4 = Workload.run ~config:caching ~cold:true store [ writer "w-near" (node_at "/child::a") ] in
   check Alcotest.int "near writer committed" 1 r4.Workload.writer_commits;
-  check Alcotest.int "an intersecting write set stales the entry" 1 r4.Workload.cluster_stales;
+  check Alcotest.int "an intersecting write set stales the entry" 1
+    r4.Workload.metrics.cluster_stales;
   let r5 = run_q () in
   let j5 = job_by_label r5 "q" in
-  check Alcotest.bool "the staled entry forces a recompute" false j5.Workload.cache_hit;
+  check Alcotest.int "the staled entry forces a recompute" 0 j5.Workload.metrics.cache_hits;
   check id_list "the recomputed answer is unchanged" (ids_of j1.Workload.nodes)
     (ids_of j5.Workload.nodes);
   Result_cache.clear ();
@@ -408,6 +413,10 @@ let shard_front_door_is_per_tenant () =
    topologies: any change to admission, boosting, serving, recovery or
    the balancer shows up as a diff here. *)
 let dump_job b tenant (j : Workload.job) =
+  let m = j.Workload.metrics in
+  (* [ch]: answered from the cache at admission. A recovered job's
+     metrics also count its serial recompute's hit. *)
+  let cache_hit = m.cache_hits > 0 && j.Workload.status = Workload.Completed in
   Printf.bprintf b
     "%s%s c%d %s n%d sub=%h st=%h fin=%h srv=%d stv=%d y=%d bo=%d sh=%b ch=%b wc=%d lw=%d sr=%d \
      fc=%d\n"
@@ -415,7 +424,7 @@ let dump_job b tenant (j : Workload.job) =
     (Workload.status_to_string j.Workload.status)
     j.Workload.count j.Workload.submitted j.Workload.started j.Workload.finished
     j.Workload.served_ticks j.Workload.starved_ticks j.Workload.yields j.Workload.boosts
-    j.Workload.shared j.Workload.cache_hit j.Workload.writer_commits j.Workload.latch_waits
+    (m.shared_demand > 0) cache_hit j.Workload.writer_commits m.latch_waits
     j.Workload.snapshot_retries j.Workload.finish_commit
 
 let dump_run ~jobs ~turns ~max_concurrent ~rebalance_moves ~page_reads ~commits =
@@ -429,7 +438,7 @@ let dump_run ~jobs ~turns ~max_concurrent ~rebalance_moves ~page_reads ~commits 
    (followers and cache hits), two writer clients, a zero-deadline job,
    and a two-frame pool under a tiny memory budget, so fallen-back
    streams wedge and are recovered serially. *)
-let pinned_single_pool () =
+let single_pool_run () =
   let store, import = Gen.import_store ~payload:96 ~page_size:256 ~capacity:2 (doc ()) in
   let ids = import.Import.node_ids in
   let config = { validating with Context.result_cache = true; memory_budget = 2 } in
@@ -463,6 +472,10 @@ let pinned_single_pool () =
   Result_cache.clear ();
   let r = Workload.run_clients ~config ~cold:true store clients in
   Result_cache.clear ();
+  r
+
+let pinned_single_pool () =
+  let r = single_pool_run () in
   dump_run
     ~jobs:(List.map (fun j -> ("", j)) r.Workload.jobs)
     ~turns:r.Workload.turns ~max_concurrent:r.Workload.max_concurrent ~rebalance_moves:0
@@ -635,7 +648,9 @@ let shard_followers_stay_within_a_tenant () =
   check Alcotest.(list string) "clean end" [] r.Shard.violations;
   let shared tenant =
     List.length
-      (List.filter (fun (tn, (j : Workload.job)) -> tn = tenant && j.Workload.shared) r.Shard.jobs)
+      (List.filter
+         (fun (tn, (j : Workload.job)) -> tn = tenant && j.Workload.metrics.shared_demand > 0)
+         r.Shard.jobs)
   in
   check Alcotest.int "one alpha job rides the other's scan" 1 (shared "alpha");
   check Alcotest.int "beta never follows alpha" 0 (shared "beta");
@@ -717,7 +732,7 @@ let concurrent_scans_seek () =
     quantum_zero ~payload:220 (Gen.wide_tree ~children:200 ())
       [ ("//b", Plan.xscan ()); ("//x", Plan.xscan ()) ]
   in
-  check Alcotest.bool "scans fight for the head" true (r.Workload.seek_distance > 0)
+  check Alcotest.bool "scans fight for the head" true (r.Workload.metrics.seek_distance > 0)
 
 (* The same scan twice reads fewer pages than two scans: the second
    lane finds the first one's pages resident. *)
@@ -742,6 +757,168 @@ let percentiles_are_nearest_rank () =
   check (Alcotest.float 1e-9) "p95" 5.0 (Workload.percentile xs 95.0);
   check (Alcotest.float 1e-9) "p99" 5.0 (Workload.percentile xs 99.0);
   check (Alcotest.float 1e-9) "empty" 0.0 (Workload.percentile [] 50.0)
+
+(* --- per-job metrics ------------------------------------------------------------ *)
+
+module Counters = Xnav_core.Counters
+
+(* The rows the operator pipeline itself bumps. *)
+let operator_rows =
+  List.filter
+    (fun (row : Counters.row) ->
+      match row.Counters.layer with
+      | Counters.Io_operator | Counters.Chain | Counters.Assembly -> true
+      | _ -> false)
+    Counters.table
+
+let rows_equal what (want : Exec.metrics) (got : Exec.metrics) =
+  List.iter
+    (fun (row : Counters.row) ->
+      check Alcotest.bool
+        (Printf.sprintf "%s: %s" what row.Counters.name)
+        true
+        (Counters.value row want = Counters.value row got))
+    operator_rows
+
+(* (a) A lone job's stream is the pipeline a cold run drains, so its
+   operator rows are the cold run's. *)
+let lone_job_rows_equal_cold_run () =
+  let store = build ~capacity:16 (Gen.wide_tree ~children:200 ()) in
+  List.iter
+    (fun plan ->
+      let s = spec (Plan.name plan) "/descendant::b/child::x" plan in
+      let cold = Exec.cold_run ~config:validating store s.Workload.path plan in
+      let r = Workload.run ~config:validating ~cold:true store [ s ] in
+      rows_equal (Plan.name plan) cold.Exec.metrics (List.hd r.Workload.jobs).Workload.metrics)
+    [ Plan.simple; Plan.xschedule (); Plan.xschedule ~speculative:false (); Plan.xscan ();
+      Plan.xindex () ]
+
+(* (b) The run's operator rows are its jobs' rows summed. *)
+let job_rows_sum_to_the_run () =
+  let store = build ~capacity:16 (doc ()) in
+  let r = Workload.run ~config:validating ~cold:true store (mix ()) in
+  let summed =
+    List.fold_left
+      (fun acc (j : Workload.job) -> Counters.add acc j.Workload.metrics)
+      (Counters.create ()) r.Workload.jobs
+  in
+  check Alcotest.bool "the operators ran" true (summed.Counters.instances > 0);
+  rows_equal "summed" summed r.Workload.metrics
+
+(* (c) A restart folds the abandoned attempt in: the job keeps the turns
+   and the path instances of the stream it gave up, so it reports more
+   instances than the post-commit statement creates on its own. *)
+let restarted_job_keeps_its_first_attempt () =
+  let store, import =
+    Gen.import_store ~payload:96 ~page_size:256 ~capacity:16 (Gen.wide_tree ~children:3000 ())
+  in
+  let reader = spec "r" "/child::b" (Plan.xscan ()) in
+  let writer =
+    let parent = import.Import.node_ids.(1) in
+    spec ~ops:[ Workload.Insert_child { parent; tag = Tag.of_string "y" } ] "w" "/child::*"
+      Plan.simple
+  in
+  let r = Workload.run_clients ~config:validating ~cold:true store [| [ reader ]; [ writer ] |] in
+  check Alcotest.(list string) "clean end" [] r.Workload.violations;
+  let j = job_by_label r "r" in
+  check Alcotest.int "one snapshot restart" 1 j.Workload.snapshot_retries;
+  let alone =
+    (Exec.cold_run ~config:validating store reader.Workload.path reader.Workload.plan).Exec.metrics
+  in
+  check Alcotest.bool "served before and after the restart" true (j.Workload.served_ticks >= 2);
+  check Alcotest.int "the served ticks are the metrics'" j.Workload.metrics.Counters.served_ticks
+    j.Workload.served_ticks;
+  check Alcotest.bool "the abandoned attempt's instances are kept" true
+    (j.Workload.metrics.Counters.instances > alone.Counters.instances)
+
+(* (d) A recovered job's metrics include its serial recompute: it read
+   through the buffer pool or hit the cache, while a job that completed
+   on its lane leaves those rows to the pool measurements. *)
+let recovered_job_counts_its_recompute () =
+  let r = single_pool_run () in
+  let recovered, completed =
+    List.partition
+      (fun (j : Workload.job) -> j.Workload.status = Workload.Recovered)
+      r.Workload.jobs
+  in
+  check Alcotest.bool "some jobs recovered" true (recovered <> []);
+  List.iter
+    (fun (j : Workload.job) ->
+      let m = j.Workload.metrics in
+      check Alcotest.bool
+        (j.Workload.job_label ^ " counts its recompute")
+        true
+        (m.Counters.buffer_lookups > 0 || m.Counters.cache_hits > 0))
+    recovered;
+  List.iter
+    (fun (j : Workload.job) ->
+      check Alcotest.int (j.Workload.job_label ^ " reads nothing itself") 0
+        j.Workload.metrics.Counters.buffer_lookups)
+    completed
+
+(* --- a commit without room ----------------------------------------------------- *)
+
+(* The set-up of the update test "an overflow insert without room for its
+   Down changes nothing": first-child inserts (XMark seed 1, 512-byte
+   pages) until one raises [No_room_for_border pid]. Deterministic, so
+   two calls give identical stores. Returns the store and a leaf in the
+   full page [pid]: an insert under it must put its Down there. *)
+let full_border_page () =
+  let doc =
+    Xnav_xmark.Gen.generate ~config:{ Xnav_xmark.Gen.scale = 1.0; fidelity = 0.001; seed = 1 } ()
+  in
+  let store, import =
+    Gen.import_store ~strategy:Import.Dfs ~payload:220 ~page_size:512 ~capacity:16 doc
+  in
+  let ids = import.Import.node_ids in
+  let tag = Tag.of_string "new" in
+  let rec fill round i =
+    if round = 20 then Alcotest.fail "no insert ran out of room for its Down"
+    else if i > 5 then fill (round + 1) 0
+    else
+      match Update.insert_element store ~parent:ids.(i) ~position:Update.First tag with
+      | child -> (
+        match Update.insert_element store ~parent:child tag with
+        | _ -> fill round (i + 1)
+        | exception Update.No_room_for_border pid -> pid)
+      | exception Update.No_room_for_border pid -> pid
+  in
+  let pid = fill 0 0 in
+  let leaf =
+    List.find
+      (fun (id : Node_id.t) ->
+        id.Node_id.pid = pid && Store.global_axis store Xnav_xml.Axis.Child id () = None)
+      (Array.to_list ids)
+  in
+  (store, leaf)
+
+(* A writer op whose commit raises a failure [Update] documents is
+   skipped: it commits nothing, stays out of the commit log and releases
+   its latch, and the serial replay of the log agrees with the
+   concurrent store. *)
+let commit_without_room_is_skipped () =
+  let store, leaf = full_border_page () in
+  let twin, _ = full_border_page () in
+  let tag = Tag.of_string "new" in
+  (match Update.insert_element twin ~parent:leaf tag with
+  | _ -> Alcotest.fail "the insert under the full page found room"
+  | exception Update.No_room_for_border _ -> ());
+  let good = Workload.Insert_child { parent = Store.root store; tag } in
+  let writer =
+    spec ~ops:[ Workload.Insert_child { parent = leaf; tag }; good ] "w" "/child::*" Plan.simple
+  in
+  let reader = spec "q" "/descendant::new" (Plan.xschedule ()) in
+  let r = Workload.run_clients ~config:validating ~cold:true store [| [ reader ]; [ writer ] |] in
+  check Alcotest.(list string) "clean end, no latch held" [] r.Workload.violations;
+  check Alcotest.int "only the insert with room commits" 1 r.Workload.writer_commits;
+  check Alcotest.bool "the skipped op is not logged" true (r.Workload.commit_log = [ good ]);
+  let rj = job_by_label r "q" in
+  replay twin (List.filteri (fun i _ -> i < rj.Workload.finish_commit) r.Workload.commit_log);
+  check id_list "the reader equals the serial replay" (serial_ids twin validating reader)
+    (ids_of rj.Workload.nodes);
+  replay twin (List.filteri (fun i _ -> i >= rj.Workload.finish_commit) r.Workload.commit_log);
+  check Alcotest.bool "replaying the log reproduces the document" true
+    (Tree.equal (Gen.reconstruct store) (Gen.reconstruct twin))
 
 let suite =
   [
@@ -771,6 +948,18 @@ let suite =
         Alcotest.test_case "an empty spec list is rejected" `Quick empty_spec_list_rejected;
         Alcotest.test_case "an index reader restarts on any commit" `Quick
           index_reader_restarts_on_commit;
+        Alcotest.test_case "a commit without room for its Down is skipped" `Quick
+          commit_without_room_is_skipped;
+      ] );
+    ( "workload.metrics",
+      [
+        Alcotest.test_case "a lone job's operator rows equal a cold run's" `Quick
+          lone_job_rows_equal_cold_run;
+        Alcotest.test_case "job rows sum to the run's" `Quick job_rows_sum_to_the_run;
+        Alcotest.test_case "a restarted job keeps its first attempt's counters" `Quick
+          restarted_job_keeps_its_first_attempt;
+        Alcotest.test_case "a recovered job counts its serial recompute" `Quick
+          recovered_job_counts_its_recompute;
       ] );
     ( "workload.turns",
       [
@@ -822,4 +1011,5 @@ let suite =
             List.for_all (fun (_, want, got) -> want = got) counts);
       ];
   ]
+
 
