@@ -45,62 +45,45 @@ let chain ctx path producer =
 (* A built pipeline: the result iterator plus the I/O operator (if the
    plan has one), so post-run invariants can inspect it and a stuck
    post-fallback pipeline can be torn down. *)
-type stream = {
-  next : unit -> Store.info option;
-  ctx : Context.t;
-  sched : Xschedule.t option;
-  scan : Xscan.t option;
-  index : Xindex.t option;
-}
+type stream = { next : unit -> Store.info option; ctx : Context.t; io : Io_operator.handle option }
 
 let pipeline ctx store path plan contexts =
   let path_len = Path.length path in
-  let stream ?sched ?scan ?index next = { next; ctx; sched; scan; index } in
   match (plan : Plan.t) with
   | Plan.Simple { dedup_intermediate } ->
     let infos = List.map (fun id -> Store.info store id) contexts in
-    stream
-      (List.fold_left
-         (fun producer step -> Unnest_map.create ctx ~step ~dedup:dedup_intermediate producer)
-         (of_list infos) path)
+    let next =
+      List.fold_left
+        (fun producer step -> Unnest_map.create ctx ~step ~dedup:dedup_intermediate producer)
+        (of_list infos) path
+    in
+    { next; ctx; io = None }
   | Plan.Reordered { io; seeding } ->
     (* Summary seeding needs the partition's root-anchored classes. *)
     let summary =
       if seeding = Plan.Summary && root_only store contexts then Path_instance.summary store path
       else None
     in
-    let schedule_pipeline speculative =
-      let sched =
-        Xschedule.create ctx ~speculative ~path_len ~summary ~contexts:(of_list contexts)
-      in
-      let top = chain ctx path (fun () -> Xschedule.next sched) in
-      stream ~sched (Xassembly.create ctx ~path_len ~xschedule:(Some sched) ~dslash:false top)
+    let schedule speculative =
+      Xschedule.create ctx ~speculative ~path_len ~summary ~contexts:(of_list contexts)
     in
-    (match io with
-    | Plan.Io_schedule { speculative } -> schedule_pipeline speculative
-    | Plan.Io_scan ->
-      let sorted = List.sort Node_id.compare contexts in
-      let scan = Xscan.create ctx ~path_len ~summary ~contexts:(fun () -> of_list sorted) in
-      let top = chain ctx path (fun () -> Xscan.next scan) in
-      stream ~scan
-        (Xassembly.create ctx ~path_len ~xschedule:None ~dslash:(seeding = Plan.Dslash) top)
-    | Plan.Io_index { resolve } ->
-      if root_only store contexts then begin
-        let index = Xindex.create ctx ~path ~resolve ~contexts:(fun () -> of_list contexts) in
-        let top = chain ctx path (fun () -> Xindex.next index) in
-        stream ~index
-          (Xassembly.create ctx ~path_len ~xschedule:None ~xindex:index ~dslash:false top)
-      end
-      else
+    let op =
+      match io with
+      | Plan.Io_schedule { speculative } -> schedule speculative
+      | Plan.Io_scan ->
+        let sorted = List.sort Node_id.compare contexts in
+        Xscan.create ctx ~path_len ~summary ~contexts:(fun () -> of_list sorted)
+      | Plan.Io_index { resolve } ->
         (* Non-root contexts: the partition's root-anchored classes
            cannot seed them. Degrade to the speculative schedule shape:
            same results, no index counters. *)
-        schedule_pipeline true)
+        if root_only store contexts then Xindex.create ctx ~path ~resolve else schedule true
+    in
+    let dslash = match io with Plan.Io_scan -> seeding = Plan.Dslash | _ -> false in
+    let top = chain ctx path op.Io_operator.next in
+    { next = Xassembly.create ctx ~path_len ~push:op.Io_operator.push ~dslash top; ctx; io = Some op }
 
-let abandon s =
-  Option.iter Xschedule.abandon s.sched;
-  Option.iter Xscan.abandon s.scan;
-  Option.iter Xindex.abandon s.index
+let abandon s = Option.iter (fun (op : Io_operator.handle) -> op.abandon ()) s.io
 
 (* Opening a statement, shared by [execute] and [prepare]: reject a bad
    (path, plan) pair, default the contexts to the root, create the run
@@ -273,7 +256,7 @@ let execute ~cold ?(config = Context.default_config) ?contexts ?trace ?(ordered 
       | Plan.Reordered _, false -> Some count
       | _ -> None
     in
-    Invariant.enforce ?xschedule:stream.sched ?xindex:stream.index ?results ctx
+    Invariant.enforce ?io:stream.io ?results ctx
   end;
   { nodes; count; metrics = c }
 
@@ -289,12 +272,12 @@ let stream_abandon = abandon
 let stream_ctx stream = stream.ctx
 
 let stream_demand stream =
-  match stream.sched with Some x -> Xschedule.queued_clusters x | None -> []
+  match stream.io with Some op -> op.Io_operator.demand () | None -> []
 
-let stream_scan_window stream = Option.bind stream.sched Xschedule.scan_window
+let stream_scan_window stream = Option.bind stream.io (fun op -> op.Io_operator.window ())
 
 let stream_violations ?results stream =
-  Invariant.post_run ?xschedule:stream.sched ?xindex:stream.index ?results stream.ctx
+  Invariant.post_run ?io:stream.io ?results stream.ctx
 
 let cold_run ?config ?contexts ?trace ?ordered store path plan =
   execute ~cold:true ?config ?contexts ?trace ?ordered store path plan

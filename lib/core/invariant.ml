@@ -2,7 +2,7 @@ module Store = Xnav_store.Store
 module Buffer_manager = Xnav_storage.Buffer_manager
 module Io_scheduler = Xnav_storage.Io_scheduler
 
-let post_run ?xschedule ?xindex ?results ctx =
+let post_run ?io ?results ctx =
   let violations = ref [] in
   let fail fmt = Printf.ksprintf (fun msg -> violations := msg :: !violations) fmt in
   let buffer = Store.buffer ctx.Context.store in
@@ -25,22 +25,14 @@ let post_run ?xschedule ?xindex ?results ctx =
   | None -> ()
   | Some msg -> fail "io-scheduler: %s" msg);
 
-  (* XSchedule: the queue must have drained and every refused prefetch
-     must have been retried and served. *)
-  (match xschedule with
+  (* The I/O operator: every queued continuation must have been served
+     (XSchedule's refused prefetches are clusters with queued items, so
+     they are covered too). *)
+  (match io with
   | None -> ()
-  | Some sched ->
-    let q = Xschedule.queue_size sched in
-    if q <> 0 then fail "xschedule: %d items still queued after the run" q;
-    let r = Xschedule.refused_count sched in
-    if r <> 0 then fail "xschedule: %d refused prefetches never retried" r);
-
-  (* XIndex: every residual continuation must have been served. *)
-  (match xindex with
-  | None -> ()
-  | Some index ->
-    let p = Xindex.pending_size index in
-    if p <> 0 then fail "xindex: %d continuations still pending after the run" p);
+  | Some (op : Io_operator.handle) ->
+    let p = op.visit.Io_operator.pending in
+    if p <> 0 then fail "io-operator: %d continuations still queued after the run" p);
 
   (* Counter conservation: the per-counter checks come from
      {!Counters.table} and {!Context.knobs} — no counter is negative,
@@ -67,7 +59,7 @@ let post_run ?xschedule ?xindex ?results ctx =
   if c.Context.s_peak > c.Context.specs_stored then
     fail "speculation: s_peak %d exceeds total stored %d" c.Context.s_peak
       c.Context.specs_stored;
-  if xschedule <> None && c.Context.q_served + c.Context.q_dropped <> c.Context.q_enqueued then
+  if c.Context.q_served + c.Context.q_dropped <> c.Context.q_enqueued then
     fail "xschedule: %d items enqueued but %d served + %d dropped" c.Context.q_enqueued
       c.Context.q_served c.Context.q_dropped;
   if c.Context.q_peak > c.Context.q_enqueued then
@@ -114,8 +106,8 @@ let post_run ?xschedule ?xindex ?results ctx =
 
   List.rev !violations
 
-let enforce ?xschedule ?xindex ?results ctx =
-  match post_run ?xschedule ?xindex ?results ctx with
+let enforce ?io ?results ctx =
+  match post_run ?io ?results ctx with
   | [] -> ()
   | violations ->
     failwith (Printf.sprintf "invariant violation: %s" (String.concat "; " violations))

@@ -13,10 +13,10 @@
     - [Buffer_manager.pinned_count = 0] — no page leaks;
     - [Io_scheduler.pending_count = 0] and its pending/order structures
       agree — no dangling or dead requests;
-    - [Xschedule.queue_size = 0] and no refused prefetch was stranded;
-    - [Xindex.pending_size = 0] — no residual continuation stranded —
-      and the index counters balance (clusters pinned by XIndex are a
-      subset of all visits; no seed without a pin);
+    - the I/O operator's queue has drained ({!Io_operator.t.pending}
+      = 0: no continuation, and so no refused prefetch, stranded) and
+      the index counters balance (clusters pinned by XIndex are a
+      subset of all visits; no residual without a pin);
     - counters are non-negative and stay 0 while the knob guarding
       them is off (both derived from {!Counters.table});
     - counters conserve:
@@ -25,13 +25,12 @@
       equals XAssembly's [results_emitted] (reordered plans emit
       duplicate-free). *)
 
-val post_run :
-  ?xschedule:Xschedule.t -> ?xindex:Xindex.t -> ?results:int -> Context.t -> string list
-(** All violations found, empty if the run state is consistent.
-    [xschedule] / [xindex] enable the respective drain checks; [results]
+val post_run : ?io:Io_operator.handle -> ?results:int -> Context.t -> string list
+(** All violations found, empty if the run state is consistent. [io]
+    enables the drain check; [results]
     (the plan's final node count) enables the result-conservation check
     — pass it only for reordered plans, whose emissions are
     duplicate-free. *)
 
-val enforce : ?xschedule:Xschedule.t -> ?xindex:Xindex.t -> ?results:int -> Context.t -> unit
+val enforce : ?io:Io_operator.handle -> ?results:int -> Context.t -> unit
 (** @raise Failure listing every violation, if any. *)

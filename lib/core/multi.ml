@@ -10,30 +10,32 @@ type result = {
   metrics : Exec.metrics;
 }
 
-(* One path's pipeline: a feed queue standing in for the scan, the
-   shared step chain over it, and the XAssembly on top. *)
+(* One path's pipeline: the lane's share of the scan (its contexts and
+   the instances fed to the chain), the shared step chain over it, and
+   the XAssembly on top. *)
 type lane = {
   ctx : Context.t;
   path : Path.t;
-  path_len : int;
-  feed : Path_instance.t Queue.t;
+  visit : Io_operator.t;
   top : unit -> Store.info option;
   nodes : Store.info Vec.t;  (* arrival order *)
 }
 
-let make_lane ~config store ~context_is_root path =
+let make_lane ~config store ~contexts path =
   if path = [] then invalid_arg "Multi.run: empty path";
   if not (Path.is_downward path) then
     invalid_arg "Multi.run: shared-scan evaluation requires downward axes only";
   let ctx = Exec.context ~config store in
   let path_len = Path.length path in
-  let dslash = context_is_root && Path.starts_with_descendant_any path in
-  let feed = Queue.create () in
-  let top =
-    Xassembly.create ctx ~path_len ~xschedule:None ~dslash
-      (Exec.chain ctx path (fun () -> Queue.take_opt feed))
+  let dslash = Exec.root_only store contexts && Path.starts_with_descendant_any path in
+  let visit =
+    Io_operator.create ctx ~path_len ~summary:None ~contexts:(Seq.to_dispenser (List.to_seq contexts))
   in
-  { ctx; path; path_len; feed; top; nodes = Vec.create () }
+  let top =
+    Xassembly.create ctx ~path_len ~push:(fun ~s_r:_ _ -> ()) ~dslash
+      (Exec.chain ctx path (fun () -> Io_operator.take visit))
+  in
+  { ctx; path; visit; top; nodes = Vec.create () }
 
 let drain lane =
   let rec go () =
@@ -49,45 +51,24 @@ let run ?(config = Context.default_config) ?contexts ?(ordered = true) ~cold sto
   if paths = [] then invalid_arg "Multi.run: no paths";
   let contexts = match contexts with Some c -> c | None -> [ Store.root store ] in
   let contexts = List.sort Node_id.compare contexts in
-  let lanes =
-    Array.of_list
-      (List.map (make_lane ~config store ~context_is_root:(Exec.root_only store contexts)) paths)
-  in
+  let lanes = Array.of_list (List.map (make_lane ~config store ~contexts) paths) in
   let snap = Exec.snapshot ~cold (Store.buffer store) [ store ] in
-
-  let first = Store.first_page store in
-  let last = first + Store.page_count store - 1 in
-  let remaining_contexts = ref contexts in
-  for pid = first to last do
-    let view = Store.view store pid in
-    Fun.protect ~finally:(fun () -> Store.release store view) @@ fun () ->
-    (* Contexts located in this cluster (the list is sorted). *)
-    let rec take here =
-      match !remaining_contexts with
-      | id :: rest when Node_id.cluster id = pid ->
-        remaining_contexts := rest;
-        take (Path_instance.context view id :: here)
-      | _ -> List.rev here
-    in
-    let here = take [] in
-    Array.iter
-      (fun lane ->
-        (* A lane that fell back is recomputed with the Simple method
-           after the scan; feeding it further instances is wasted work,
-           and its XSteps now enumerate globally — which can exhaust a
-           tiny buffer while the scan view is pinned. *)
-        if not (Context.fallback lane.ctx) then begin
-          List.iter (fun instance -> Queue.add instance lane.feed) here;
-          Path_instance.speculate lane.ctx ~path_len:lane.path_len view lane.feed;
-          (* The lane can enter fallback mid-drain (memory budget hit);
-             its global enumeration may then find every frame pinned.
-             Abandon the drain — the Simple recomputation below replaces
-             the lane's nodes wholesale. *)
-          try drain lane with Buffer_manager.Buffer_full -> Queue.clear lane.feed
-        end)
-      lanes
-  done;
-
+  Io_operator.each_cluster store (fun pid view ->
+      Array.iter
+        (fun lane ->
+          (* A lane that fell back is recomputed with the Simple method
+             after the scan; feeding it further instances is wasted work,
+             and its XSteps now enumerate globally — which can exhaust a
+             tiny buffer while the scan view is pinned. *)
+          if not (Context.fallback lane.ctx) then begin
+            Io_operator.load lane.visit pid view;
+            (* The lane can enter fallback mid-drain (memory budget hit);
+               its global enumeration may then find every frame pinned.
+               Abandon the drain — the Simple recomputation below replaces
+               the lane's nodes wholesale. *)
+            try drain lane with Buffer_manager.Buffer_full -> Queue.clear lane.visit.agenda
+          end)
+        lanes);
   (* A lane that fell back lost speculative state the shared scan cannot
      replay; recompute it with the Simple method (warm buffer). *)
   let fell_back = Array.map (fun lane -> Context.fallback lane.ctx) lanes in

@@ -4,14 +4,14 @@
     operator."
 
     [run] evaluates several location paths in {e one} sequential pass
-    over the document. Each path is a lane: the step chain of
-    {!Exec.chain} over a feed queue, under an XAssembly. Each cluster is
-    pinned once and fed to every lane — the contexts located there
-    ({!Path_instance.context}) and the lane's speculative seeds
-    ({!Path_instance.speculate}) — so a lane sees exactly the instances
-    a per-path XScan creates, but the physical scan is shared. For a workload
-    like XMark Q7 — three separate descendant paths — this cuts the scan
-    I/O by the number of paths.
+    over the document ({!Io_operator.each_cluster}). Each path is a
+    lane: the step chain of {!Exec.chain} under an XAssembly, fed by
+    the lane's {!Io_operator.t}. Each cluster is pinned once and loaded
+    into every lane ({!Io_operator.load}: the contexts located there,
+    then the lane's speculative seeds), so a lane sees exactly the
+    instances a per-path XScan creates, but the physical scan is
+    shared. For a workload like XMark Q7 — three separate descendant
+    paths — this cuts the scan I/O by the number of paths.
 
     If a path's speculation store outgrows the memory budget mid-scan,
     that path alone is transparently re-evaluated with the Simple method

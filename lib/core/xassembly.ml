@@ -9,7 +9,7 @@ type spec_right =
 
 type spec = { sp_l : int; sp_n : Node_id.t; right : spec_right }
 
-let create ctx ~path_len ~xschedule ?xindex ~dslash producer =
+let create ctx ~path_len ~push ~dslash producer =
   let counters = ctx.Context.counters in
   (* R, split into reachability (per step) and the final result set. *)
   let r_reach = Array.init (path_len + 1) (fun _ -> Node_id.Tbl.create 64) in
@@ -63,13 +63,8 @@ let create ctx ~path_len ~xschedule ?xindex ~dslash producer =
     if reachable s target then () (* edge already crossed for this step *)
     else begin
       if not (dslash && s <= 1) then Node_id.Tbl.replace r_reach.(s) target ();
-      (* Queue the continuation for the I/O operator, if one listens. *)
-      (match xschedule with
-      | Some sched -> Xschedule.push sched ~s_l:0 ~n_l:target ~s_r:s ~target
-      | None -> (
-        match xindex with
-        | Some index -> Xindex.push index ~s_l:0 ~n_l:target ~s_r:s ~target
-        | None -> ()));
+      (* Hand the continuation to the I/O operator. *)
+      push ~s_r:s target;
       (* Discharge speculations anchored at (s, target). *)
       match Node_id.Tbl.find_opt s_store.(s) target with
       | None -> ()

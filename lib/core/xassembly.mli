@@ -7,8 +7,8 @@
     - [R], the set of {e reachable right ends} [(step, node)]. It
       deduplicates inter-cluster crossings — "no inter-cluster edge is
       traversed twice for the same step" — and, at the final step, the
-      result set itself. New reachable border targets are forwarded to
-      the XSchedule queue (when one is attached).
+      result set itself. New reachable border targets are pushed to
+      the I/O operator ({!Io_operator.handle}).
     - [S], the set of {e speculative} left-incomplete instances, indexed
       by their left end. Whenever a right end enters [R], matching
       speculations are discharged: a right-complete speculation at the
@@ -33,15 +33,14 @@
 val create :
   Context.t ->
   path_len:int ->
-  xschedule:Xschedule.t option ->
-  ?xindex:Xindex.t ->
+  push:(s_r:int -> Xnav_store.Node_id.t -> unit) ->
   dslash:bool ->
   (unit -> Path_instance.t option) ->
   unit ->
   Xnav_store.Store.info option
-(** [create ctx ~path_len ~xschedule ~dslash producer] is the plan's
-    result iterator: full path instances' result nodes, deduplicated,
-    in discovery order. At most one of [xschedule] / [xindex] is given;
-    new reachable border targets are forwarded to it. An index plan
-    {e must} attach its operator here — unlike XScan, XIndex does not
-    sweep every cluster, so unforwarded crossings would lose results. *)
+(** [create ctx ~path_len ~push ~dslash producer] is the plan's result
+    iterator: full path instances' result nodes, deduplicated, in
+    discovery order. Each new reachable border target [(s_r, target)]
+    goes to [push] — the I/O operator's handle; XScan's ignores it, as
+    its sweep reaches every cluster, while XSchedule and XIndex queue
+    it, and would lose results without it. *)

@@ -1,26 +1,16 @@
 module Store = Xnav_store.Store
 module Node_id = Xnav_store.Node_id
-module Node_record = Xnav_store.Node_record
 module Buffer_manager = Xnav_storage.Buffer_manager
 module Io_scheduler = Xnav_storage.Io_scheduler
 module Disk = Xnav_storage.Disk
-open Path_instance
-
-type item = { s_l : int; n_l : Node_id.t; s_r : int; target : Node_id.t }
 
 type t = {
   ctx : Context.t;
+  visit : Io_operator.t;  (* Q: the continuation queue, the current cluster *)
   speculative : bool;
-  path_len : int;
-  summary : Path_instance.summary option;
-  contexts : unit -> Node_id.t option;
-  queue : (int, item Queue.t) Hashtbl.t;  (* cluster -> pending items *)
-  mutable qsize : int;
   visited : (int, unit) Hashtbl.t;
   mutable ready : int list;  (* resident clusters with queued items *)
   mutable refused : int list;  (* clusters whose prefetch the buffer refused *)
-  mutable current : (int * Store.view) option;
-  agenda : Path_instance.t Queue.t;  (* instances for the current cluster *)
   mutable exhausted : bool;
   mutable window_next : int;  (* next page of the active scan window *)
   mutable window_hi : int;  (* inclusive bound; window_next > window_hi = inactive *)
@@ -28,169 +18,103 @@ type t = {
   mutable visit_hi : int;  (* largest cluster visited so far; -1 before any *)
 }
 
-let create ctx ~speculative ~path_len ~summary ~contexts =
-  {
-    ctx;
-    speculative;
-    path_len;
-    summary;
-    contexts;
-    queue = Hashtbl.create 64;
-    qsize = 0;
-    visited = Hashtbl.create 64;
-    ready = [];
-    refused = [];
-    current = None;
-    agenda = Queue.create ();
-    exhausted = false;
-    window_next = 0;
-    window_hi = -1;
-    visit_lo = max_int;
-    visit_hi = -1;
-  }
-
-let queue_size t = t.qsize
-let refused_count t = List.length t.refused
-
-let queued_clusters t = Hashtbl.fold (fun pid _ acc -> pid :: acc) t.queue []
+let queued_clusters t = Hashtbl.fold (fun pid _ acc -> pid :: acc) t.visit.queue []
 
 let scan_window t = if t.window_next <= t.window_hi then Some (t.window_next, t.window_hi) else None
 
 let buffer t = Store.buffer t.ctx.Context.store
 
-(* Queue an item and make sure its cluster's I/O has been requested. A
-   refused prefetch (every frame pinned) is remembered in [refused] and
-   retried by the dispatch loop once pins are released — dropping it here
-   would strand the queued items forever. *)
-let enqueue t item =
-  let cluster = Node_id.cluster item.target in
-  let fresh = not (Hashtbl.mem t.queue cluster) in
-  let q =
-    match Hashtbl.find_opt t.queue cluster with
-    | Some q -> q
-    | None ->
-      let q = Queue.create () in
-      Hashtbl.replace t.queue cluster q;
-      q
-  in
-  Queue.add item q;
-  t.qsize <- t.qsize + 1;
+(* Request [cluster]'s page from the asynchronous I/O layer; [true]
+   when the buffer refused (every frame pinned). A refused cluster is
+   remembered in [refused] and retried by the dispatch loop once pins
+   are released — dropping it would strand its queued items forever. *)
+let request t cluster =
+  match Buffer_manager.prefetch (buffer t) cluster with
+  | Buffer_manager.Resident ->
+    if not (List.mem cluster t.ready) then t.ready <- cluster :: t.ready;
+    false
+  | Buffer_manager.Scheduled -> false
+  | Buffer_manager.Refused ->
+    if not (List.mem cluster t.refused) then t.refused <- cluster :: t.refused;
+    true
+
+(* Queue an item and make sure its cluster's I/O has been requested. *)
+let enqueue t (item : Io_operator.item) =
+  let fresh = Io_operator.enqueue t.visit item in
   let c = t.ctx.Context.counters in
   c.Context.q_enqueued <- c.Context.q_enqueued + 1;
-  if t.qsize > c.Context.q_peak then c.Context.q_peak <- t.qsize;
+  if t.visit.pending > c.Context.q_peak then c.Context.q_peak <- t.visit.pending;
   if fresh then begin
-    Context.emit t.ctx (fun () -> Printf.sprintf "XSchedule: async request for cluster %d" cluster);
-    let is_current = match t.current with Some (pid, _) -> pid = cluster | None -> false in
-    if not is_current then begin
-      match Buffer_manager.prefetch (buffer t) cluster with
-      | Buffer_manager.Resident ->
-        if not (List.mem cluster t.ready) then t.ready <- cluster :: t.ready
-      | Buffer_manager.Scheduled -> ()
-      | Buffer_manager.Refused ->
-        c.Context.prefetch_refusals <- c.Context.prefetch_refusals + 1;
-        if not (List.mem cluster t.refused) then t.refused <- cluster :: t.refused
-    end
+    let cluster = Node_id.cluster item.target in
+    if Context.tracing t.ctx then
+      Context.emit t.ctx (fun () -> Printf.sprintf "XSchedule: async request for cluster %d" cluster);
+    let is_current =
+      match t.visit.current with Some view -> Store.view_pid view = cluster | None -> false
+    in
+    if (not is_current) && request t cluster then
+      c.Context.prefetch_refusals <- c.Context.prefetch_refusals + 1
   end
 
 (* Re-submit refused prefetches (clusters may have become loadable since
    pins were released, or even resident through another path). *)
 let retry_refused t =
-  match t.refused with
-  | [] -> ()
-  | refused ->
-    t.refused <- [];
-    List.iter
-      (fun cluster ->
-        if Hashtbl.mem t.queue cluster then begin
-          match Buffer_manager.prefetch (buffer t) cluster with
-          | Buffer_manager.Resident ->
-            if not (List.mem cluster t.ready) then t.ready <- cluster :: t.ready
-          | Buffer_manager.Scheduled -> ()
-          | Buffer_manager.Refused -> t.refused <- cluster :: t.refused
-        end)
-      refused
+  let refused = t.refused in
+  t.refused <- [];
+  List.iter
+    (fun cluster -> if Hashtbl.mem t.visit.queue cluster then ignore (request t cluster))
+    refused
 
-let push t ~s_l ~n_l ~s_r ~target =
-  let cluster = Node_id.cluster target in
-  if t.speculative && Hashtbl.mem t.visited cluster then
+(* A crossing XAssembly found reachable: visit [target]'s cluster and
+   resume step [s_r + 1] there. *)
+let push t ~s_r target =
+  if t.speculative && Hashtbl.mem t.visited (Node_id.cluster target) then
     (* Already visited: the speculative instances generated there subsume
        this continuation. *)
     ()
-  else enqueue t { s_l; n_l; s_r; target }
+  else enqueue t { s_l = 0; n_l = target; s_r; target }
 
 let replenish t =
   (* At least one queued item per round even for a degenerate k <= 0,
      otherwise the producer is never drained and contexts are lost. *)
   let target = max 1 t.ctx.Context.config.Context.k in
-  while (not t.exhausted) && t.qsize < target do
-    match t.contexts () with
+  while (not t.exhausted) && t.visit.pending < target do
+    match t.visit.contexts () with
     | None -> t.exhausted <- true
     | Some id -> enqueue t { s_l = 0; n_l = id; s_r = 0; target = id }
   done
 
-(* Turn a queued item into an instance against the current view. *)
-let instantiate view item =
-  let slot = item.target.Node_id.slot in
-  let n_r =
-    match Store.get view slot with
-    | Node_record.Core core -> R_core { view; slot; core }
-    | Node_record.Up _ -> R_entry { view; slot }
-    | Node_record.Down _ ->
-      invalid_arg "Xschedule: queued target is a Down border"
-  in
-  { s_l = item.s_l; n_l = item.n_l; left_incomplete = false; s_r = item.s_r; n_r }
-
 (* Drain the queued items of cluster [pid] into the agenda (against
    [view]), speculating on first visit if configured. *)
 let load_agenda t pid view =
+  let c = t.ctx.Context.counters in
   let first_visit = not (Hashtbl.mem t.visited pid) in
   if first_visit then begin
     Hashtbl.replace t.visited pid ();
     if pid < t.visit_lo then t.visit_lo <- pid;
     if pid > t.visit_hi then t.visit_hi <- pid;
-    t.ctx.Context.counters.Context.clusters_visited <-
-      t.ctx.Context.counters.Context.clusters_visited + 1
+    c.Context.clusters_visited <- c.Context.clusters_visited + 1
   end;
-  (match Hashtbl.find_opt t.queue pid with
-  | None -> ()
-  | Some q ->
-    Queue.iter (fun item -> Queue.add (instantiate view item) t.agenda) q;
-    t.qsize <- t.qsize - Queue.length q;
-    t.ctx.Context.counters.Context.q_served <-
-      t.ctx.Context.counters.Context.q_served + Queue.length q;
-    Hashtbl.remove t.queue pid);
-  if first_visit && t.speculative && not (Context.fallback t.ctx) then
-    Path_instance.speculate t.ctx ~path_len:t.path_len ?summary:t.summary view t.agenda
-
-let release_current t =
-  match t.current with
-  | None -> ()
-  | Some (_, view) ->
-    Store.release t.ctx.Context.store view;
-    t.current <- None
+  c.Context.q_served <- c.Context.q_served + Io_operator.serve t.visit pid view;
+  if first_visit && t.speculative && not (Context.fallback t.ctx) then Io_operator.seed t.visit view
 
 let make_current t pid view =
-  release_current t;
-  Context.emit t.ctx (fun () -> Printf.sprintf "XSchedule: cluster %d loaded, serving its queue" pid);
-  t.current <- Some (pid, view);
+  Io_operator.pin t.visit view;
+  if Context.tracing t.ctx then
+    Context.emit t.ctx (fun () ->
+        Printf.sprintf "XSchedule: cluster %d loaded, serving its queue" pid);
   load_agenda t pid view
 
 (* Tear the operator down mid-run: release the current pin, cancel
    outstanding prefetches and drop all queued work (accounted in
-   [q_dropped] so conservation checks still balance). Used by [Exec]
-   when the in-place fallback cannot proceed and the whole plan is
-   recomputed with the simple method. *)
+   [q_dropped] so conservation checks still balance). *)
 let abandon t =
-  release_current t;
-  Queue.clear t.agenda;
+  let c = t.ctx.Context.counters in
+  c.Context.q_dropped <- c.Context.q_dropped + t.visit.pending;
+  Io_operator.clear t.visit;
   t.ready <- [];
   t.refused <- [];
   t.window_next <- 0;
   t.window_hi <- -1;
-  t.ctx.Context.counters.Context.q_dropped <-
-    t.ctx.Context.counters.Context.q_dropped + t.qsize;
-  Hashtbl.reset t.queue;
-  t.qsize <- 0;
   t.exhausted <- true;
   Buffer_manager.abort_async (buffer t)
 
@@ -202,7 +126,7 @@ let take_ready t =
   match t.ready with
   | [] -> None
   | ready ->
-    let qlen p = match Hashtbl.find_opt t.queue p with Some q -> Queue.length q | None -> 0 in
+    let qlen p = match Hashtbl.find_opt t.visit.queue p with Some q -> Queue.length q | None -> 0 in
     let best =
       List.fold_left
         (fun best p ->
@@ -237,7 +161,7 @@ let pick_direct t =
       match best with
       | Some (bw, bpid) when bw > w || (bw = w && bpid < pid) -> best
       | _ -> Some (w, pid))
-    t.queue None
+    t.visit.queue None
   |> Option.map snd
 
 (* Adaptive hybrid (tentpole layer 3): when the demand stream has been
@@ -265,7 +189,7 @@ let start_scan_window t =
     let visited = Hashtbl.length t.visited in
     let store = t.ctx.Context.store in
     let last_page = Store.first_page store + Store.page_count store - 1 in
-    if (pending = 0 && t.qsize = 0) || visited < 4 || t.visit_hi >= last_page then false
+    if (pending = 0 && t.visit.pending = 0) || visited < 4 || t.visit_hi >= last_page then false
     else begin
       let density = float_of_int visited /. float_of_int (t.visit_hi - t.visit_lo + 1) in
       if density >= threshold then begin
@@ -295,7 +219,7 @@ let rec advance_window t =
   else begin
     let pid = t.window_next in
     t.window_next <- pid + 1;
-    if Hashtbl.mem t.queue pid || not (Hashtbl.mem t.visited pid) then Some pid
+    if Hashtbl.mem t.visit.queue pid || not (Hashtbl.mem t.visited pid) then Some pid
     else begin
       ignore (Io_scheduler.cancel (Buffer_manager.scheduler (buffer t)) pid);
       advance_window t
@@ -303,27 +227,27 @@ let rec advance_window t =
   end
 
 let rec next t =
-  match Queue.take_opt t.agenda with
-  | Some instance -> Some instance
+  match Io_operator.take t.visit with
+  | Some _ as instance -> instance
   | None -> begin
     replenish t;
     (* Serve remaining items for the current cluster first. *)
-    match t.current with
-    | Some (pid, view) when Hashtbl.mem t.queue pid ->
-      load_agenda t pid view;
+    match t.visit.current with
+    | Some view when Hashtbl.mem t.visit.queue (Store.view_pid view) ->
+      load_agenda t (Store.view_pid view) view;
       next t
     | _ ->
       (* The current cluster is done: release its pin *before* acquiring
          the next view, so even a one-frame buffer makes progress, then
          give refused prefetches another chance now that the pin is
          gone. *)
-      release_current t;
+      Io_operator.release t.visit;
       retry_refused t;
       if sweep_window t then next t
       else begin
         match take_ready t with
         | Some pid ->
-          if Hashtbl.mem t.queue pid then begin
+          if Hashtbl.mem t.visit.queue pid then begin
             make_current t pid (Store.view t.ctx.Context.store pid);
             next t
           end
@@ -335,7 +259,7 @@ let rec next t =
             match Buffer_manager.await_one ~window (buffer t) with
             | Some (pid, frame) ->
               let view = Store.view_of_frame t.ctx.Context.store frame in
-              if Hashtbl.mem t.queue pid then begin
+              if Hashtbl.mem t.visit.queue pid then begin
                 make_current t pid view;
                 next t
               end
@@ -346,7 +270,7 @@ let rec next t =
                 next t
               end
             | None ->
-              if t.qsize = 0 then None (* replenish guarantees exhaustion here *)
+              if t.visit.pending = 0 then None (* replenish guarantees exhaustion here *)
               else begin
                 (* Items remain but have no pending I/O: their clusters
                    are resident (or were evicted meanwhile, or their
@@ -367,8 +291,8 @@ let rec next t =
                 | None ->
                   failwith
                     (Printf.sprintf
-                       "Xschedule: queue accounting broken: qsize=%d with no queued cluster"
-                       t.qsize)
+                       "Xschedule: queue accounting broken: %d pending with no queued cluster"
+                       t.visit.pending)
               end
           end
       end
@@ -380,7 +304,7 @@ let rec next t =
    shortage the window is abandoned and the remaining pending requests
    are left for the demand path. *)
 and sweep_window t =
-  if t.window_next <= t.window_hi && t.qsize = 0 && Io_scheduler.pending_count (Buffer_manager.scheduler (buffer t)) = 0
+  if t.window_next <= t.window_hi && t.visit.pending = 0 && Io_scheduler.pending_count (Buffer_manager.scheduler (buffer t)) = 0
   then begin
     (* Demand dried up mid-window: the sweep is read-ahead for demand,
        so reading on would charge transfers nobody will use. *)
@@ -404,3 +328,26 @@ and sweep_window t =
       t.window_hi <- -1;
       false
   end
+
+let create ctx ~speculative ~path_len ~summary ~contexts =
+  let visit = Io_operator.create ctx ~path_len ~summary ~contexts in
+  let t =
+    {
+      ctx;
+      visit;
+      speculative;
+      visited = Hashtbl.create 64;
+      ready = [];
+      refused = [];
+      exhausted = false;
+      window_next = 0;
+      window_hi = -1;
+      visit_lo = max_int;
+      visit_hi = -1;
+    }
+  in
+  Io_operator.handle visit ~push:(push t)
+    ~next:(fun () -> next t)
+    ~abandon:(fun () -> abandon t)
+    ~demand:(fun () -> queued_clusters t)
+    ~window:(fun () -> scan_window t)
