@@ -336,12 +336,9 @@ let install t pid bytes ~async =
   if async then t.async_reads <- t.async_reads + 1 else t.misses <- t.misses + 1;
   frame
 
-let lookup t pid =
-  t.lookups <- t.lookups + 1;
-  Hashtbl.find_opt t.table pid
-
 let fix t pid =
-  match lookup t pid with
+  t.lookups <- t.lookups + 1;
+  match Hashtbl.find_opt t.table pid with
   | Some frame ->
     frame.pins <- frame.pins + 1;
     if t.scan_resistant && frame.hot then t.scan_resist_hits <- t.scan_resist_hits + 1;
@@ -357,7 +354,7 @@ let unfix _t frame =
 let page frame = frame.page
 let frame_pid frame = frame.pid
 
-let resident t pid = lookup t pid <> None
+let resident t pid = Hashtbl.mem t.table pid
 
 let pinned_count t = Hashtbl.fold (fun _ frame n -> if frame.pins > 0 then n + 1 else n) t.table 0
 

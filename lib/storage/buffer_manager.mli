@@ -9,10 +9,13 @@
       requests pile up in the {!Io_scheduler}, which serves them in a
       seek-minimising order.
 
-    Every {!fix} and {!resident} check counts as a hash-table lookup in
-    the statistics; the paper identifies these lookups (and the implied
-    latch traffic) as the "swizzling" cost that passing direct pointers
-    between XStep operators avoids.
+    Every {!fix} counts as a hash-table lookup in the statistics, and a
+    fix that returns is either a hit or a miss ({!resident} is not
+    counted), so [lookups = hits + misses] unless a fix raised
+    {!Buffer_full}. The paper
+    identifies these lookups (and the implied latch traffic) as the
+    "swizzling" cost that passing direct pointers between XStep
+    operators avoids.
 
     {b Buffer ownership.} A frame owns the page buffer it was installed
     with until the frame leaves the pool. Eviction, {!reset} and an
@@ -105,7 +108,8 @@ val page : frame -> Page.t
 val frame_pid : frame -> int
 
 val resident : t -> int -> bool
-(** Whether the page is currently buffered (counts as a lookup). *)
+(** Whether the page is currently buffered: a plain table probe, not
+    counted in the statistics. *)
 
 type admission =
   | Resident  (** Already buffered; no request submitted. *)

@@ -524,6 +524,19 @@ let buffer_tests =
             let s = Buffer_manager.stats b in
             check int "misses" 1 s.Buffer_manager.misses;
             check int "hits" 1 s.Buffer_manager.hits));
+    Alcotest.test_case "a resident probe is not a lookup" `Quick (fun () ->
+        with_disk 4 (fun d ->
+            let b = Buffer_manager.create ~capacity:4 d in
+            Buffer_manager.unfix b (Buffer_manager.fix b 2);
+            let before = (Buffer_manager.stats b).Buffer_manager.lookups in
+            check bool "2 resident" true (Buffer_manager.resident b 2);
+            check bool "3 not resident" false (Buffer_manager.resident b 3);
+            check bool "prefetch of a resident page" true
+              (Buffer_manager.prefetch b 2 = Buffer_manager.Resident);
+            let s = Buffer_manager.stats b in
+            check int "lookups unchanged" before s.Buffer_manager.lookups;
+            check int "lookups = hits + misses" s.Buffer_manager.lookups
+              (s.Buffer_manager.hits + s.Buffer_manager.misses)));
     Alcotest.test_case "eviction happens at capacity, LRU first" `Quick (fun () ->
         with_disk 3 (fun d ->
             let b = Buffer_manager.create ~capacity:2 d in
