@@ -667,7 +667,7 @@ let check_shards case =
    pure self/child chain, residual-seeded otherwise, plus forced partial
    resolutions down to zero — must agree with the reference evaluator
    AND with the XSchedule plan on every sampled case. Partial
-   resolutions exercise the border-continuation path ({!Xnav_core.Xindex.push}):
+   resolutions exercise the border-continuation path (XIndex's [push]):
    seeds enter the XStep tail mid-chain and crossings are served
    cluster by cluster. *)
 let check_index_built ~doc ~store ~import case =

@@ -86,6 +86,45 @@ let sample_doc () =
       e "A" [ e "A" [ e "C" [ e "B" [] ] ] ];
     ]
 
+(* Parser fuzzing: strings of up to 4 KB over [alphabet]. *)
+let fuzz_string ~alphabet =
+  QCheck2.Gen.(string_size ~gen:(oneofa alphabet) (int_range 0 4096))
+
+(* Parser fuzzing: a string from [base] with one to eight random edits —
+   a byte of [alphabet] inserted or overwritten, or a byte deleted. *)
+let mutated ~alphabet base =
+  let open QCheck2.Gen in
+  let edit s =
+    let n = String.length s in
+    triple (int_range 0 2) (int_range 0 n) (oneofa alphabet) >|= fun (op, i, c) ->
+    if op = 0 || i = n then String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+    else if op = 1 then String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+    else String.mapi (fun j d -> if j = i then c else d) s
+  in
+  let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+  pair base (int_range 1 8) >>= fun (s, k) -> edits k s
+
+(* A parser property: on [input] the parser returns or raises its
+   documented error, and nothing else. *)
+let only_parse_error ~is_parse_error parse input =
+  match parse input with _ -> true | exception e when is_parse_error e -> true
+
+(* The committed bench baseline, found by walking up from the working
+   directory: [dune runtest] runs the suite inside the build tree, where
+   the baseline is a declared dependency, and a developer may run the
+   test binary from the repo root. *)
+let bench_baseline () =
+  let rec up dir =
+    let file = Filename.concat dir "BENCH_results.json" in
+    if Sys.file_exists file then file
+    else begin
+      let parent = Filename.dirname dir in
+      if parent = dir then failwith "BENCH_results.json: not found above the working directory";
+      up parent
+    end
+  in
+  Xnav_bench.Json.read (up (Sys.getcwd ()))
+
 (* CI determinism: every property test and differential tier runs from
    this seed, so a CI failure reproduces locally with the exact same
    cases. Override with XNAV_TEST_SEED=<int> (printed at suite start). *)

@@ -240,7 +240,7 @@ let bench_keys_are_pinned () =
   check Alcotest.int "count .. minor_words" 42 (List.length ("count" :: derived));
   let expected = [ "query"; "plan"; "scale"; "nodes"; "pages"; "count" ] @ derived in
   let rows =
-    match Json.member "rows" (Json.read "../BENCH_results.json") with
+    match Json.member "rows" (Gen.bench_baseline ()) with
     | Some (Json.List rows) ->
       List.map (function Json.Obj fields -> List.map fst fields | _ -> []) rows
     | _ -> []

@@ -407,7 +407,7 @@ let index_differential_sample () =
 (* Border-seeded residual evaluation: on a store split into many tiny
    clusters, an index plan forced to stop resolution mid-path must seed
    partial instances at entry clusters, navigate the residual suffix
-   across borders (continuations served through Xindex.push), and still
+   across borders (continuations served through XIndex's push), and still
    produce the reference answer — while actually touching the residual
    machinery. *)
 let index_residual_borders () =

@@ -112,6 +112,32 @@ let tests =
         let rec drain () = match Exec.stream_next stream with None -> () | Some _ -> drain () in
         drain ();
         check int "pins" 0 (Buffer_manager.pinned_count (Store.buffer store)));
+    Alcotest.test_case "every I/O operator tears down mid-run" `Quick (fun () ->
+        (* Pull a few results, abandon: no pin, no pending I/O request and
+           no queued continuation may survive ([stream_violations] checks
+           the operator's pending count). Only the covering index holds
+           nothing mid-run — it reads no page. *)
+        let doc = Gen.wide_tree ~children:200 () in
+        List.iter
+          (fun (name, path, plan, holds) ->
+            let store, _ = Gen.import_store ~payload:220 ~capacity:8 doc in
+            let buffer = Store.buffer store in
+            let stream = Exec.prepare store (Xpath_parser.parse path) plan in
+            for _ = 1 to 3 do
+              check bool (name ^ ": a result") true (Exec.stream_next stream <> None)
+            done;
+            check bool (name ^ ": holds state mid-run") holds (Exec.stream_violations stream <> []);
+            Exec.stream_abandon stream;
+            check int (name ^ ": pins") 0 (Buffer_manager.pinned_count buffer);
+            check int (name ^ ": pending I/O") 0
+              (Xnav_storage.Io_scheduler.pending_count (Buffer_manager.scheduler buffer));
+            check Alcotest.(list string) (name ^ ": violations") [] (Exec.stream_violations stream))
+          [
+            ("xscan", "//x", Plan.xscan (), true);
+            ("xschedule+spec", "//x", Plan.xschedule ~speculative:true (), true);
+            ("residual xindex", "//x", Plan.xindex (), true);
+            ("covering xindex", "/b/x", Plan.xindex (), false);
+          ]);
     Alcotest.test_case "metrics: total = io + cpu; reads split cleanly" `Quick (fun () ->
         let doc = Gen.wide_tree ~children:80 () in
         let store, _ = Gen.import_store ~payload:220 ~capacity:8 doc in

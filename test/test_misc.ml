@@ -117,7 +117,7 @@ let tests =
         check
           Alcotest.(option string)
           "baseline schema" (Some Xnav_core.Bench_schema.version)
-          (Option.map Json.str (Json.member "schema" (Json.read "../BENCH_results.json"))));
+          (Option.map Json.str (Json.member "schema" (Gen.bench_baseline ()))));
   ]
 
 let suite = [ ("misc", tests) ]

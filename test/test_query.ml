@@ -215,9 +215,52 @@ let props =
         String.equal rendered (Query.to_string (Xpath_parser.parse_query rendered)));
   ]
 
+(* --- parser fuzzing -------------------------------------------------------------- *)
+
+let xpath_alphabet =
+  [| 'a'; 'b'; 'c'; 'n'; 'o'; 'd'; 'e'; 'r'; 't'; ':'; '/'; '.'; '*'; '['; ']'; '('; ')'; '|';
+     ' '; '\t'; '-'; '_'; '0'; '\000'; '\255' |]
+
+let xpath_error = function Xpath_parser.Parse_error _ -> true | _ -> false
+
+let fuzz_props =
+  let inputs =
+    [
+      ("random", Gen.fuzz_string ~alphabet:xpath_alphabet);
+      ("mutated path", Gen.mutated ~alphabet:xpath_alphabet QCheck2.Gen.(Gen.path_gen >|= Path.to_string));
+      ("mutated query", Gen.mutated ~alphabet:xpath_alphabet QCheck2.Gen.(query_gen >|= Query.to_string));
+    ]
+  in
+  List.concat_map
+    (fun (kind, gen) ->
+      [
+        QCheck2.Test.make ~name:("parse on " ^ kind ^ " input raises only Parse_error") ~count:300
+          gen ~print:String.escaped
+          (Gen.only_parse_error ~is_parse_error:xpath_error Xpath_parser.parse);
+        QCheck2.Test.make
+          ~name:("parse_query on " ^ kind ^ " input raises only Parse_error")
+          ~count:300 gen ~print:String.escaped
+          (Gen.only_parse_error ~is_parse_error:xpath_error Xpath_parser.parse_query);
+      ])
+    inputs
+
+let nested_predicates n = String.concat "" (List.init n (fun _ -> "a[")) ^ "a" ^ String.make n ']'
+
+(* OCaml 5 runs the recursive descent on a growable stack, so deep
+   nesting needs no bound: both entry points return or raise Parse_error. *)
+let nesting_tests =
+  [
+    Alcotest.test_case "100,000 nested predicates parse" `Quick (fun () ->
+        let input = nested_predicates 100_000 in
+        check bool "parse" true
+          (Gen.only_parse_error ~is_parse_error:xpath_error Xpath_parser.parse input);
+        check int "parse_query: one branch" 1 (List.length (parse input)));
+  ]
+
 let suite =
   [
-    ("query.parser", parser_tests);
+    ("query.parser", parser_tests @ nesting_tests);
+    Gen.qsuite "query.parser.fuzz" fuzz_props;
     ("query.ref", ref_tests);
     ("query.exec", exec_tests);
     Gen.qsuite "query.props" props;

@@ -209,6 +209,9 @@ let ordpath_props =
 
 (* --- XML parser / writer ------------------------------------------------- *)
 
+let nested_elements n =
+  String.concat "" (List.init n (fun _ -> "<a>")) ^ String.concat "" (List.init n (fun _ -> "</a>"))
+
 let parser_tests =
   [
     Alcotest.test_case "parses a simple document" `Quick (fun () ->
@@ -234,6 +237,8 @@ let parser_tests =
         match Xml_parser.parse_string "   " with
         | exception Xml_parser.Parse_error _ -> ()
         | _ -> Alcotest.fail "expected parse error");
+    Alcotest.test_case "100,000 nested elements parse" `Quick (fun () ->
+        check int "size" 100_000 (Tree.size (Xml_parser.parse_string (nested_elements 100_000))));
     Alcotest.test_case "writer emits self-closing leaves" `Quick (fun () ->
         let t = Tree.elt "a" [ Tree.elt "b" [] ] in
         check string "xml" "<a><b/></a>" (Xml_writer.to_string t));
@@ -250,6 +255,25 @@ let parser_props =
       ~print:Gen.tree_print
       (fun tree -> Tree.equal tree (Xml_parser.parse_string (Xml_writer.to_string tree)));
   ]
+
+let xml_alphabet =
+  [| '<'; '>'; '/'; 'a'; 'b'; ':'; '='; '"'; '\''; '!'; '-'; '?'; '['; ']'; 'C'; 'D'; 'A'; 'T';
+     ' '; '\n'; '&'; '\000'; '\255' |]
+
+let xml_error = function Xml_parser.Parse_error _ -> true | _ -> false
+
+let fuzz_props =
+  List.map
+    (fun (kind, gen) ->
+      QCheck2.Test.make ~name:("xml: " ^ kind ^ " input raises only Parse_error") ~count:300 gen
+        ~print:String.escaped
+        (Gen.only_parse_error ~is_parse_error:xml_error Xml_parser.parse_string))
+    [
+      ("random", Gen.fuzz_string ~alphabet:xml_alphabet);
+      ( "mutated",
+        Gen.mutated ~alphabet:xml_alphabet
+          QCheck2.Gen.(Gen.tree_gen ~size:200 () >|= Xml_writer.to_string ~declaration:true) );
+    ]
 
 (* --- Axis semantics ------------------------------------------------------ *)
 
@@ -315,6 +339,7 @@ let suite =
     Gen.qsuite "xml.ordpath.props" ordpath_props;
     ("xml.parser", parser_tests);
     Gen.qsuite "xml.parser.props" parser_props;
+    Gen.qsuite "xml.parser.fuzz" fuzz_props;
     ("xml.axes", axis_tests);
     Gen.qsuite "xml.axes.props" axis_props;
   ]
