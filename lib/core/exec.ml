@@ -81,7 +81,8 @@ let pipeline ctx store path plan contexts =
     in
     let dslash = match io with Plan.Io_scan -> seeding = Plan.Dslash | _ -> false in
     let top = chain ctx path op.Io_operator.next in
-    { next = Xassembly.create ctx ~path_len ~push:op.Io_operator.push ~dslash top; ctx; io = Some op }
+    let next = Xassembly.create ctx ~path_len ~push:op.Io_operator.push ~dslash top in
+    { next; ctx; io = Some op }
 
 let abandon s = Option.iter (fun (op : Io_operator.handle) -> op.abandon ()) s.io
 

@@ -13,7 +13,7 @@
     - [Buffer_manager.pinned_count = 0] — no page leaks;
     - [Io_scheduler.pending_count = 0] and its pending/order structures
       agree — no dangling or dead requests;
-    - the I/O operator's queue has drained ({!Io_operator.t.pending}
+    - the I/O operator's queue has drained (the handle's [visit.pending]
       = 0: no continuation, and so no refused prefetch, stranded) and
       the index counters balance (clusters pinned by XIndex are a
       subset of all visits; no residual without a pin);

@@ -85,7 +85,8 @@ let rec contexts_in t pid view =
       contexts_in t pid view
     end
 
-let seed t view = Path_instance.speculate t.ctx ~path_len:t.path_len ?summary:t.summary view t.agenda
+let seed t view =
+  Path_instance.speculate t.ctx ~path_len:t.path_len ?summary:t.summary view t.agenda
 
 let load t pid view =
   contexts_in t pid view;
@@ -101,8 +102,6 @@ let release t =
 let pin t view =
   release t;
   t.current <- Some view
-
-let take t = Queue.take_opt t.agenda
 
 let clear t =
   release t;

@@ -66,9 +66,6 @@ val pin : t -> Xnav_store.Store.view -> unit
 val release : t -> unit
 (** Release the current cluster's pin, if any. *)
 
-val take : t -> Path_instance.t option
-(** The next instance on the agenda. *)
-
 val clear : t -> unit
 (** Teardown: release the pin, drop the agenda, the queue and the
     producer; [pending] becomes 0. *)

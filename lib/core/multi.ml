@@ -28,12 +28,11 @@ let make_lane ~config store ~contexts path =
   let ctx = Exec.context ~config store in
   let path_len = Path.length path in
   let dslash = Exec.root_only store contexts && Path.starts_with_descendant_any path in
-  let visit =
-    Io_operator.create ctx ~path_len ~summary:None ~contexts:(Seq.to_dispenser (List.to_seq contexts))
-  in
+  let contexts = Seq.to_dispenser (List.to_seq contexts) in
+  let visit = Io_operator.create ctx ~path_len ~summary:None ~contexts in
   let top =
     Xassembly.create ctx ~path_len ~push:(fun ~s_r:_ _ -> ()) ~dslash
-      (Exec.chain ctx path (fun () -> Io_operator.take visit))
+      (Exec.chain ctx path (fun () -> Queue.take_opt visit.agenda))
   in
   { ctx; path; visit; top; nodes = Vec.create () }
 

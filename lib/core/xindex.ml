@@ -84,7 +84,7 @@ let rec next t =
   match cov_next t with
   | Some _ as instance -> instance
   | None -> (
-    match Io_operator.take t.visit with
+    match Queue.take_opt t.visit.agenda with
     | Some _ as instance -> instance
     | None ->
       if t.entry_idx < Array.length t.entries then begin

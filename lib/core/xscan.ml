@@ -30,7 +30,7 @@ let rec next t =
       Some { s_l = 0; n_l = id; left_incomplete = false; s_r = 0; n_r = R_info info }
   end
   else begin
-    match Io_operator.take v with
+    match Queue.take_opt v.agenda with
     | Some _ as instance -> instance
     | None -> (
       Io_operator.release v;
@@ -49,5 +49,6 @@ let rec next t =
 
 let create ctx ~path_len ~summary ~contexts =
   let visit = Io_operator.create ctx ~path_len ~summary ~contexts:(contexts ()) in
-  let t = { visit; factory = contexts; sweep = Io_operator.sweep ctx.Context.store; restarted = false } in
+  let sweep = Io_operator.sweep ctx.Context.store in
+  let t = { visit; factory = contexts; sweep; restarted = false } in
   Io_operator.handle visit ~next:(fun () -> next t) ~abandon:(fun () -> abandon t)

@@ -47,7 +47,8 @@ let enqueue t (item : Io_operator.item) =
   if fresh then begin
     let cluster = Node_id.cluster item.target in
     if Context.tracing t.ctx then
-      Context.emit t.ctx (fun () -> Printf.sprintf "XSchedule: async request for cluster %d" cluster);
+      Context.emit t.ctx (fun () ->
+          Printf.sprintf "XSchedule: async request for cluster %d" cluster);
     let is_current =
       match t.visit.current with Some view -> Store.view_pid view = cluster | None -> false
     in
@@ -227,7 +228,7 @@ let rec advance_window t =
   end
 
 let rec next t =
-  match Io_operator.take t.visit with
+  match Queue.take_opt t.visit.agenda with
   | Some _ as instance -> instance
   | None -> begin
     replenish t;
@@ -304,7 +305,10 @@ let rec next t =
    shortage the window is abandoned and the remaining pending requests
    are left for the demand path. *)
 and sweep_window t =
-  if t.window_next <= t.window_hi && t.visit.pending = 0 && Io_scheduler.pending_count (Buffer_manager.scheduler (buffer t)) = 0
+  if
+    t.window_next <= t.window_hi
+    && t.visit.pending = 0
+    && Io_scheduler.pending_count (Buffer_manager.scheduler (buffer t)) = 0
   then begin
     (* Demand dried up mid-window: the sweep is read-ahead for demand,
        so reading on would charge transfers nobody will use. *)

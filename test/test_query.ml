@@ -227,8 +227,10 @@ let fuzz_props =
   let inputs =
     [
       ("random", Gen.fuzz_string ~alphabet:xpath_alphabet);
-      ("mutated path", Gen.mutated ~alphabet:xpath_alphabet QCheck2.Gen.(Gen.path_gen >|= Path.to_string));
-      ("mutated query", Gen.mutated ~alphabet:xpath_alphabet QCheck2.Gen.(query_gen >|= Query.to_string));
+      ( "mutated path",
+        Gen.mutated ~alphabet:xpath_alphabet QCheck2.Gen.(Gen.path_gen >|= Path.to_string) );
+      ( "mutated query",
+        Gen.mutated ~alphabet:xpath_alphabet QCheck2.Gen.(query_gen >|= Query.to_string) );
     ]
   in
   List.concat_map
