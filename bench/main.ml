@@ -608,49 +608,6 @@ let ablation_estimate cfg =
      the live counts of the summary classes the whole path selects, which\n\
      is exact for every downward path)"
 
-(* --- swizzled vs unswizzled navigation fixtures ----------------------------- *)
-
-(* [reps] cursor walks over one pinned view: the access pattern of an
-   XStep chain re-walking its cluster once per path instance. With the
-   decode cache on, only the first walk pays the record codec. *)
-let cursor_walk store ~reps axis =
-  let root = Store.root store in
-  let v = Store.view store root.Node_id.pid in
-  let total = ref 0 in
-  for _ = 1 to reps do
-    let c = Store.start v axis root.Node_id.slot in
-    let rec go () =
-      match Store.next_emission c with
-      | None -> ()
-      | Some _ ->
-        incr total;
-        go ()
-    in
-    go ()
-  done;
-  Store.release store v;
-  !total
-
-(* One single-page document and one spanning ~100 pages (only the root
-   cluster is walked; the many-page layout gives it border records). *)
-let swizzle_fixtures () =
-  let one_page =
-    Tree.elt "root" (List.init 40 (fun i -> Tree.elt (Printf.sprintf "c%d" (i mod 7)) []))
-  in
-  let hundred_pages =
-    Tree.elt "root"
-      (List.init 850 (fun _ ->
-           Tree.elt "item"
-             [ Tree.elt "name" []; Tree.elt "description" [ Tree.elt "text" [] ] ]))
-  in
-  List.map
-    (fun (label, doc, payload) ->
-      let store, import = attach ~payload ~page_size:4096 ~capacity:256 doc in
-      (label, store, import.Import.page_count))
-    [ ("1page", one_page, 3800); ("100page", hundred_pages, 3400) ]
-
-let swizzle_axes = [ ("child", Xnav_xml.Axis.Child); ("descendant", Xnav_xml.Axis.Descendant) ]
-
 (* --- machine-readable output (--json) --------------------------------------- *)
 
 let metrics_fields count (m : Exec.metrics) =
@@ -754,28 +711,6 @@ let fused_micro_rows () =
           ("speedup", Json.Float (chain_ns /. Float.max 1e-9 fused_ns));
         ])
     (fused_micro_fixtures ())
-
-let swizzle_micro_rows () =
-  List.concat_map
-    (fun (label, store, pages) ->
-      List.map
-        (fun (aname, axis) ->
-          let timed on =
-            Store.set_swizzling store on;
-            time_ns (fun () -> cursor_walk store ~reps:8 axis)
-          in
-          let on = timed true in
-          let off = timed false in
-          Json.Obj
-            [
-              ("name", Json.String (Printf.sprintf "%s-step-%s" aname label));
-              ("pages", Json.Int pages);
-              ("swizzled_ns", Json.Float on);
-              ("unswizzled_ns", Json.Float off);
-              ("speedup", Json.Float (off /. Float.max 1.0 on));
-            ])
-        swizzle_axes)
-    (swizzle_fixtures ())
 
 (* --- skewed repeat-query mix (--workload --skew) ------------------------------- *)
 
@@ -933,7 +868,6 @@ let json_mode ~profile cfg out_file =
           rows)
       (sweep ~repetitions:5 cfg)
   in
-  let micro_rows = swizzle_micro_rows () in
   let fused_rows = fused_micro_rows () in
   (* The skewed repeat-query summary rides along in every --json run, so
      the committed baseline carries the front door's served/s figures and
@@ -946,14 +880,13 @@ let json_mode ~profile cfg out_file =
       [ ("scale_factors", Json.List (List.map (fun f -> Json.Float f) cfg.scale_factors)) ]
       [
         ("rows", Json.List rows);
-        ("micro", Json.List micro_rows);
         ("micro_fused", Json.List fused_rows);
         ("skew", Json.Obj skew);
       ]
   in
   Json.write out_file doc;
   Printf.printf "wrote %d benchmark rows and %d micro rows to %s\n" (List.length rows)
-    (List.length micro_rows) out_file;
+    (List.length fused_rows) out_file;
   doc
 
 (* --- concurrent workload mode (--workload) ------------------------------------ *)
@@ -1344,27 +1277,7 @@ let micro () =
         (Staged.stage (fun () -> ignore (Xnav_store.Node_record.encode record)));
     ]
   in
-  (* Swizzled vs unswizzled intra-cluster step throughput (child and
-     descendant cursors over one pinned view, 8 re-walks per run). *)
-  let swizzle_tests =
-    List.concat_map
-      (fun (label, store, _pages) ->
-        List.concat_map
-          (fun (aname, axis) ->
-            List.map
-              (fun (mode, on) ->
-                Test.make
-                  ~name:(Printf.sprintf "swizzle-%s-%s-%s" mode aname label)
-                  (Staged.stage (fun () ->
-                       Store.set_swizzling store on;
-                       ignore (cursor_walk store ~reps:8 axis))))
-              [ ("on", true); ("off", false) ])
-          swizzle_axes)
-      (swizzle_fixtures ())
-  in
-  let tests =
-    Test.make_grouped ~name:"xnav" ~fmt:"%s/%s" (fig_tests @ kernel_tests @ swizzle_tests)
-  in
+  let tests = Test.make_grouped ~name:"xnav" ~fmt:"%s/%s" (fig_tests @ kernel_tests) in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in

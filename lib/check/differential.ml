@@ -896,7 +896,6 @@ let flip_tier ?plans name =
 let tiers =
   [
     tier "base" check_built;
-    flip_tier "swizzle";
     flip_tier "batching";
     tier "workload" (fun ~doc:_ ~store ~import:_ case -> check_workload_built ~store case);
     tier "writers" (fun ~doc ~store:_ ~import case -> check_writers_built ~doc ~import case);

@@ -84,7 +84,7 @@ val tiers : tier list
     them:
     - [base]: every physical plan plus the {!Xnav_core.Multi} shared
       scan against the reference evaluator ({!check_case}).
-    - [swizzle], [batching], [fused] and [cache] are the knob-flip
+    - [batching], [fused] and [cache] are the knob-flip
       tiers, generated from {!Xnav_core.Context.knobs}: each flips the
       knobs whose row names it ([batching] flips coalescing and scan
       windows together). Every plan runs cold with the knobs off — the

@@ -19,8 +19,10 @@
     as the median of five runs, and the summary keys the gate table reads
     ([violations], [completed] and [front_door_cache_off] in [skew];
     [violations], [pinned], [expected_jobs] and [writer_free_reader_p99]
-    in [workload]; [violations] and [expected_jobs] in [shards_summary]).
-    The per-plan row keys are derived from {!Counters.table}. *)
+    in [workload]; [violations] and [expected_jobs] in [shards_summary]),
+    [/10] no [micro] array (the swizzled-vs-decoded cursor rows went with
+    the swizzle-off regime; [micro_fused] stays). The per-plan row keys
+    are derived from {!Counters.table}. *)
 
 val version : string
-(** ["xnav-bench/9"]. *)
+(** ["xnav-bench/10"]. *)

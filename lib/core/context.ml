@@ -5,7 +5,6 @@ type config = {
   coalesce_window : int;
   scan_threshold : float;
   fused : bool;
-  swizzling : bool;
   result_cache : bool;
   scan_resistant : bool;
 }
@@ -18,7 +17,6 @@ let default_config =
     coalesce_window = 16;
     scan_threshold = 0.5;
     fused = true;
-    swizzling = true;
     result_cache = false;
     scan_resistant = false;
   }
@@ -66,12 +64,6 @@ let execution_rows =
 
 let knobs =
   [
-    knob "swizzle" Counters.Swizzling ~get:(fun c -> c.swizzling)
-      ~put:(fun swizzling c -> { c with swizzling })
-      ~off:false ~on:true ~off_text:"recorded while swizzling is off" ~tier:"swizzle"
-      ~same_rows:execution_rows ~same_trace:true
-      "the swizzled-vs-decoded --json micro rows (through Store.set_swizzling) and the swizzle \
-       tier";
     knob "scan-window" Counters.Scan_window ~get:(fun c -> c.scan_threshold)
       ~put:(fun scan_threshold c -> { c with scan_threshold })
       ~off:0.0 ~on:0.5 ~off_text:"while the hybrid is disabled" ~tier:"batching"

@@ -39,12 +39,6 @@ type config = {
           ({!Fused}) instead of the per-step XStep iterator chain. Off
           reproduces the historical per-step execution (and I/O trace)
           exactly. This is the only fused switch: plans do not carry one. *)
-  swizzling : bool;
-      (** Serve record accesses through the views' per-slot decode
-          caches ({!Xnav_store.Store.set_swizzling}, which {!Exec.run} /
-          {!Exec.prepare} apply to the store before the first fix). Off
-          re-decodes every access from the page bytes, the pre-swizzling
-          regime; answers and the disk trace are the same. *)
   result_cache : bool;
       (** Consult the process-wide {!Result_cache} before planning a
           root-context run, and install the answer after a miss. In the
@@ -67,7 +61,7 @@ type config = {
 
 val default_config : config
 (** [k = 100], a 1M-instance budget; coalescing window 16, scan
-    threshold 0.5, fused chains on, swizzling on, result cache off,
+    threshold 0.5, fused chains on, result cache off,
     scan-resistant eviction off. *)
 
 val set_fused : bool -> config -> config

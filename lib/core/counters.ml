@@ -128,7 +128,7 @@ let layer_name = function
   | Cache -> "cache"
   | Workload -> "workload"
 
-type knob = Swizzling | Scan_window | Coalescing | Fused_chain | Scan_resistant | Result_cache
+type knob = Scan_window | Coalescing | Fused_chain | Scan_resistant | Result_cache
 
 type field =
   | Count of (counters -> int) * (counters -> int -> unit)
@@ -215,8 +215,7 @@ let table =
     row "prefetch_refusals" Io_operator ~bench:false
       "Cluster prefetches the buffer refused (every frame pinned), retried by XSchedule."
       (Count ((fun c -> c.prefetch_refusals), fun c v -> c.prefetch_refusals <- v));
-    row "swizzle_hits" Store "Decoded-record cache hits in the run's swizzled views."
-      ~zero_unless:(Swizzling, "%d cache hits")
+    row "swizzle_hits" Store "Decoded-record cache hits in the run's views."
       (Count ((fun c -> c.swizzle_hits), fun c v -> c.swizzle_hits <- v));
     row "swizzle_misses" Store "First decodes of a slot (and post-update refills)."
       (Count ((fun c -> c.swizzle_misses), fun c v -> c.swizzle_misses <- v));

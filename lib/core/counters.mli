@@ -82,7 +82,7 @@ type layer =
   | Run  (** End to end: times, allocation and the fallback switch. *)
   | Disk  (** The disk model. *)
   | Buffer  (** The buffer manager. *)
-  | Store  (** Record decode through swizzled views. *)
+  | Store  (** Record decode through the views' decode caches. *)
   | Io_operator  (** XSchedule, XScan and XIndex. *)
   | Chain  (** The step chain: XStep iterators or the fused automaton. *)
   | Assembly  (** XAssembly and duplicate elimination. *)
@@ -93,7 +93,6 @@ type layer =
     variant, which says how the knob reads on a config and what its
     violations say. *)
 type knob =
-  | Swizzling  (** [config.swizzling]. *)
   | Scan_window  (** [config.scan_threshold > 0]. *)
   | Coalescing  (** [config.coalesce_window > 0]. *)
   | Fused_chain  (** [config.fused]. *)

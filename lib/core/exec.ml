@@ -88,15 +88,13 @@ let abandon s = Option.iter (fun (op : Io_operator.handle) -> op.abandon ()) s.i
 
 (* Opening a statement, shared by [execute] and [prepare]: reject a bad
    (path, plan) pair, default the contexts to the root, create the run
-   context with its trace, and put the store and its pool on the
-   config's decode caching and eviction policy — knob-off runs go back
-   to per-access decoding and the historical exact LRU before the first
-   fix. The pipeline is built separately, because [execute] takes
-   its snapshot and consults the cache in between: Simple's pipeline
-   reads its contexts when it is built. *)
+   context with its trace, and put the store's pool on the config's
+   eviction policy — knob-off runs go back to the historical exact LRU
+   before the first fix. The pipeline is built separately, because
+   [execute] takes its snapshot and consults the cache in between:
+   Simple's pipeline reads its contexts when it is built. *)
 let context ~config store =
   let ctx = Context.create ~config store in
-  Store.set_swizzling store config.Context.swizzling;
   Buffer_manager.set_scan_resistant (Store.buffer store) config.Context.scan_resistant;
   ctx
 

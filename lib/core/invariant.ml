@@ -47,6 +47,11 @@ let post_run ?io ?results ctx =
           (fun values -> fail "%s: %s %s" k.Context.name values k.Context.off_text)
           (Counters.knob_off k.Context.guard c))
     Context.knobs;
+  (* Buffer accounting: a fix that returns is a hit or a miss, and a
+     fix that raises [Buffer_full] counts nothing. *)
+  if c.Context.buffer_lookups <> c.Context.buffer_hits + c.Context.buffer_misses then
+    fail "buffer: %d lookups but %d hits + %d misses" c.Context.buffer_lookups
+      c.Context.buffer_hits c.Context.buffer_misses;
   (* Scan-window accounting: pages are only swept inside a window. *)
   if c.Context.scan_windows = 0 && c.Context.scan_window_pages > 0 then
     fail "scan-window: %d pages swept without any window opening" c.Context.scan_window_pages;

@@ -20,6 +20,7 @@
     - counters are non-negative and stay 0 while the knob guarding
       them is off (both derived from {!Counters.table});
     - counters conserve:
+      [buffer_lookups = buffer_hits + buffer_misses],
       [specs_resolved <= specs_stored], [s_peak <= specs_stored],
       [q_served + q_dropped = q_enqueued], and the final result count
       equals XAssembly's [results_emitted] (reordered plans emit

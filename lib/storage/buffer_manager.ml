@@ -336,16 +336,24 @@ let install t pid bytes ~async =
   if async then t.async_reads <- t.async_reads + 1 else t.misses <- t.misses + 1;
   frame
 
+(* A miss makes room before it reads, and the lookup counts only once
+   the fix succeeds: a fix that raises [Buffer_full] reads no page and
+   leaves [lookups = hits + misses]. *)
 let fix t pid =
+  let frame =
+    match Hashtbl.find_opt t.table pid with
+    | Some frame ->
+      frame.pins <- frame.pins + 1;
+      if t.scan_resistant && frame.hot then t.scan_resist_hits <- t.scan_resist_hits + 1;
+      touch t frame;
+      t.hits <- t.hits + 1;
+      frame
+    | None ->
+      ensure_room t;
+      install t pid (Disk.read t.disk pid) ~async:false
+  in
   t.lookups <- t.lookups + 1;
-  match Hashtbl.find_opt t.table pid with
-  | Some frame ->
-    frame.pins <- frame.pins + 1;
-    if t.scan_resistant && frame.hot then t.scan_resist_hits <- t.scan_resist_hits + 1;
-    touch t frame;
-    t.hits <- t.hits + 1;
-    frame
-  | None -> install t pid (Disk.read t.disk pid) ~async:false
+  frame
 
 let unfix _t frame =
   if frame.pins <= 0 then invalid_arg "Buffer_manager.unfix: frame is not pinned";

@@ -9,10 +9,9 @@
       requests pile up in the {!Io_scheduler}, which serves them in a
       seek-minimising order.
 
-    Every {!fix} counts as a hash-table lookup in the statistics, and a
-    fix that returns is either a hit or a miss ({!resident} is not
-    counted), so [lookups = hits + misses] unless a fix raised
-    {!Buffer_full}. The paper
+    Every {!fix} that returns counts as a hash-table lookup in the
+    statistics, and as either a hit or a miss ({!resident} is not
+    counted), so [lookups = hits + misses] always holds. The paper
     identifies these lookups (and the implied latch traffic) as the
     "swizzling" cost that passing direct pointers between XStep
     operators avoids.
@@ -95,7 +94,8 @@ val scheduler : t -> Io_scheduler.t
 
 val fix : t -> int -> frame
 (** Pin page [pid], reading it synchronously on a miss. Must be matched
-    by {!unfix}. @raise Buffer_full if no frame can be evicted. *)
+    by {!unfix}. @raise Buffer_full if no frame can be evicted; the
+    failed fix reads nothing and counts nothing. *)
 
 val unfix : t -> frame -> unit
 (** Release one pin. @raise Invalid_argument if not pinned. *)

@@ -138,6 +138,10 @@ let save path stores =
 
 (* --- load ----------------------------------------------------------------- *)
 
+(* The fewest bytes a catalog entry takes: six u32 fields and the
+   partition's class count. *)
+let catalog_entry_min = 7 * 4
+
 let load ?(capacity = 1000) ?policy path =
   let ic = open_in_bin path in
   let data = really_input_string ic (in_channel_length ic) in
@@ -156,16 +160,20 @@ let load ?(capacity = 1000) ?policy path =
   let config =
     { Disk.page_size; seek_base; seek_factor; seek_max; rotational; transfer; async_overhead }
   in
+  if page_size = 0 then raise (Corrupt "zero page size");
   let disk = Disk.create ~config () in
+  (* Both counts are checked against the bytes left before anything is
+     allocated for them. *)
   let pages = read_u32 r in
+  need r (pages * page_size);
   for _ = 1 to pages do
-    need r page_size;
     Disk.write_string disk (Disk.alloc disk) r.data r.pos;
     r.pos <- r.pos + page_size
   done;
   Disk.reset_clock disk;
   let buffer = Buffer_manager.create ~capacity ?policy disk in
   let stores = read_u32 r in
+  need r (stores * catalog_entry_min);
   List.init stores (fun _ -> ())
   |> List.map (fun () ->
          let root_pid = read_u32 r in

@@ -22,7 +22,8 @@
 
 exception Corrupt of string
 (** Raised by {!load} on bad magic (an older format version included),
-    truncation, or a malformed partition. *)
+    truncation, a zero page size, a page or catalog count larger than
+    the bytes left, or a malformed partition. *)
 
 val save : string -> Store.t list -> unit
 (** [save path stores] writes the shared disk of [stores] and their

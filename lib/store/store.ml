@@ -14,7 +14,6 @@ type t = {
   mutable node_count : int;
   height : int;
   partition : Path_partition.t;
-  mutable swizzle : bool;
   mutable mutations : int;
   mutable swizzle_hits : int;
   mutable swizzle_misses : int;
@@ -75,7 +74,6 @@ let attach_meta ~partition buffer ~root ~first_page ~page_count ~node_count ~hei
     node_count;
     height;
     partition;
-    swizzle = true;
     mutations = 0;
     swizzle_hits = 0;
     swizzle_misses = 0;
@@ -128,7 +126,6 @@ let note_mutation_at t pid =
 
 let class_of t (id : Node_id.t) = Path_partition.class_at t.partition ~pid:id.pid ~slot:id.slot
 
-let set_swizzling t on = t.swizzle <- on
 let swizzle_stats t = (t.swizzle_hits, t.swizzle_misses)
 
 let tag_count t tag =
@@ -150,10 +147,8 @@ type view = {
   frame : Buffer_manager.frame;
   page : Page.t;
   owner : t;
-  cache : Node_record.t option array;  (* [||] when swizzling is off *)
-  nav : int array;
-      (* packed navigation words ({!Node_record.nav_of_bytes}), 0 = not
-         yet parsed; [||] when swizzling is off *)
+  cache : Node_record.t option array;
+  nav : int array;  (* packed words ({!Node_record.nav_of_bytes}), 0 = not yet parsed *)
   mutable stamp : int;
   mutable live : bool;
 }
@@ -162,15 +157,13 @@ let make_view t frame =
   touch t (Buffer_manager.frame_pid frame);
   let page = Buffer_manager.page frame in
   let slots = Page.slot_count page in
-  let cache = if t.swizzle then Array.make slots None else [||] in
-  let nav = if t.swizzle then Array.make slots 0 else [||] in
   {
     pid = Buffer_manager.frame_pid frame;
     frame;
     page;
     owner = t;
-    cache;
-    nav;
+    cache = Array.make slots None;
+    nav = Array.make slots 0;
     stamp = t.mutations;
     live = true;
   }
@@ -207,25 +200,22 @@ let revalidate v t =
 let get v slot =
   check_live v;
   let t = v.owner in
-  if not t.swizzle then Node_record.decode (Page.get v.page slot)
-  else begin
-    revalidate v t;
-    if slot >= 0 && slot < Array.length v.cache then begin
-      match v.cache.(slot) with
-      | Some record ->
-        t.swizzle_hits <- t.swizzle_hits + 1;
-        record
-      | None ->
-        let record = Node_record.decode (Page.get v.page slot) in
-        t.swizzle_misses <- t.swizzle_misses + 1;
-        v.cache.(slot) <- Some record;
-        record
-    end
-    else begin
-      (* Slots appended after the view was built: decode uncached. *)
+  revalidate v t;
+  if slot >= 0 && slot < Array.length v.cache then begin
+    match v.cache.(slot) with
+    | Some record ->
+      t.swizzle_hits <- t.swizzle_hits + 1;
+      record
+    | None ->
+      let record = Node_record.decode (Page.get v.page slot) in
       t.swizzle_misses <- t.swizzle_misses + 1;
-      Node_record.decode (Page.get v.page slot)
-    end
+      v.cache.(slot) <- Some record;
+      record
+  end
+  else begin
+    (* Slots appended after the view was built: decode uncached. *)
+    t.swizzle_misses <- t.swizzle_misses + 1;
+    Node_record.decode (Page.get v.page slot)
   end
 
 (* The fused automaton's record access: the packed navigation word,
@@ -239,26 +229,23 @@ let nav_at page slot = Node_record.nav_of_bytes (Page.to_bytes page) (Page.recor
 let nav v slot =
   check_live v;
   let t = v.owner in
-  if not t.swizzle then nav_at v.page slot
-  else begin
-    revalidate v t;
-    if slot >= 0 && slot < Array.length v.nav then begin
-      let word = v.nav.(slot) in
-      if word <> 0 then begin
-        t.swizzle_hits <- t.swizzle_hits + 1;
-        word
-      end
-      else begin
-        let word = nav_at v.page slot in
-        t.swizzle_misses <- t.swizzle_misses + 1;
-        v.nav.(slot) <- word;
-        word
-      end
+  revalidate v t;
+  if slot >= 0 && slot < Array.length v.nav then begin
+    let word = v.nav.(slot) in
+    if word <> 0 then begin
+      t.swizzle_hits <- t.swizzle_hits + 1;
+      word
     end
     else begin
+      let word = nav_at v.page slot in
       t.swizzle_misses <- t.swizzle_misses + 1;
-      nav_at v.page slot
+      v.nav.(slot) <- word;
+      word
     end
+  end
+  else begin
+    t.swizzle_misses <- t.swizzle_misses + 1;
+    nav_at v.page slot
   end
 
 let id_of v slot = Node_id.make ~pid:v.pid ~slot

@@ -138,19 +138,12 @@ val swap_write_log : t -> access_log option -> access_log option
 (** Install (or remove, with [None]) the write log, returning the
     previously installed one. *)
 
-(** {2 Swizzling} *)
+(** {2 Views: pinned pages}
 
-val set_swizzling : t -> bool -> unit
-(** Toggle the swizzled fast path (default on). When off, every record
-    access through a view decodes from the page bytes — the pre-swizzle
-    regime. Plan runs get it from their config
-    ([Xnav_core.Context.config.swizzling], applied by [Xnav_core.Exec]);
-    the bench's cursor microbenches call it directly. *)
-
-val swizzle_stats : t -> int * int
-(** Cumulative [(hits, misses)] of the per-view decode caches. *)
-
-(** {2 Views: pinned pages} *)
+    A view carries a per-slot cache of the records {!get} decodes and
+    the words {!nav} parses, so repeated navigation over a pinned page
+    never re-enters the record codec. A mutation of the view's own
+    cluster drops the cache; {!release} kills the view. *)
 
 type view
 
@@ -172,9 +165,12 @@ val view_valid : view -> bool
 
 val view_pid : view -> int
 
+val swizzle_stats : t -> int * int
+(** Cumulative [(hits, misses)] of the per-view decode caches. *)
+
 val get : view -> int -> Node_record.t
-(** Decode the record in the slot. @raise Invalid_argument on a free or
-    out-of-range slot. *)
+(** Decode the record in the slot, or return the view's cached decode of
+    it. @raise Invalid_argument on a free or out-of-range slot. *)
 
 val nav : view -> int -> int
 (** [nav view slot] is the record's packed navigation word

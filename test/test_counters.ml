@@ -24,7 +24,6 @@ type guarded = {
 let default = Context.default_config
 
 let guarded =
-  let swizzle swizzling = { default with Context.swizzling } in
   let scan_window on = { default with Context.scan_threshold = (if on then 0.5 else 0.0) } in
   let coalescing on = { default with Context.coalesce_window = (if on then 16 else 0) } in
   let fused on = Context.set_fused on default in
@@ -36,12 +35,6 @@ let guarded =
       h m e s
   in
   [
-    {
-      counter = "swizzle_hits";
-      knob = swizzle;
-      bump = (fun c -> c.Context.swizzle_hits <- 1);
-      message = "swizzle: 1 cache hits recorded while swizzling is off";
-    };
     {
       counter = "scan_windows";
       knob = scan_window;
@@ -150,11 +143,11 @@ let negative_is_reported () =
 let knob_table_is_complete () =
   let module Counters = Xnav_core.Counters in
   let variants =
-    Counters.[ Swizzling; Scan_window; Coalescing; Fused_chain; Scan_resistant; Result_cache ]
+    Counters.[ Scan_window; Coalescing; Fused_chain; Scan_resistant; Result_cache ]
   in
   (* A new variant breaks this exhaustive match: list it above too. *)
   let (_ : Counters.knob -> unit) = function
-    | Swizzling | Scan_window | Coalescing | Fused_chain | Scan_resistant | Result_cache -> ()
+    | Scan_window | Coalescing | Fused_chain | Scan_resistant | Result_cache -> ()
   in
   check Alcotest.int "one row per variant" (List.length variants) (List.length Context.knobs);
   List.iter

@@ -67,7 +67,6 @@ let reproducer_round_trips () =
       ("base", "/child::a");
       ("base", "/descendant::b/child::*");
       ("base", "/descendant-or-self::node()/self::c");
-      ("swizzle", "/descendant::b/child::c");
       ("batching", "/descendant::b/child::c");
       ("fused", "/child::a/descendant::c");
       ("cache", "/descendant-or-self::node()/child::x");
@@ -287,47 +286,28 @@ let fallback_single_frame () =
       check Alcotest.bool (name ^ " fell back") true r.Exec.metrics.Exec.fell_back)
     [ ("xschedule", Plan.xschedule ()); ("xscan", Plan.xscan ()) ]
 
-(* --- swizzling ------------------------------------------------------------ *)
-
-(* The swizzle differential tier: every plan, decode cache forced on and
-   off, identical answers and identical queue counters. *)
-let swizzle_differential_sample () =
-  check Alcotest.(list string) "swizzled and unswizzled runs agree" [] (sample_tier "swizzle")
+(* --- views ------------------------------------------------------------------ *)
 
 (* No swizzled handle survives its pin: every view access after release
-   must raise, whether the cache is on or off. *)
+   must raise. *)
 let view_dies_on_release () =
-  let tree = doc () in
-  List.iter
-    (fun swizzle ->
-      let store, _ =
-        build ~capacity:4 ~policy:Io_scheduler.Elevator ~replacement:Buffer_manager.Lru tree
-      in
-      Store.set_swizzling store swizzle;
-      let label fmt = Printf.sprintf (format_of_string fmt) (if swizzle then "on" else "off") in
-      let v = Store.view store (Store.first_page store) in
-      check Alcotest.bool (label "view live while pinned (swizzle %s)") true (Store.view_valid v);
-      ignore (Store.get v 0);
-      Store.release store v;
-      check Alcotest.bool (label "view dead after release (swizzle %s)") false (Store.view_valid v);
-      let raises f =
-        match f () with
-        | () -> false
-        | exception Invalid_argument _ -> true
-      in
-      check Alcotest.bool
-        (label "get after release raises (swizzle %s)")
-        true
-        (raises (fun () -> ignore (Store.get v 0)));
-      check Alcotest.bool
-        (label "next_up after release raises (swizzle %s)")
-        true
-        (raises (fun () -> ignore (Store.next_up v 0)));
-      check Alcotest.bool
-        (label "double release raises (swizzle %s)")
-        true
-        (raises (fun () -> Store.release store v)))
-    [ true; false ]
+  let store, _ =
+    build ~capacity:4 ~policy:Io_scheduler.Elevator ~replacement:Buffer_manager.Lru (doc ())
+  in
+  let v = Store.view store (Store.first_page store) in
+  check Alcotest.bool "view live while pinned" true (Store.view_valid v);
+  ignore (Store.get v 0);
+  Store.release store v;
+  check Alcotest.bool "view dead after release" false (Store.view_valid v);
+  let raises f =
+    match f () with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  check Alcotest.bool "get after release raises" true (raises (fun () -> ignore (Store.get v 0)));
+  check Alcotest.bool "next_up after release raises" true
+    (raises (fun () -> ignore (Store.next_up v 0)));
+  check Alcotest.bool "double release raises" true (raises (fun () -> Store.release store v))
 
 (* XSchedule's direct-serve pick (queued items whose cluster has no
    pending I/O) is the cost-weighted rule: the cluster with the most
@@ -710,8 +690,6 @@ let suite =
       ] );
     ( "swizzling",
       [
-        Alcotest.test_case "200 sampled cases: swizzling on/off is observationally equal" `Slow
-          swizzle_differential_sample;
         Alcotest.test_case "no swizzled handle survives an unpin" `Quick view_dies_on_release;
         Alcotest.test_case "xschedule direct-serve pick yields a stable I/O trace" `Quick
           xschedule_trace_is_stable;

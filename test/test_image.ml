@@ -204,6 +204,30 @@ let tests =
             | _ -> Alcotest.failf "an %s image must be rejected" magic)
           [ "XNAVIMG1"; "XNAVIMG2" ];
         check int "the whole image loads" 1 (List.length (load_bytes image)));
+    Alcotest.test_case "patched counts and a zero page size raise Corrupt" `Quick (fun () ->
+        let store, _ = Gen.import_store ~payload:200 (Gen.sample_doc ()) in
+        Image.save temp_path [ store ];
+        let image = read_file temp_path in
+        (* Page size at 8, page count at 60, the store count after the pages. *)
+        let disk = Buffer_manager.disk (Store.buffer store) in
+        let pages_end = 64 + (Xnav_storage.Disk.page_count disk * 512) in
+        let patched fields =
+          let b = Bytes.of_string image in
+          List.iter (fun (at, v) -> Bytes.set_int32_le b at (Int32.of_int v)) fields;
+          write_file temp_path (Bytes.to_string b);
+          let before = Gc.allocated_bytes () in
+          (match Image.load temp_path with
+          | exception Image.Corrupt _ -> ()
+          | exception e -> Alcotest.failf "patched image: %s" (Printexc.to_string e)
+          | _ -> Alcotest.fail "a patched image loaded");
+          (* The image is a few KB: nothing near the patched counts. *)
+          check bool "allocation bounded by the image" true
+            (Gc.allocated_bytes () -. before < 16e6)
+        in
+        List.iter (fun n -> patched [ (60, n) ]) [ 4_000_000; 0x7fff_ffff ];
+        patched [ (pages_end, 4_000_000) ];
+        patched [ (8, 0) ];
+        patched [ (8, 0); (60, 4_000_000) ]);
     Alcotest.test_case "save requires a shared disk" `Quick (fun () ->
         let s1, _ = Gen.import_store (Gen.sample_doc ()) in
         let s2, _ = Gen.import_store (Gen.sample_doc ()) in
@@ -212,4 +236,28 @@ let tests =
         | _ -> Alcotest.fail "expected Invalid_argument");
   ]
 
-let suite = [ ("image", tests) ]
+(* Truncations and single-byte flips of a small saved image: [load]
+   returns or raises [Corrupt], nothing else. *)
+let saved_image =
+  lazy
+    (let store, _ = Gen.import_store ~payload:200 (Gen.sample_doc ()) in
+     Image.save temp_path [ store ];
+     read_file temp_path)
+
+let fuzz_props =
+  [
+    QCheck2.Test.make ~name:"image: truncated or flipped images raise only Corrupt" ~count:300
+      QCheck2.Gen.(triple bool nat (int_range 1 255))
+      ~print:(fun (flip, at, x) ->
+        Printf.sprintf "%s at %d (xor %d)" (if flip then "flip" else "cut") at x)
+      (fun (flip, at, x) ->
+        let image = Lazy.force saved_image in
+        let at = at mod String.length image in
+        write_file temp_path
+          (if flip then
+             String.mapi (fun i c -> if i = at then Char.chr (Char.code c lxor x) else c) image
+           else String.sub image 0 at);
+        match Image.load temp_path with _ -> true | exception Image.Corrupt _ -> true);
+  ]
+
+let suite = [ ("image", tests); Gen.qsuite "image.fuzz" fuzz_props ]

@@ -82,19 +82,22 @@ let tests =
         match Multi.run ~cold:true store [ Xpath_parser.parse "//B/.." ] with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
-    Alcotest.test_case "multi applies its own swizzling knob after an exec run" `Quick (fun () ->
+    Alcotest.test_case "multi applies its own scan-resistance knob after an exec run" `Quick
+      (fun () ->
         let doc = Gen.wide_tree ~children:60 () in
         let store, _ = Gen.import_store ~payload:200 ~capacity:16 doc in
         let paths = List.map Xpath_parser.parse [ "//b"; "//b/x" ] in
-        let swizzling on = { Context.default_config with Context.swizzling = on } in
-        let hits config =
-          (Multi.run ~config ~cold:true store paths).Multi.metrics.Exec.swizzle_hits
+        let resistant on = Context.set_scan_resistant on Context.default_config in
+        let pool_after config =
+          ignore (Multi.run ~config ~cold:true store paths);
+          Buffer_manager.scan_resistant (Store.buffer store)
         in
         let path = List.hd paths in
-        ignore (Exec.cold_run ~config:(swizzling false) store path (Plan.xscan ()));
-        check bool "swizzling on: the decode cache hits" true (hits (swizzling true) > 0);
-        ignore (Exec.cold_run ~config:(swizzling true) store path (Plan.xscan ()));
-        check int "swizzling off: no decode-cache hit" 0 (hits (swizzling false)));
+        ignore (Exec.cold_run ~config:(resistant false) store path (Plan.xscan ()));
+        check bool "2Q on: multi switches the pool to 2Q" true (pool_after (resistant true));
+        ignore (Exec.cold_run ~config:(resistant true) store path (Plan.xscan ()));
+        check bool "2Q off: multi switches the pool back to LRU" false
+          (pool_after (resistant false)));
     Alcotest.test_case "document order is restored per path" `Quick (fun () ->
         let doc = Gen.sample_doc () in
         let store, _ = Gen.import_store ~payload:200 doc in

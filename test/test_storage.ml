@@ -564,6 +564,20 @@ let buffer_tests =
             | _ -> Alcotest.fail "expected Buffer_full");
             Buffer_manager.unfix b f0;
             Buffer_manager.unfix b f1));
+    Alcotest.test_case "a failed fix reads nothing and counts nothing" `Quick (fun () ->
+        with_disk 2 (fun d ->
+            let b = Buffer_manager.create ~capacity:1 d in
+            let f0 = Buffer_manager.fix b 0 in
+            let reads = (Disk.stats d).Disk.reads in
+            (match Buffer_manager.fix b 1 with
+            | exception Buffer_manager.Buffer_full -> ()
+            | _ -> Alcotest.fail "expected Buffer_full");
+            check int "no disk read" reads (Disk.stats d).Disk.reads;
+            let s = Buffer_manager.stats b in
+            check int "one lookup" 1 s.Buffer_manager.lookups;
+            check int "lookups = hits + misses" s.Buffer_manager.lookups
+              (s.Buffer_manager.hits + s.Buffer_manager.misses);
+            Buffer_manager.unfix b f0));
     Alcotest.test_case "prefetch + await_one installs pages" `Quick (fun () ->
         with_disk 6 (fun d ->
             let b = Buffer_manager.create ~capacity:4 d in

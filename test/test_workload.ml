@@ -520,23 +520,23 @@ let pinned_shards ~shards =
       ~rebalance_moves:r.Shard.rebalance_moves ~page_reads:r.Shard.page_reads ~commits:0,
     r.Shard.rebalance_moves )
 
-let pin_single_pool_expected = {|q-x c0 recovered n13 sub=0x0p+0 st=0x0p+0 fin=0x1.05335725348c8p-3 srv=1 stv=0 y=0 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
-q-e c1 recovered n15 sub=0x0p+0 st=0x1.3d31b9b66f932p-10 fin=0x1.10344b3614048p-3 srv=2 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
-q-y c2 completed n14 sub=0x0p+0 st=0x1.affa6b861f9dp-8 fin=0x1.434de6b58b826p-6 srv=3 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
-q-d c3 completed n14 sub=0x0p+0 st=0x1.434de6b58b826p-6 fin=0x1.1316b4ec759e1p-5 srv=4 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
-q-e c4 recovered n15 sub=0x0p+0 st=0x1.1316b4ec759e1p-5 fin=0x1.427f6af1297dfp-5 srv=2 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
-w1 c5 completed n0 sub=0x0p+0 st=0x1.427f6af1297dfp-5 fin=0x1.b9edb48060ea2p-4 srv=4 stv=0 y=0 bo=0 sh=false ch=false wc=2 lw=0 sr=0 fc=2
-w2 c6 completed n0 sub=0x0p+0 st=0x1.b9edb48060ea2p-4 fin=0x1.68fbd531ddd06p-3 srv=4 stv=0 y=0 bo=0 sh=false ch=false wc=2 lw=0 sr=0 fc=4
-q-d c0 completed n13 sub=0x1.3d31b9b66f932p-10 st=0x1.68fbd531ddd06p-3 fin=0x1.855349be65218p-3 srv=4 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
-q-a c1 completed n8 sub=0x1.affa6b861f9dp-8 st=0x1.855349be65218p-3 fin=0x1.ef9da9951b081p-3 srv=8 stv=0 y=7 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
-q-t c2 timed-out n0 sub=0x1.434de6b58b826p-6 st=0x1.ef9da9951b081p-3 fin=0x1.ef9da9951b081p-3 srv=0 stv=0 y=0 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
-q-d c4 completed n13 sub=0x1.427f6af1297dfp-5 st=0x1.ef9da9951b081p-3 fin=0x1.ef9da9951b081p-3 srv=0 stv=0 y=0 bo=0 sh=false ch=true wc=0 lw=0 sr=0 fc=4
-q-d c1 completed n13 sub=0x1.ef9da9951b081p-3 st=0x1.ef9da9951b081p-3 fin=0x1.ef9da9951b081p-3 srv=0 stv=0 y=0 bo=0 sh=false ch=true wc=0 lw=0 sr=0 fc=4
-q-x c3 recovered n13 sub=0x1.1316b4ec759e1p-5 st=0x1.ef9da9951b081p-3 fin=0x1.fb735b3e635b5p-3 srv=2 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
-q-x c0 recovered n13 sub=0x1.855349be65218p-3 st=0x1.ef9da9951b081p-3 fin=0x1.fb735b3e635b5p-3 srv=2 stv=0 y=0 bo=0 sh=true ch=false wc=0 lw=0 sr=0 fc=4
-q-e c2 recovered n15 sub=0x1.ef9da9951b081p-3 st=0x1.fb735b3e635b5p-3 fin=0x1.033c659393bcap-2 srv=2 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
-q-y c3 completed n15 sub=0x1.fb735b3e635b5p-3 st=0x1.033c659393bcap-2 fin=0x1.10b15a50d3f7cp-2 srv=3 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
-turns=39 maxc=1 moves=0 reads=610 commits=4
+let pin_single_pool_expected = {|q-x c0 recovered n13 sub=0x0p+0 st=0x0p+0 fin=0x1.04ef2ed737a97p-3 srv=1 stv=0 y=0 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-e c1 recovered n15 sub=0x0p+0 st=0x1.1b1d92b7fe08ap-10 fin=0x1.0fa42573fb374p-3 srv=2 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-y c2 completed n14 sub=0x0p+0 st=0x1.9df5b34305f46p-8 fin=0x1.3e8e0f73ccdf5p-6 srv=3 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+q-d c3 completed n14 sub=0x0p+0 st=0x1.3e8e0f73ccdf5p-6 fin=0x1.10b6c94b964cap-5 srv=4 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
+q-e c4 recovered n15 sub=0x0p+0 st=0x1.10b6c94b964cap-5 fin=0x1.3f0ede1856a03p-5 srv=2 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+w1 c5 completed n0 sub=0x0p+0 st=0x1.3f0ede1856a03p-5 fin=0x1.b825c3c7b96dp-4 srv=4 stv=0 y=0 bo=0 sh=false ch=false wc=2 lw=0 sr=0 fc=2
+w2 c6 completed n0 sub=0x0p+0 st=0x1.b825c3c7b96dp-4 fin=0x1.6817dcd58a11dp-3 srv=4 stv=0 y=0 bo=0 sh=false ch=false wc=2 lw=0 sr=0 fc=4
+q-d c0 completed n13 sub=0x1.1b1d92b7fe08ap-10 st=0x1.6817dcd58a11dp-3 fin=0x1.846f51621162fp-3 srv=4 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-a c1 completed n8 sub=0x1.9df5b34305f46p-8 st=0x1.846f51621162fp-3 fin=0x1.eeb9b138c7498p-3 srv=8 stv=0 y=7 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-t c2 timed-out n0 sub=0x1.3e8e0f73ccdf5p-6 st=0x1.eeb9b138c7498p-3 fin=0x1.eeb9b138c7498p-3 srv=0 stv=0 y=0 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-d c4 completed n13 sub=0x1.3f0ede1856a03p-5 st=0x1.eeb9b138c7498p-3 fin=0x1.eeb9b138c7498p-3 srv=0 stv=0 y=0 bo=0 sh=false ch=true wc=0 lw=0 sr=0 fc=4
+q-d c1 completed n13 sub=0x1.eeb9b138c7498p-3 st=0x1.eeb9b138c7498p-3 fin=0x1.eeb9b138c7498p-3 srv=0 stv=0 y=0 bo=0 sh=false ch=true wc=0 lw=0 sr=0 fc=4
+q-x c3 recovered n13 sub=0x1.10b6c94b964cap-5 st=0x1.eeb9b138c7498p-3 fin=0x1.fa4b3a9412b9bp-3 srv=2 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-x c0 recovered n13 sub=0x1.846f51621162fp-3 st=0x1.eeb9b138c7498p-3 fin=0x1.fa4b3a9412b9bp-3 srv=2 stv=0 y=0 bo=0 sh=true ch=false wc=0 lw=0 sr=0 fc=4
+q-e c2 recovered n15 sub=0x1.eeb9b138c7498p-3 st=0x1.fa4b3a9412b9bp-3 fin=0x1.028256845d76bp-2 srv=2 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+q-y c3 completed n15 sub=0x1.fa4b3a9412b9bp-3 st=0x1.028256845d76bp-2 fin=0x1.0ff360ae8e2e4p-2 srv=3 stv=0 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=4
+turns=39 maxc=1 moves=0 reads=605 commits=4
 |}
 let pin_two_shards_expected = {|gamma/g-c c4 completed n4 sub=0x0p+0 st=0x0p+0 fin=0x1.dba50136f6c8bp-7 srv=2 stv=5 y=1 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
 gamma/g-a c3 completed n2 sub=0x0p+0 st=0x0p+0 fin=0x1.dba50136f6c8bp-7 srv=3 stv=6 y=2 bo=0 sh=false ch=false wc=0 lw=0 sr=0 fc=0
